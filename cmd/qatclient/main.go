@@ -72,7 +72,7 @@ func main() {
 	chunkWays := flag.Int("chunk-ways", 0, "run: re backend symbol chunk width (0 = server default)")
 	spillRuns := flag.Int("spill-runs", 0, "run: re backend dense-spill run budget (0 = server default, negative disables)")
 	timeout := flag.Duration("timeout", 0, "run: per-program execution deadline")
-	reqID := flag.String("id", "", "run: explicit request/idempotency ID")
+	reqID := flag.String("id", "", "run: explicit request ID")
 	tenant := flag.String("tenant", "", "submit: fair-queuing tenant (default \"default\")")
 	priority := flag.Int("priority", 0, "submit: within-tenant priority (higher runs first)")
 	weight := flag.Int("weight", 0, "submit: tenant fair-share weight (default 1)")

@@ -9,15 +9,11 @@
 //	qatfarm [-workers N] [-stages N] [-ways N] [-abits N] [-bbits N]
 //	        [-reuse] [-const-regs] [-memo] [-timeout D]
 //	        [-metrics FILE] [-http ADDR] [-trace FILE] n1 [n2 ...]
-//	qatfarm -bench [-out BENCH_farm.json]
-//	qatfarm -bench-memo [-workers N] [-out BENCH_memo.json]
-//	qatfarm -bench-opt [-out BENCH_opt.json]
 //
 // Examples:
 //
 //	qatfarm 15 21 33 35 51 65 77 85 91 95      # factor ten semiprimes in parallel
 //	qatfarm -workers 2 -timeout 5s 221 187     # bounded concurrency and deadline
-//	qatfarm -bench                             # write the throughput sweep to BENCH_farm.json
 //	qatfarm -metrics - 15 21 35                # dump Prometheus text to stdout after the run
 //	qatfarm -http :8080 -trace out.jsonl 221   # live /metrics + expvar + pprof, JSONL cycle trace
 //
@@ -30,32 +26,24 @@
 // last cycles of the pipelined jobs are exported as versioned JSONL (see
 // docs/TRACE.md).
 //
-// The -bench mode runs the same workloads as BenchmarkFarmThroughput (the
-// Figure 10 factoring program on the pipelined machine and the subset-sum
-// search on the functional machine) at worker counts 1/2/4/NumCPU, and
-// writes jobs/s per worker count to a JSON file so future changes have a
-// recorded perf trajectory.
-//
 // -memo attaches the content-addressed execution cache (internal/memo) to
 // the engine, so resubmitting an identical program replays the recorded
 // outcome instead of re-executing; the farm stats line reports the hits.
-// The -bench-memo mode measures that: a 90%-repeat job mix (each distinct
-// program submitted ten times) timed with the cache off and on, written to
-// BENCH_memo.json with the off-vs-on speedup as the headline figure.
+//
+// The farm stats line summarizes one run; it is not a benchmark. The
+// repository's one performance harness is bench/ (run with `bash bench/run.sh`): its
+// sim-factor16 workload runs the Figure 10 factoring programs through this
+// same engine on the 5-stage pipeline, and bench/README.md records the
+// current baselines.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"strconv"
-	"time"
 
-	"tangled/internal/asm"
 	"tangled/internal/compile"
 	"tangled/internal/farm"
 	"tangled/internal/memo"
@@ -74,55 +62,13 @@ func main() {
 	constRegs := flag.Bool("const-regs", false, "use the Section 5 constant-register bank")
 	useMemo := flag.Bool("memo", false, "memoize executions in a content-addressed cache")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the batch (0 = none)")
-	bench := flag.Bool("bench", false, "run the throughput sweep and write the regression file")
-	benchMemo := flag.Bool("bench-memo", false, "benchmark the execution cache on a 90%-repeat mix")
-	benchAoB := flag.Bool("bench-aob", false, "benchmark the SWAR AoB kernels against the definitional bit loops")
-	benchOpt := flag.Bool("bench-opt", false, "measure the optimizing recompiler's static shrink on peephole-rich examples")
-	out := flag.String("out", "", "output file for the -bench-* modes (defaults BENCH_<mode>.json)")
 	metricsOut := flag.String("metrics", "", "write Prometheus text metrics to FILE after the run (- for stdout)")
 	httpAddr := flag.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on ADDR during the run")
 	traceOut := flag.String("trace", "", "write the pipeline cycle trace as JSONL to FILE")
 	flag.Parse()
 
-	if *bench {
-		if *out == "" {
-			*out = "BENCH_farm.json"
-		}
-		if err := runBench(*out); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchMemo {
-		if *out == "" {
-			*out = "BENCH_memo.json"
-		}
-		if err := runBenchMemo(*out, *workers); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchAoB {
-		if *out == "" {
-			*out = "BENCH_aob.json"
-		}
-		if err := runBenchAoB(*out); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *benchOpt {
-		if *out == "" {
-			*out = "BENCH_opt.json"
-		}
-		if err := runBenchOpt(*out); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: qatfarm [flags] n1 [n2 ...]  (or qatfarm -bench)")
+		fmt.Fprintln(os.Stderr, "usage: qatfarm [flags] n1 [n2 ...]")
 		os.Exit(2)
 	}
 	ns := make([]uint64, flag.NArg())
@@ -245,158 +191,6 @@ func writeTrace(path string, ring *obs.TraceRing) error {
 		fmt.Fprintf(os.Stderr, "qatfarm: trace ring dropped %d oldest events (capacity %d)\n", n, obs.DefaultTraceCap)
 	}
 	return f.Close()
-}
-
-// benchReport is the schema of BENCH_farm.json.
-type benchReport struct {
-	Benchmark  string          `json:"benchmark"`
-	Generated  string          `json:"generated"`
-	NumCPU     int             `json:"num_cpu"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	GoVersion  string          `json:"go_version"`
-	Note       string          `json:"note"`
-	Workloads  []benchWorkload `json:"workloads"`
-}
-
-type benchWorkload struct {
-	Name         string       `json:"name"`
-	JobsPerBatch int          `json:"jobs_per_batch"`
-	Points       []benchPoint `json:"points"`
-	// Speedup4v1 is jobs/s at 4 workers over jobs/s at 1 worker — the
-	// headline scaling figure (meaningful only when num_cpu >= 4).
-	Speedup4v1 float64 `json:"speedup_4_vs_1"`
-}
-
-type benchPoint struct {
-	Workers     int     `json:"workers"`
-	Jobs        uint64  `json:"jobs"`
-	Seconds     float64 `json:"seconds"`
-	JobsPerSec  float64 `json:"jobs_per_sec"`
-	PoolHitRate float64 `json:"pool_hit_rate"`
-}
-
-// benchWorkloads mirrors BenchmarkFarmThroughput's workload set.
-func benchWorkloads() ([]struct {
-	name string
-	jobs []farm.Job
-}, error) {
-	const batch = 32
-	factor, err := compile.FactorProgram(15, 8, 4, 4, compile.Options{})
-	if err != nil {
-		return nil, err
-	}
-	factorProg, err := asm.Assemble(factor.Asm)
-	if err != nil {
-		return nil, err
-	}
-	subset, err := compile.SubsetSumProgram([]uint64{3, 5, 9, 14, 20, 27, 33, 41}, 50, 8, compile.Options{Reuse: true})
-	if err != nil {
-		return nil, err
-	}
-	subsetProg, err := asm.Assemble(subset.Asm)
-	if err != nil {
-		return nil, err
-	}
-	mk := func(name string, prog *asm.Program, mode farm.Mode) []farm.Job {
-		jobs := make([]farm.Job, batch)
-		for i := range jobs {
-			jobs[i] = farm.Job{Name: fmt.Sprintf("%s-%d", name, i), Prog: prog, Mode: mode,
-				Ways: 8, Pipeline: pipeline.StudentConfig()}
-		}
-		return jobs
-	}
-	return []struct {
-		name string
-		jobs []farm.Job
-	}{
-		{"fig10-factor15-pipelined", mk("factor15", factorProg, farm.Pipelined)},
-		{"subsetsum8-functional", mk("subset", subsetProg, farm.Functional)},
-	}, nil
-}
-
-// measure runs batches at the given worker count until minDuration elapses
-// and returns the aggregated point.
-func measure(jobs []farm.Job, workers int, minDuration time.Duration) (benchPoint, error) {
-	engine := farm.New(workers)
-	if _, warm := engine.Run(context.Background(), jobs); warm.Errors > 0 {
-		return benchPoint{}, fmt.Errorf("warmup batch had %d failures", warm.Errors)
-	}
-	var total farm.Stats
-	start := time.Now()
-	for time.Since(start) < minDuration {
-		_, st := engine.Run(context.Background(), jobs)
-		if st.Errors > 0 {
-			return benchPoint{}, fmt.Errorf("batch had %d failures", st.Errors)
-		}
-		total.Jobs += st.Jobs
-		total.PoolHits += st.PoolHits
-		total.PoolMisses += st.PoolMisses
-	}
-	elapsed := time.Since(start)
-	return benchPoint{
-		Workers:     workers,
-		Jobs:        total.Jobs,
-		Seconds:     elapsed.Seconds(),
-		JobsPerSec:  float64(total.Jobs) / elapsed.Seconds(),
-		PoolHitRate: total.PoolHitRate(),
-	}, nil
-}
-
-func runBench(path string) error {
-	workloads, err := benchWorkloads()
-	if err != nil {
-		return err
-	}
-	sweep := map[int]bool{1: true, 2: true, 4: true, runtime.NumCPU(): true}
-	var workerCounts []int
-	for w := range sweep {
-		workerCounts = append(workerCounts, w)
-	}
-	sort.Ints(workerCounts)
-
-	rep := benchReport{
-		Benchmark:  "FarmThroughput",
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Note: "jobs/s per worker count on the Fig 10 factoring and subset-sum workloads; " +
-			"speedup_4_vs_1 is the scaling headline and requires num_cpu >= 4 to be meaningful",
-	}
-	for _, wl := range workloads {
-		w := benchWorkload{Name: wl.name, JobsPerBatch: len(wl.jobs)}
-		var at1, at4 float64
-		for _, workers := range workerCounts {
-			pt, err := measure(wl.jobs, workers, 700*time.Millisecond)
-			if err != nil {
-				return fmt.Errorf("%s at %d workers: %w", wl.name, workers, err)
-			}
-			fmt.Printf("%-26s workers=%-3d %10.0f jobs/s (pool hit rate %.0f%%)\n",
-				wl.name, workers, pt.JobsPerSec, 100*pt.PoolHitRate)
-			w.Points = append(w.Points, pt)
-			switch workers {
-			case 1:
-				at1 = pt.JobsPerSec
-			case 4:
-				at4 = pt.JobsPerSec
-			}
-		}
-		if at1 > 0 {
-			w.Speedup4v1 = at4 / at1
-		}
-		rep.Workloads = append(rep.Workloads, w)
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 func fatal(err error) {

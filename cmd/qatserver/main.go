@@ -50,7 +50,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	workers := flag.Int("workers", 0, "concurrent jobs (default GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "concurrent jobs per farm batch (default GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue limit (default 256)")
 	batchWindow := flag.Duration("batch-window", 0, "coalescer latency window (default 2ms)")
 	batchMax := flag.Int("batch-max", 0, "max jobs per coalesced/chunked batch (default 64)")

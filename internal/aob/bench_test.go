@@ -8,9 +8,9 @@ import (
 
 // Kernel benchmarks at the three widths that matter: the student hardware
 // (8), an intermediate (12), and the paper's Qat (16, 1024 words). The
-// cmd/qatfarm -bench-aob harness measures the same kernels outside the
-// testing framework for the BENCH_aob.json artifact; these exist for
-// benchstat-style iteration during development.
+// repository benchmark (bench/) reports the 16-way kernels as its aob.*
+// per-layer metrics; these exist for benchstat-style iteration during
+// development.
 
 var benchWays = []int{8, 12, 16}
 

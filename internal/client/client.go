@@ -4,7 +4,9 @@
 // exponential backoff with full jitter, Retry-After honored on 429/503
 // backpressure, and idempotent resubmission: every run is assigned its
 // request ID before the first attempt, so a retry after a lost response
-// replays the server's cached result instead of re-executing.
+// carries the same ID and the server's content-addressed memo answers it
+// (cached:true); with the memo disabled the retry re-executes, and
+// deterministic execution gives the same result.
 package client
 
 import (
@@ -284,9 +286,9 @@ func parseRetryAfter(s string, now time.Time) (time.Duration, bool) {
 }
 
 // Run executes one program. A request without an ID is assigned one before
-// the first attempt, so every retry resubmits the same ID and a duplicate
-// execution is replayed from the server's idempotency cache rather than
-// re-run.
+// the first attempt, so every retry resubmits the same ID. The server's memo
+// answers a retry of a program that already ran (cached:true); with the
+// memo disabled the retry re-executes deterministically.
 func (c *Client) Run(ctx context.Context, req server.RunRequest) (server.RunResult, error) {
 	if req.ID == "" {
 		req.ID = NewRequestID()
@@ -399,7 +401,7 @@ func (c *Client) ClusterBuildInfo(ctx context.Context) (server.ClusterBuildInfo,
 	return out, err
 }
 
-// NewRequestID mints a random idempotency key ("cli-<16 hex>").
+// NewRequestID mints a random request ID ("cli-<16 hex>").
 func NewRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {

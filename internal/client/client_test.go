@@ -176,7 +176,7 @@ func TestBatchTruncationDetected(t *testing.T) {
 }
 
 // TestAgainstRealServer closes the loop: the retrying client against the
-// real serving stack, including an end-to-end idempotent replay.
+// real serving stack, including an end-to-end resubmission the memo answers.
 func TestAgainstRealServer(t *testing.T) {
 	s, err := server.New(server.Config{})
 	if err != nil {
@@ -194,9 +194,14 @@ func TestAgainstRealServer(t *testing.T) {
 	if err != nil || res.Regs[1] != 9 {
 		t.Fatalf("run: %+v, %v", res, err)
 	}
+	// A resubmission under the same ID is answered by the server's memo,
+	// not executed again.
 	again, err := c.Run(ctx, server.RunRequest{ID: "real-1", Src: "lex $1,9\nlex $0,0\nsys\n"})
-	if err != nil || again != res {
-		t.Fatalf("replay: %+v, %v", again, err)
+	if err != nil || !again.Cached || again.Regs != res.Regs || again.Output != res.Output || again.Insts != res.Insts {
+		t.Fatalf("resubmission: %+v, %v (first %+v)", again, err, res)
+	}
+	if done := s.Engine().Totals().Jobs; done != 1 {
+		t.Fatalf("engine ran %d jobs, want 1", done)
 	}
 
 	results, err := c.Batch(ctx, server.BatchRequest{Programs: []server.RunRequest{

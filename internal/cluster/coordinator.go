@@ -392,8 +392,8 @@ func (co *Coordinator) noteForwardFailure(n *node, err error) (failover bool, re
 		co.markDraining(n)
 		return true, nil
 	case http.StatusInternalServerError, http.StatusBadGateway:
-		// Transient worker fault; execution is deterministic and the
-		// request ID idempotent, so re-running elsewhere is safe.
+		// Transient worker fault; execution is deterministic, so
+		// re-running elsewhere is safe.
 		return true, nil
 	}
 	return false, apiErr
@@ -433,9 +433,9 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		co.writeError(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	// Mint the idempotency key here, before the first forward, so a
-	// failover replays the same ID (and a node that already executed it
-	// serves its idempotency cache instead of re-running).
+	// Mint the request ID here, before the first forward, so a failover
+	// carries the same ID. A node whose memo holds the program answers it
+	// with cached:true; otherwise the retry re-executes deterministically.
 	if req.ID == "" {
 		req.ID = client.NewRequestID()
 	}

@@ -1,11 +1,10 @@
 package farm_test
 
-// BenchmarkFarmThroughput is the farm's reported artifact: jobs/s on the
+// BenchmarkFarmThroughput measures the farm in jobs/s on the
 // paper's two generated workloads (the Figure 10 factoring program and the
-// subset-sum search), swept over worker counts 1/2/4/NumCPU. cmd/qatfarm
-// -bench runs the same sweep outside the test binary and records it in
-// BENCH_farm.json so future changes have a perf trajectory to compare
-// against.
+// subset-sum search), swept over worker counts 1/2/4/NumCPU. The
+// repository benchmark (bench/) is the gated record; this sweep is for
+// benchstat-style iteration during development.
 
 import (
 	"context"

@@ -193,8 +193,10 @@ type Engine struct {
 	memo atomic.Pointer[memo.Cache]
 }
 
-// New returns an engine running at most workers jobs concurrently;
-// workers <= 0 means runtime.GOMAXPROCS(0).
+// New returns an engine whose Run calls each execute at most workers jobs
+// concurrently; workers <= 0 means runtime.GOMAXPROCS(0). The bound is per
+// call, not engine-wide: each Run starts its own min(workers, len(jobs))
+// goroutines, so concurrent Run calls add up.
 func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -2,10 +2,8 @@ package memo
 
 // A true least-recently-used bounded map: lookups refresh recency, so a hot
 // entry survives arbitrarily many insertions while cold entries age out.
-// This is deliberately not a FIFO — the serving layer's original
-// idempotency cache was one, and a hot request ID was evicted as readily as
-// a cold one (see internal/server). Both the execution cache and the
-// idempotency cache are built on this core.
+// This is deliberately not a FIFO, under which a hot entry is evicted as
+// readily as a cold one. The execution cache is built on this core.
 //
 // The zero value is not usable; construct with NewLRU. An LRU is not
 // goroutine-safe — callers hold their own lock, which lets them batch a

@@ -31,8 +31,9 @@ const ResultsSchemaVersion = 1
 // assembly) or Words (a pre-assembled word image, the hex-file form) must
 // be set.
 type RunRequest struct {
-	// ID is the caller's idempotency key for this program; the server
-	// generates one when empty. It comes back in RunResult.ID, in the
+	// ID is the caller's request ID for this program; the server
+	// generates one when empty. It labels the result only: no cache is
+	// keyed by it, so a retry is answered by the execution cache. It comes back in RunResult.ID, in the
 	// X-Request-ID response header, and as the req field of cycle-trace
 	// rows the run contributes.
 	ID string `json:"id,omitempty"`
@@ -88,8 +89,8 @@ type BatchRequest struct {
 
 // DeriveBatchProgramID names program i of a batch that did not carry its
 // own ID. Exported because the cluster coordinator derives the same IDs
-// before splitting a batch across nodes, so failover replays are
-// idempotent per program.
+// before splitting a batch across nodes, so a failed-over program keeps
+// its ID.
 func DeriveBatchProgramID(batchID string, i int) string {
 	return fmt.Sprintf("%s/%d", batchID, i)
 }

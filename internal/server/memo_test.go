@@ -3,8 +3,7 @@ package server
 // Serving-layer memoization: /v1/run and /v1/batch consult the
 // content-addressed execution cache before admission control. These tests
 // pin the wire-visible contract — the cached field, byte-identical replays
-// over the full shared corpus, hits sailing past a full admission queue —
-// and the idempotency cache's LRU eviction order (the FIFO regression).
+// over the full shared corpus, hits sailing past a full admission queue.
 
 import (
 	"bufio"
@@ -55,8 +54,8 @@ func sameRunResult(a, b RunResult) error {
 }
 
 // TestRunMemoizedDifferential repeats every corpus program through /v1/run
-// (distinct request IDs, so the idempotency cache stays out of the way) and
-// requires the cached replay to be byte-identical to the fresh execution.
+// under distinct request IDs and requires the cached replay to be
+// byte-identical to the fresh execution.
 func TestRunMemoizedDifferential(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, base := startTestServer(t, Config{Registry: reg})
@@ -245,41 +244,4 @@ func postBatch(t *testing.T, base string, req BatchRequest) []RunResult {
 		t.Fatalf("stream delivered %d of %d results", len(out), len(req.Programs))
 	}
 	return out
-}
-
-// TestIdempCacheLRUEvictionOrder is the regression for the FIFO bug: a
-// request ID that keeps being replayed must survive unrelated traffic, and
-// eviction must target the least recently *used* entry, not the oldest
-// insertion.
-func TestIdempCacheLRUEvictionOrder(t *testing.T) {
-	c := newIdempCache(3)
-	c.put("a", RunResult{ID: "a"})
-	c.put("b", RunResult{ID: "b"})
-	c.put("c", RunResult{ID: "c"})
-
-	// "a" is hot: a client keeps retrying it.
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a missing")
-	}
-	// New traffic must evict cold "b", not hot "a" (a FIFO would drop "a").
-	c.put("d", RunResult{ID: "d"})
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("hot entry a was evicted; idempotency cache is still FIFO")
-	}
-	if _, ok := c.get("b"); ok {
-		t.Fatal("cold entry b survived over hot a")
-	}
-
-	// First write wins even after eviction churn.
-	c.put("a", RunResult{ID: "a2"})
-	if r, _ := c.get("a"); r.ID != "a" {
-		t.Fatalf("replayed entry was overwritten: %q", r.ID)
-	}
-
-	// Disabled cache (nil) is inert.
-	var nilCache *idempCache
-	nilCache.put("x", RunResult{})
-	if _, ok := nilCache.get("x"); ok {
-		t.Fatal("nil cache returned a value")
-	}
 }

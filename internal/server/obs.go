@@ -55,7 +55,6 @@ type serverObs struct {
 	batchSize *obs.Histogram // jobs per coalesced farm batch
 
 	rejected429 *obs.Counter // admissions refused for a full queue
-	idempHits   *obs.Counter // /v1/run responses replayed from the ID cache
 	lintRejects *obs.Counter // programs refused by strict lint before admission
 
 	optRequests   *obs.Counter // /v1/assemble requests that asked for optimize
@@ -98,8 +97,6 @@ func newServerObs(r *obs.Registry) *serverObs {
 			"jobs per farm batch formed by the dynamic coalescer", batchSizeBuckets),
 		rejected429: r.Counter("server_admission_rejects_total",
 			"requests refused with 429 because the queue was full"),
-		idempHits: r.Counter("server_idempotent_replays_total",
-			"/v1/run responses replayed from the request-ID cache"),
 		lintRejects: r.Counter("server_lint_rejects_total",
 			"programs refused with 422 by strict lint before admission"),
 		optRequests: r.Counter("server_opt_requests_total",

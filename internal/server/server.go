@@ -16,10 +16,10 @@
 //   - graceful drain: Drain stops intake (healthz flips to 503 so load
 //     balancers steer away), finishes every admitted job, and only then
 //     returns so the operator can flush metrics and traces;
-//   - idempotent resubmission: /v1/run responses are cached by request ID,
-//     so a client retrying a lost response replays the original result
-//     instead of re-executing (execution is deterministic, so this is an
-//     optimization, not a correctness requirement);
+//   - idempotent resubmission: a client retrying a lost response resends
+//     the same program, and the content-addressed execution cache answers
+//     it (cached:true) instead of re-executing; with the cache disabled the
+//     retry re-executes, and deterministic execution gives the same result;
 //   - observability: request/status counters, queue and in-flight gauges,
 //     latency histograms (obs.go), and the request ID stamped into every
 //     cycle-trace row the run contributes (obs.TagTrace).
@@ -67,7 +67,9 @@ const StatusClientClosedRequest = 499
 // Config parameterizes a Server; the zero value serves with the defaults
 // noted per field.
 type Config struct {
-	// Workers bounds the farm's concurrency; <= 0 means GOMAXPROCS.
+	// Workers bounds the concurrency of each farm batch (one coalescer
+	// flush, one /v1/batch chunk); <= 0 means GOMAXPROCS. Concurrent
+	// batches add up: the only server-wide bound is QueueLimit.
 	Workers int
 	// QueueLimit bounds admitted jobs (queued + running) across all
 	// requests; beyond it submissions get 429. <= 0 means 256.
@@ -81,9 +83,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// MaxSteps caps client-supplied step budgets; 0 means qasm.MaxSteps.
 	MaxSteps uint64
-	// IdempotencyCap bounds the /v1/run response replay cache; <= 0 means
-	// 1024 entries, < 0 after normalization disables it.
-	IdempotencyCap int
 	// MemoCap bounds the content-addressed execution cache shared by every
 	// run and batch program (internal/memo): identical (program,
 	// configuration, budget) submissions are answered from it before
@@ -148,9 +147,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSteps == 0 {
 		c.MaxSteps = qasm.MaxSteps
 	}
-	if c.IdempotencyCap == 0 {
-		c.IdempotencyCap = 1024
-	}
 	if c.MemoCap == 0 {
 		c.MemoCap = memo.DefaultCap
 	}
@@ -172,9 +168,8 @@ type Server struct {
 	reqSeq   atomic.Uint64
 	reqSalt  string
 
-	coal  *coalescer
-	idemp *idempCache
-	jobs  *jobs.Manager // nil unless the async job subsystem is enabled
+	coal *coalescer
+	jobs *jobs.Manager // nil unless the async job subsystem is enabled
 
 	httpSrv *http.Server
 	ln      net.Listener
@@ -203,7 +198,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		engine:  engine,
 		obs:     so,
-		idemp:   newIdempCache(cfg.IdempotencyCap),
 		reqSalt: randomSalt(),
 	}
 	s.coal = newCoalescer(engine, cfg.BatchWindow, cfg.BatchMax, so)
@@ -499,12 +493,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	id := s.requestID(req.ID, r)
 	w.Header().Set("X-Request-ID", id)
-	if cached, ok := s.idemp.get(id); ok {
-		s.obs.idempHits.Inc()
-		w.Header().Set("X-Idempotent-Replay", "true")
-		s.writeJSON(w, http.StatusOK, cached)
-		return
-	}
 	if s.draining.Load() {
 		s.writeUnavailable(w)
 		return
@@ -517,7 +505,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Memoized result? Answered before admission control, so a hit never
 	// consumes a queue slot or the coalescer's batching window.
 	if fr, ok := s.engine.MemoProbe(&job); ok {
-		s.finishRun(w, id, resultFrom(&fr, id, 0))
+		s.finishRun(w, resultFrom(&fr, id, 0))
 		return
 	}
 	if !s.admit(1) {
@@ -531,19 +519,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fr := <-done
-	s.finishRun(w, id, resultFrom(&fr, id, 0))
+	s.finishRun(w, resultFrom(&fr, id, 0))
 }
 
 // finishRun delivers a completed /v1/run result: caller-dependent failures
-// (deadline/cancel) surface as the HTTP status and are never replayable;
-// everything else is cached for idempotent resubmission and returned 200.
-func (s *Server) finishRun(w http.ResponseWriter, id string, res RunResult) {
+// (deadline/cancel) and bad programs surface as the HTTP status; everything
+// else, runtime failures included, is returned 200.
+func (s *Server) finishRun(w http.ResponseWriter, res RunResult) {
+	code := http.StatusOK
 	if res.Code >= 400 && res.Code != http.StatusInternalServerError {
-		s.writeJSON(w, res.Code, res)
-		return
+		code = res.Code
 	}
-	s.idemp.put(id, res)
-	s.writeJSON(w, http.StatusOK, res)
+	s.writeJSON(w, code, res)
 }
 
 // handleBatch executes a program list as farm batches and streams one
@@ -810,9 +797,9 @@ func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (f
 	}
 	if job.Backend == backend.Auto && job.Mode == farm.Functional {
 		// Resolve the pseudo-backend here, before the memo probe and
-		// admission, so every downstream identity (idempotency replay,
-		// coalescing, memo keys) is over the concrete backend. The probe
-		// prefers a backend that already has this exact run memoized.
+		// admission, so every downstream identity (coalescing, memo keys)
+		// is over the concrete backend. The probe prefers a backend that
+		// already has this exact run memoized.
 		probe := func(cfg qat.Config) bool {
 			t := job
 			t.Ways, t.ConstantRegs = cfg.Ways, cfg.ConstantRegs
@@ -920,48 +907,4 @@ func (s *Server) writeUnavailable(w http.ResponseWriter) {
 		Error:        "server is draining",
 		RetryAfterMs: 1000,
 	})
-}
-
-// ---- idempotency cache ----
-
-// idempCache is a bounded LRU map of completed /v1/run responses keyed by
-// request ID. Deterministic execution makes replays exact; the bound keeps
-// a chatty client from growing server memory. Lookups refresh recency, so
-// a request ID being actively retried stays replayable while cold entries
-// age out. (The original implementation was a FIFO over a slice: a hot ID
-// was evicted as readily as a cold one, and slicing the order queue's head
-// off retained the dead prefix of its backing array.)
-type idempCache struct {
-	mu  sync.Mutex
-	lru *memo.LRU[string, RunResult]
-}
-
-func newIdempCache(capacity int) *idempCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &idempCache{lru: memo.NewLRU[string, RunResult](capacity, nil)}
-}
-
-func (c *idempCache) get(id string) (RunResult, bool) {
-	if c == nil {
-		return RunResult{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Get(id)
-}
-
-func (c *idempCache) put(id string, r RunResult) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// First write wins: a replayed request must keep returning the
-	// response its first execution produced.
-	if _, ok := c.lru.Peek(id); ok {
-		return
-	}
-	c.lru.Add(id, r)
 }

@@ -206,25 +206,50 @@ func TestBatchStreamsNDJSONInOrder(t *testing.T) {
 	}
 }
 
+// TestIdempotentReplay: a retry carries the same ID and program, and the
+// content-addressed memo answers it without executing anything new.
 func TestIdempotentReplay(t *testing.T) {
 	s, base := startTestServer(t, Config{})
 	req := RunRequest{ID: "idem-1", Src: farmtest.Generate(farmtest.Seed(3)), Ways: farmtest.Ways}
 
 	var first RunResult
 	decodeInto(t, postJSON(t, base+"/v1/run", req), &first)
-
-	resp := postJSON(t, base+"/v1/run", req)
-	if resp.Header.Get("X-Idempotent-Replay") != "true" {
-		t.Fatal("second submission was not replayed from the cache")
+	if first.Cached {
+		t.Fatal("first submission claims to come from the memo")
 	}
 	var second RunResult
-	decodeInto(t, resp, &second)
-	if first != second {
-		t.Fatalf("replay diverged: %+v vs %+v", first, second)
+	decodeInto(t, postJSON(t, base+"/v1/run", req), &second)
+	if !second.Cached {
+		t.Fatal("resubmission was not answered from the memo")
 	}
-	// The replay must not have executed anything new.
+	if second.ID != first.ID || second.Regs != first.Regs || second.Output != first.Output || second.Insts != first.Insts {
+		t.Fatalf("resubmission diverged: %+v vs %+v", first, second)
+	}
 	if done := s.Engine().Totals().Jobs; done != 1 {
 		t.Fatalf("engine ran %d jobs, want 1", done)
+	}
+}
+
+// TestReusedIDRunsNewProgram is the regression for the request-ID replay
+// cache, which answered a reused ID with the first program's result: the
+// result must always be the submitted program's, whatever its ID.
+func TestReusedIDRunsNewProgram(t *testing.T) {
+	_, base := startTestServer(t, Config{})
+	for _, v := range []uint16{9, 5} {
+		var res RunResult
+		resp := postJSON(t, base+"/v1/run", RunRequest{ID: "same", Src: fmt.Sprintf("lex $1,%d\nlex $0,0\nsys\n", v)})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("lex %d: status %d", v, resp.StatusCode)
+		}
+		decodeInto(t, resp, &res)
+		if res.Regs[1] != v {
+			t.Fatalf("lex %d under a reused ID returned regs[1]=%d", v, res.Regs[1])
+		}
+	}
+	resp := postJSON(t, base+"/v1/run", RunRequest{ID: "same", Src: "nonsense $9\n"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unassemblable program under a reused ID: status %d, want 400", resp.StatusCode)
 	}
 }
 
