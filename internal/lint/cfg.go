@@ -17,6 +17,10 @@ package lint
 //     branch target, run break); a jumpr whose register is not a known
 //     constant is an indirect exit, which makes the graph imprecise and
 //     widens reachability roots to every labeled instruction.
+//
+// Every table is a slice: per-word facts are indexed by address and sized
+// to the image, per-instruction facts live in the decoded nodes, and blocks
+// are runs of those nodes. Each phase is one pass over the image.
 
 import (
 	"fmt"
@@ -29,24 +33,39 @@ import (
 // instNode is one decoded instruction.
 type instNode struct {
 	addr  uint16
-	inst  isa.Inst
 	words uint16
-	line  int
-	eff   isa.Effects
-	// prevOK/prev locate the instruction immediately before this one in
-	// the same linear run, for the brf/brt pair peephole.
-	prevOK bool
-	prev   uint16
+	// jumpTo is a jumpr's target when jumpKnown.
+	jumpTo uint16
+	inst   isa.Inst
+	eff    isa.Effects
+	line   int32
+	// block is the containing basic block's id, -1 when unreachable.
+	block int32
+	// linked reports that the node before this one in cfg.nodes ends
+	// where this one starts (no data or undecodable word between them):
+	// the two share a linear run, for the brf/brt pair peephole, constant
+	// propagation and block formation.
+	linked bool
 	// pairBr marks both halves of the complementary brf/brt pair the br
 	// pseudo emits: together they transfer unconditionally, so neither
 	// half's behavior observably depends on the condition register.
 	pairBr bool
+	// reach reports some execution reaches the instruction.
+	reach bool
+	// haltAt marks a sys that certainly halts ($0 == SysHalt).
+	haltAt bool
+	// jumpKnown marks a jumpr whose register is a known constant.
+	jumpKnown bool
 }
+
+// next is the fall-through address.
+func (in *instNode) next() uint16 { return in.addr + in.words }
 
 // block is one basic block over reachable instructions.
 type block struct {
-	id    int
-	insts []*instNode
+	id int
+	// insts is the block's run of cfg.nodes.
+	insts []instNode
 	succs []int
 	preds []int
 	// exitsUnknown marks conservative exits: an unresolved jumpr, or a
@@ -58,10 +77,7 @@ type block struct {
 }
 
 func (b *block) start() uint16 { return b.insts[0].addr }
-func (b *block) end() uint16 {
-	last := b.insts[len(b.insts)-1]
-	return last.addr + last.words
-}
+func (b *block) end() uint16   { return b.insts[len(b.insts)-1].next() }
 
 // badEdge is a control transfer from a reachable instruction to a word that
 // is not an instruction.
@@ -71,45 +87,36 @@ type badEdge struct {
 	fall bool // fall-through rather than branch/jump
 }
 
+// Word classes in cfg.at for words that do not start an instruction.
+const (
+	wordMid  = -1 // second word of a two-word instruction
+	wordData = -2 // marked data
+	wordBad  = -3 // failed to decode; treated as data
+)
+
 type cfg struct {
 	p    *asm.Program
 	opts Options
-	n    uint16 // program length in words
+	n    int // program length in words
 
-	insts map[uint16]*instNode
-	order []uint16 // sorted instruction addresses
+	// nodes holds every decoded instruction in address order.
+	nodes []instNode
+	// at maps each word address to its node index, or to a word class
+	// (wordMid, wordData, wordBad) when no instruction starts there.
+	at    []int32
+	nData int // data and undecodable words
 
-	data map[uint16]bool   // words known or assumed to be data
-	bad  map[uint16]string // words that failed to decode (unknown-layout images)
-
-	jumprTo  map[uint16]uint16 // resolved jumpr targets by instruction addr
-	indirect map[uint16]bool   // unresolved jumpr instruction addrs
-	haltAt   map[uint16]bool   // sys instructions that certainly halt ($0 == SysHalt)
-
-	reach     map[uint16]bool
 	badEdges  []badEdge
 	imprecise bool
 
-	blocks  []*block
-	blockOf map[uint16]int // instruction addr -> block id (reachable only)
+	blocks  []block
+	liveOut []regset // per-block live-out sets, filled by runChecks
 }
 
 // buildCFG decodes, resolves jump targets, computes reachability and forms
 // basic blocks.
 func buildCFG(p *asm.Program, opts Options) *cfg {
-	g := &cfg{
-		p:        p,
-		opts:     opts,
-		n:        uint16(len(p.Words)),
-		insts:    make(map[uint16]*instNode),
-		data:     make(map[uint16]bool),
-		bad:      make(map[uint16]string),
-		jumprTo:  make(map[uint16]uint16),
-		indirect: make(map[uint16]bool),
-		haltAt:   make(map[uint16]bool),
-		reach:    make(map[uint16]bool),
-		blockOf:  make(map[uint16]int),
-	}
+	g := &cfg{p: p, opts: opts, n: len(p.Words)}
 	g.decode()
 	g.markPairs()
 	g.resolveJumpr()
@@ -118,14 +125,22 @@ func buildCFG(p *asm.Program, opts Options) *cfg {
 	return g
 }
 
+// node returns the instruction starting at addr, nil when none does.
+func (g *cfg) node(addr uint16) *instNode {
+	if int(addr) >= g.n || g.at[addr] < 0 {
+		return nil
+	}
+	return &g.nodes[g.at[addr]]
+}
+
 // markPairs flags the brf/brt complementary pairs emitted by the br pseudo.
 func (g *cfg) markPairs() {
-	for _, addr := range g.order {
-		in := g.insts[addr]
-		if in.inst.Op != isa.OpBrt || !in.prevOK {
+	for i := range g.nodes {
+		in := &g.nodes[i]
+		if in.inst.Op != isa.OpBrt || !in.linked {
 			continue
 		}
-		if p, ok := g.insts[in.prev]; ok && p.inst.Op == isa.OpBrf &&
+		if p := &g.nodes[i-1]; p.inst.Op == isa.OpBrf &&
 			p.inst.RD == in.inst.RD && branchTarget(p) == branchTarget(in) {
 			p.pairBr, in.pairBr = true, true
 		}
@@ -134,7 +149,7 @@ func (g *cfg) markPairs() {
 
 // markedData reports the assembler's code/data verdict for word addr, when
 // the program carries one.
-func (g *cfg) markedData(addr uint16) bool {
+func (g *cfg) markedData(addr int) bool {
 	return len(g.p.Data) == len(g.p.Words) && g.p.Data[addr]
 }
 
@@ -143,13 +158,10 @@ func (g *cfg) markedData(addr uint16) bool {
 // undecodable words), or a data mark in a partial-length Data slice. The
 // sweep only trusts full-length marks for stream breaking (markedData), so
 // in a partial-marks image a data word that happens to decode still enters
-// g.insts — such an address must never become a reachability root, or the
+// g.nodes — such an address must never become a reachability root, or the
 // imprecise-mode widening decodes garbage blocks and poisons liveness.
 func (g *cfg) dataSymbol(a uint16) bool {
-	if g.data[a] {
-		return true
-	}
-	return int(a) < len(g.p.Data) && g.p.Data[a]
+	return int(a) < g.n && g.at[a] <= wordData || int(a) < len(g.p.Data) && g.p.Data[a]
 }
 
 // lineOf maps a word address to its 1-based source line (0 when unknown).
@@ -160,56 +172,72 @@ func (g *cfg) lineOf(addr uint16) int {
 	return 0
 }
 
+// decodeAt decodes the instruction at addr as the sweep sees it: a
+// two-word form must not run into a data mark or past the image end.
+func (g *cfg) decodeAt(addr int) (isa.Inst, int, error) {
+	last := addr+1 >= g.n || g.markedData(addr+1)
+	var w1 uint16
+	if !last {
+		w1 = g.p.Words[addr+1]
+	}
+	inst, n, err := g.opts.Enc.Decode(g.p.Words[addr], w1)
+	if err == nil && n == 2 && last {
+		err = fmt.Errorf("two-word instruction truncated at %#04x", addr)
+	}
+	return inst, n, err
+}
+
 // decode performs the linear sweep. Words marked as data by the assembler
 // break the instruction stream; in unmarked images an undecodable word is
-// recorded in g.bad, treated as data, and the sweep resumes at the next
-// word.
+// classed wordBad, treated as data, and the sweep resumes at the next
+// word. The first pass classifies every word and counts instructions, so
+// the second decodes them into a slice of exactly that size.
 func (g *cfg) decode() {
-	var prev *instNode
-	for addr := uint16(0); addr < g.n; {
+	g.at = make([]int32, g.n)
+	count := int32(0)
+	for addr := 0; addr < g.n; {
 		if g.markedData(addr) {
-			g.data[addr] = true
-			prev = nil
+			g.at[addr] = wordData
+			g.nData++
 			addr++
 			continue
 		}
-		w0 := g.p.Words[addr]
-		var w1 uint16
-		if addr+1 < g.n && !g.markedData(addr+1) {
-			w1 = g.p.Words[addr+1]
-		}
-		inst, n, err := g.opts.Enc.Decode(w0, w1)
-		if err == nil && n == 2 && (addr+1 >= g.n || g.markedData(addr+1)) {
-			err = fmt.Errorf("two-word instruction truncated at %#04x", addr)
-		}
+		_, n, err := g.decodeAt(addr)
 		if err != nil {
-			g.bad[addr] = err.Error()
-			g.data[addr] = true
-			prev = nil
+			g.at[addr] = wordBad
+			g.nData++
 			addr++
 			continue
 		}
-		in := &instNode{
-			addr:  addr,
-			inst:  inst,
-			words: uint16(n),
-			line:  g.lineOf(addr),
-			eff:   isa.InstEffects(inst),
+		g.at[addr] = count
+		count++
+		if n == 2 {
+			g.at[addr+1] = wordMid
 		}
-		if prev != nil {
-			in.prevOK, in.prev = true, prev.addr
+		addr += n
+	}
+	g.nodes = make([]instNode, count)
+	for addr, i := range g.at {
+		if i < 0 {
+			continue
 		}
-		g.insts[addr] = in
-		g.order = append(g.order, addr)
-		prev = in
-		addr += uint16(n)
+		inst, n, _ := g.decodeAt(addr)
+		g.nodes[i] = instNode{
+			addr:   uint16(addr),
+			words:  uint16(n),
+			inst:   inst,
+			eff:    isa.InstEffects(inst),
+			line:   int32(g.lineOf(uint16(addr))),
+			block:  -1,
+			linked: i > 0 && int(g.nodes[i-1].next()) == addr,
+		}
 	}
 }
 
 // branchTarget computes a brf/brt target following cpu.Step: the PC has
 // already advanced past the instruction when the offset is applied.
 func branchTarget(in *instNode) uint16 {
-	return in.addr + in.words + uint16(int16(in.inst.Imm))
+	return in.next() + uint16(int16(in.inst.Imm))
 }
 
 // resolveJumpr propagates lex/lhi constants to jumpr instructions. The
@@ -217,24 +245,32 @@ func branchTarget(in *instNode) uint16 {
 // branch targets, and (iteratively) already-resolved jumpr targets — so a
 // constant is only trusted when every path to the jumpr agrees trivially.
 func (g *cfg) resolveJumpr() {
-	joins := make(map[uint16]bool)
-	for _, a := range g.p.Symbols {
-		joins[a] = true
+	// joins is only consulted at instruction addresses, so join points
+	// outside the image need no entry.
+	joins := make([]bool, g.n)
+	join := func(a uint16) (added bool) {
+		if int(a) < g.n && !joins[a] {
+			joins[a] = true
+			return true
+		}
+		return false
 	}
-	for _, addr := range g.order {
-		in := g.insts[addr]
+	for _, a := range g.p.Symbols {
+		join(a)
+	}
+	for i := range g.nodes {
+		in := &g.nodes[i]
 		switch in.inst.Op {
 		case isa.OpBrf, isa.OpBrt:
-			joins[branchTarget(in)] = true
-			joins[in.addr+in.words] = true
+			join(branchTarget(in))
+			join(in.next())
 		}
 	}
 	for iter := 0; iter < 4; iter++ {
-		resolved := g.constPass(joins)
+		g.constPass(joins)
 		changed := false
-		for _, t := range resolved {
-			if !joins[t] {
-				joins[t] = true
+		for i := range g.nodes {
+			if in := &g.nodes[i]; in.jumpKnown && join(in.jumpTo) {
 				changed = true
 			}
 		}
@@ -244,21 +280,19 @@ func (g *cfg) resolveJumpr() {
 	}
 }
 
-// constPass runs one constant-propagation sweep, filling g.jumprTo and
-// g.indirect, and returns the targets resolved this pass.
-func (g *cfg) constPass(joins map[uint16]bool) []uint16 {
+// constPass runs one constant-propagation sweep, setting every jumpr's
+// jumpKnown/jumpTo and every sys's haltAt.
+func (g *cfg) constPass(joins []bool) {
 	var known uint16 // bitmask of registers with known constants
 	var vals [isa.NumRegs]uint16
-	var targets []uint16
-	var prev *instNode
-	for _, addr := range g.order {
-		in := g.insts[addr]
-		if joins[addr] || prev == nil || !in.prevOK || in.prev != prev.addr {
+	for i := range g.nodes {
+		in := &g.nodes[i]
+		if joins[in.addr] || !in.linked {
 			known = 0
 			// The loader zeroes every register, so at the true entry —
 			// unless address 0 is also a join target — all constants are
 			// known to be zero.
-			if addr == 0 && !joins[0] {
+			if in.addr == 0 && !joins[0] {
 				known = 1<<isa.NumRegs - 1
 				vals = [isa.NumRegs]uint16{}
 			}
@@ -272,110 +306,102 @@ func (g *cfg) constPass(joins map[uint16]bool) []uint16 {
 				vals[in.inst.RD] = vals[in.inst.RD]&0x00FF | uint16(uint8(in.inst.Imm))<<8
 			}
 		case isa.OpJumpr:
-			delete(g.jumprTo, addr)
-			delete(g.indirect, addr)
-			if known&(1<<in.inst.RD) != 0 {
-				g.jumprTo[addr] = vals[in.inst.RD]
-				targets = append(targets, vals[in.inst.RD])
-			} else {
-				g.indirect[addr] = true
-			}
+			in.jumpKnown = known&(1<<in.inst.RD) != 0
+			in.jumpTo = vals[in.inst.RD]
 		case isa.OpSys:
-			delete(g.haltAt, addr)
-			if known&1 != 0 && vals[0] == cpu.SysHalt {
-				g.haltAt[addr] = true
-			}
+			in.haltAt = known&1 != 0 && vals[0] == cpu.SysHalt
 		default:
 			known &^= in.eff.WriteRegs
 		}
-		prev = in
 	}
-	return targets
 }
 
 // succInfo describes where control can go after one instruction.
 type succInfo struct {
-	targets []uint16
+	targets [2]uint16
+	n       int
 	unknown bool // unresolved indirect jump
 }
+
+// list returns the successor addresses.
+func (s *succInfo) list() []uint16 { return s.targets[:s.n] }
 
 // succsOf computes an instruction's successor addresses (which may point at
 // non-instruction words — the caller classifies those).
 func (g *cfg) succsOf(in *instNode) succInfo {
-	next := in.addr + in.words
+	next := in.next()
 	switch in.inst.Op {
 	case isa.OpJumpr:
-		if t, ok := g.jumprTo[in.addr]; ok {
-			return succInfo{targets: []uint16{t}}
+		if in.jumpKnown {
+			return succInfo{targets: [2]uint16{in.jumpTo}, n: 1}
 		}
 		return succInfo{unknown: true}
 	case isa.OpBrf:
-		return succInfo{targets: dedup(next, branchTarget(in))}
+		return dedup(next, branchTarget(in))
 	case isa.OpBrt:
 		t := branchTarget(in)
 		// The second half of a br pair transfers unconditionally: whatever
 		// the register holds, either the brf already fired or this fires.
 		if in.pairBr {
-			return succInfo{targets: []uint16{t}}
+			return succInfo{targets: [2]uint16{t}, n: 1}
 		}
-		return succInfo{targets: dedup(next, t)}
+		return dedup(next, t)
 	case isa.OpSys:
 		// A sys whose $0 is the known constant SysHalt certainly stops the
 		// machine: the canonical `lex $0, 0; sys` epilogue does not fall
 		// through off the end of the image.
-		if g.haltAt[in.addr] {
+		if in.haltAt {
 			return succInfo{}
 		}
-		return succInfo{targets: []uint16{next}}
-	default:
-		return succInfo{targets: []uint16{next}}
 	}
+	return succInfo{targets: [2]uint16{next}, n: 1}
 }
 
-func dedup(a, b uint16) []uint16 {
+func dedup(a, b uint16) succInfo {
 	if a == b {
-		return []uint16{a}
+		return succInfo{targets: [2]uint16{a}, n: 1}
 	}
-	return []uint16{a, b}
+	return succInfo{targets: [2]uint16{a, b}, n: 2}
 }
 
-// computeReach runs BFS from address 0; when an unresolved indirect jump is
+// computeReach runs DFS from address 0; when an unresolved indirect jump is
 // reachable the graph is imprecise, so every labeled instruction is added
 // as a root (functions invoked through computed addresses) and the sweep
 // repeats. Control transfers into non-instruction words are collected as
-// badEdges for the halt/illegal checks.
+// badEdges for the halt/illegal checks; each instruction is visited once
+// per sweep and its targets are distinct, so no edge repeats.
 func (g *cfg) computeReach() {
 	roots := []uint16{0}
+	var work []uint16
 	for pass := 0; pass < 2; pass++ {
-		g.reach = make(map[uint16]bool)
-		g.badEdges = nil
+		for i := range g.nodes {
+			g.nodes[i].reach = false
+		}
+		g.badEdges = g.badEdges[:0]
 		g.imprecise = false
-		work := append([]uint16(nil), roots...)
+		work = append(work[:0], roots...)
 		for len(work) > 0 {
-			addr := work[len(work)-1]
+			in := g.node(work[len(work)-1])
 			work = work[:len(work)-1]
-			in, ok := g.insts[addr]
-			if !ok || g.reach[addr] {
+			if in == nil || in.reach {
 				continue
 			}
-			g.reach[addr] = true
+			in.reach = true
 			si := g.succsOf(in)
 			if si.unknown {
 				g.imprecise = true
 				continue
 			}
-			for _, t := range si.targets {
-				if _, ok := g.insts[t]; ok {
-					if !g.reach[t] {
-						work = append(work, t)
-					}
-				} else {
-					g.badEdges = append(g.badEdges, badEdge{from: in, to: t, fall: t == in.addr+in.words && in.inst.Op != isa.OpJumpr})
+			for _, t := range si.list() {
+				if tn := g.node(t); tn == nil {
+					g.badEdges = append(g.badEdges, badEdge{from: in, to: t, fall: t == in.next() && in.inst.Op != isa.OpJumpr})
+				} else if !tn.reach {
+					work = append(work, t)
 				}
 			}
 		}
 		if !g.imprecise {
-			return
+			break
 		}
 		// Imprecise graph: widen the roots to every labeled instruction
 		// and redo the sweep once.
@@ -384,7 +410,7 @@ func (g *cfg) computeReach() {
 				// Only labels on decoded instructions outside data regions
 				// qualify: a label into a data-marked word (a jump table,
 				// say) is not an entry point even when the word decodes.
-				if _, ok := g.insts[a]; ok && !g.dataSymbol(a) {
+				if g.node(a) != nil && !g.dataSymbol(a) {
 					roots = append(roots, a)
 				}
 			}
@@ -392,71 +418,112 @@ func (g *cfg) computeReach() {
 	}
 }
 
+// blockAt returns the id of the block holding the instruction at addr, -1
+// when no reachable instruction starts there.
+func (g *cfg) blockAt(addr uint16) int {
+	if in := g.node(addr); in != nil {
+		return int(in.block)
+	}
+	return -1
+}
+
 // formBlocks groups reachable instructions into basic blocks and wires
 // block-level successor/predecessor edges.
 func (g *cfg) formBlocks() {
-	leaders := map[uint16]bool{0: true}
-	for _, a := range g.p.Symbols {
-		if g.reach[a] {
+	leaders := make([]bool, g.n)
+	leaders[0] = true
+	lead := func(a uint16) {
+		if in := g.node(a); in != nil && in.reach {
 			leaders[a] = true
 		}
 	}
-	for _, addr := range g.order {
-		if !g.reach[addr] {
+	for _, a := range g.p.Symbols {
+		lead(a)
+	}
+	for i := range g.nodes {
+		in := &g.nodes[i]
+		if !in.reach || !in.eff.Control {
 			continue
 		}
-		in := g.insts[addr]
 		si := g.succsOf(in)
-		isTransfer := in.eff.Control
-		for _, t := range si.targets {
-			if isTransfer && g.reach[t] {
-				leaders[t] = true
+		for _, t := range si.list() {
+			lead(t)
+		}
+		if next := in.next(); int(next) < g.n {
+			leaders[next] = true
+		}
+	}
+	nb := 0
+	for i := range g.nodes {
+		in := &g.nodes[i]
+		if !in.reach {
+			continue
+		}
+		if nb == 0 || leaders[in.addr] || !in.linked || !g.nodes[i-1].reach {
+			nb++
+		}
+		in.block = int32(nb - 1)
+	}
+	g.blocks = make([]block, nb)
+	for i := 0; i < len(g.nodes); {
+		if !g.nodes[i].reach {
+			i++
+			continue
+		}
+		id := int(g.nodes[i].block)
+		j := i + 1
+		for j < len(g.nodes) && int(g.nodes[j].block) == id {
+			j++
+		}
+		b := &g.blocks[id]
+		b.id, b.insts = id, g.nodes[i:j:j]
+		for k := range b.insts {
+			if b.insts[k].eff.MayHalt {
+				b.mayHalt = true
 			}
 		}
-		if isTransfer {
-			leaders[in.addr+in.words] = true
-		}
+		i = j
 	}
-	var cur *block
-	var prevIn *instNode
-	for _, addr := range g.order {
-		if !g.reach[addr] {
-			prevIn = nil
-			continue
-		}
-		in := g.insts[addr]
-		brk := cur == nil || leaders[addr] || prevIn == nil || !in.prevOK || in.prev != prevIn.addr
-		if brk {
-			cur = &block{id: len(g.blocks)}
-			g.blocks = append(g.blocks, cur)
-		}
-		cur.insts = append(cur.insts, in)
-		g.blockOf[addr] = cur.id
-		if in.eff.MayHalt {
-			cur.mayHalt = true
-		}
-		prevIn = in
-	}
-	for _, b := range g.blocks {
-		last := b.insts[len(b.insts)-1]
-		si := g.succsOf(last)
+	// Successor edges (at most two per block, distinct targets start
+	// distinct blocks) into one backing array, then predecessors in
+	// ascending source order into another. A block without edges keeps
+	// nil slices.
+	succBuf := make([]int, 0, 2*nb)
+	npreds := make([]int, nb+1)
+	for id := range g.blocks {
+		b := &g.blocks[id]
+		si := g.succsOf(&b.insts[len(b.insts)-1])
+		start := len(succBuf)
 		if si.unknown {
 			b.exitsUnknown = true
-			continue
 		}
-		seen := map[int]bool{}
-		for _, t := range si.targets {
-			if id, ok := g.blockOf[t]; ok {
-				if !seen[id] {
-					seen[id] = true
-					b.succs = append(b.succs, id)
-					g.blocks[id].preds = append(g.blocks[id].preds, b.id)
-				}
-			} else {
+		for _, t := range si.list() {
+			s := g.blockAt(t)
+			switch {
+			case s < 0:
 				// Transfer into a non-instruction word: diagnosed via
 				// badEdges; conservatively an unknown exit.
 				b.exitsUnknown = true
+			case len(succBuf) == start || succBuf[start] != s:
+				succBuf = append(succBuf, s)
+				npreds[s]++
 			}
+		}
+		if len(succBuf) > start {
+			b.succs = succBuf[start:len(succBuf):len(succBuf)]
+		}
+	}
+	predBuf := make([]int, len(succBuf))
+	off := 0
+	for id := range g.blocks {
+		if npreds[id] > 0 {
+			g.blocks[id].preds = predBuf[off : off : off+npreds[id]]
+			off += npreds[id]
+		}
+	}
+	for id := range g.blocks {
+		for _, s := range g.blocks[id].succs {
+			g.blocks[s].preds = append(g.blocks[s].preds, id)
 		}
 	}
 	g.markLoops()
@@ -466,8 +533,8 @@ func (g *cfg) formBlocks() {
 // cycle (an SCC of size > 1, or a self-edge).
 func (g *cfg) markLoops() {
 	n := len(g.blocks)
-	index := make([]int, n)
-	low := make([]int, n)
+	index := make([]int, 2*n)
+	index, low := index[:n], index[n:]
 	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = -1
@@ -477,11 +544,12 @@ func (g *cfg) markLoops() {
 	sccN := 0
 
 	type frame struct{ v, ei int }
+	var frames []frame
 	for start := 0; start < n; start++ {
 		if index[start] != -1 {
 			continue
 		}
-		frames := []frame{{start, 0}}
+		frames = append(frames[:0], frame{start, 0})
 		index[start], low[start] = next, next
 		next++
 		stack = append(stack, start)
@@ -513,17 +581,14 @@ func (g *cfg) markLoops() {
 				}
 			}
 			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
+				top := len(stack) - 1
+				for stack[top] != v {
+					top--
 				}
+				comp := stack[top:]
+				stack = stack[:top]
 				for _, w := range comp {
+					onStack[w] = false
 					g.blocks[w].sccID = sccN
 				}
 				if len(comp) > 1 {
@@ -531,7 +596,7 @@ func (g *cfg) markLoops() {
 						g.blocks[w].inLoop = true
 					}
 				} else {
-					b := g.blocks[comp[0]]
+					b := &g.blocks[comp[0]]
 					for _, s := range b.succs {
 						if s == b.id {
 							b.inLoop = true

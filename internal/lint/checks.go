@@ -15,19 +15,17 @@ import (
 // instruction. (Transfers past the end and into data are halting problems,
 // handled by checkHalt.)
 func (g *cfg) checkDecode(r *Report) {
-	for _, e := range dedupEdges(g.badEdges) {
-		if e.to >= g.n {
-			continue
-		}
-		if msg, ok := g.bad[e.to]; ok {
+	for _, e := range g.badEdges {
+		switch {
+		case int(e.to) >= g.n: // past the end: checkHalt's
+		case g.at[e.to] == wordBad:
+			_, _, err := g.decodeAt(int(e.to))
 			r.add(Diagnostic{Check: CheckIllegalInst, Severity: Error,
-				Addr: e.from.addr, Line: e.from.line,
-				Msg: fmt.Sprintf("control reaches word %#04x, which does not decode (%s)", e.to, msg)})
-			continue
-		}
-		if !g.data[e.to] && !g.markedData(e.to) {
+				Addr: e.from.addr, Line: int(e.from.line),
+				Msg: fmt.Sprintf("control reaches word %#04x, which does not decode (%s)", e.to, err)})
+		case g.at[e.to] == wordMid:
 			r.add(Diagnostic{Check: CheckIllegalInst, Severity: Error,
-				Addr: e.from.addr, Line: e.from.line,
+				Addr: e.from.addr, Line: int(e.from.line),
 				Msg: fmt.Sprintf("control transfers into the middle of the two-word instruction at %#04x", e.to)})
 		}
 	}
@@ -37,35 +35,32 @@ func (g *cfg) checkDecode(r *Report) {
 // the end of the image, running into data, and programs where no sys
 // instruction is reachable at all.
 func (g *cfg) checkHalt(r *Report) {
-	for _, e := range dedupEdges(g.badEdges) {
+	for _, e := range g.badEdges {
 		switch {
-		case e.to >= g.n:
+		case int(e.to) >= g.n:
 			verb := "branches"
 			if e.fall {
 				verb = "falls off the end of the program"
 				r.add(Diagnostic{Check: CheckNoHalt, Severity: Error,
-					Addr: e.from.addr, Line: e.from.line,
+					Addr: e.from.addr, Line: int(e.from.line),
 					Msg: "execution " + verb + " into zeroed memory and cannot halt"})
 				continue
 			}
 			r.add(Diagnostic{Check: CheckNoHalt, Severity: Error,
-				Addr: e.from.addr, Line: e.from.line,
+				Addr: e.from.addr, Line: int(e.from.line),
 				Msg: fmt.Sprintf("%s past the end of the program (target %#04x)", verb, e.to)})
-		case g.data[e.to] || g.markedData(e.to):
-			if _, bad := g.bad[e.to]; bad {
-				continue // reported by checkDecode
-			}
+		case g.at[e.to] == wordData: // undecodable words: see checkDecode
 			verb := "jumps into"
 			if e.fall {
 				verb = "falls through into"
 			}
 			r.add(Diagnostic{Check: CheckNoHalt, Severity: Error,
-				Addr: e.from.addr, Line: e.from.line,
+				Addr: e.from.addr, Line: int(e.from.line),
 				Msg: fmt.Sprintf("execution %s the data word at %#04x", verb, e.to)})
 		}
 	}
-	for _, addr := range g.order {
-		if g.reach[addr] && g.insts[addr].eff.MayHalt {
+	for i := range g.blocks {
+		if g.blocks[i].mayHalt {
 			return
 		}
 	}
@@ -73,29 +68,14 @@ func (g *cfg) checkHalt(r *Report) {
 	// might still be reached through an unresolved jumpr, so only report
 	// when none exists at all.
 	if g.imprecise {
-		for _, addr := range g.order {
-			if g.insts[addr].eff.MayHalt {
+		for i := range g.nodes {
+			if g.nodes[i].eff.MayHalt {
 				return
 			}
 		}
 	}
 	r.add(Diagnostic{Check: CheckNoHalt, Severity: Error, Addr: 0, Line: g.lineOf(0),
 		Msg: "no sys instruction is reachable: the program cannot halt"})
-}
-
-// dedupEdges collapses duplicate (from, to) bad edges, preserving order.
-func dedupEdges(edges []badEdge) []badEdge {
-	type key struct{ from, to uint16 }
-	seen := make(map[key]bool, len(edges))
-	out := edges[:0:0]
-	for _, e := range edges {
-		k := key{e.from.addr, e.to}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // checkReachability reports maximal runs of instructions no execution can
@@ -112,22 +92,19 @@ func (g *cfg) checkReachability(r *Report) {
 		if start < 0 {
 			return
 		}
-		first := g.insts[g.order[start]]
-		last := g.insts[g.order[end]]
+		first, last := &g.nodes[start], &g.nodes[end]
 		r.add(Diagnostic{Check: CheckUnreachable, Severity: sev,
-			Addr: first.addr, Line: first.line,
+			Addr: first.addr, Line: int(first.line),
 			Msg: fmt.Sprintf("unreachable code: %d instruction(s) at %#04x..%#04x are never executed",
-				count, first.addr, last.addr+last.words-1)})
+				count, first.addr, last.next()-1)})
 		start, count = -1, 0
 	}
-	for i, addr := range g.order {
-		if g.reach[addr] {
+	for i := range g.nodes {
+		if g.nodes[i].reach {
 			flush()
 			continue
 		}
-		in := g.insts[addr]
-		contiguous := start >= 0 && in.prevOK && in.prev == g.order[end]
-		if !contiguous {
+		if start < 0 || !g.nodes[i].linked {
 			flush()
 			start = i
 		}
@@ -145,21 +122,26 @@ func (g *cfg) checkSelfLoops(r *Report) {
 		return
 	}
 	nSCC := 0
-	for _, b := range g.blocks {
-		if b.sccID >= nSCC {
-			nSCC = b.sccID + 1
+	for i := range g.blocks {
+		if g.blocks[i].sccID >= nSCC {
+			nSCC = g.blocks[i].sccID + 1
 		}
 	}
 	type sccInfo struct {
-		blocks  []*block
+		first   *block // member with the lowest start address
+		size    int
 		cyclic  bool
 		escapes bool
 		halts   bool
 	}
 	sccs := make([]sccInfo, nSCC)
-	for _, b := range g.blocks {
+	for i := range g.blocks {
+		b := &g.blocks[i]
 		s := &sccs[b.sccID]
-		s.blocks = append(s.blocks, b)
+		if s.first == nil || b.start() < s.first.start() {
+			s.first = b
+		}
+		s.size++
 		if b.inLoop {
 			s.cyclic = true
 		}
@@ -179,18 +161,13 @@ func (g *cfg) checkSelfLoops(r *Report) {
 		if !s.cyclic || s.escapes || s.halts {
 			continue
 		}
-		first := s.blocks[0]
-		for _, b := range s.blocks[1:] {
-			if b.start() < first.start() {
-				first = b
-			}
-		}
+		first := s.first
 		msg := "unconditional self-jump: the instruction loops forever"
-		if len(s.blocks) > 1 || len(first.insts) > 1 {
+		if s.size > 1 || len(first.insts) > 1 {
 			msg = fmt.Sprintf("control flow cannot leave the loop at %#04x (no exit edge, no sys)", first.start())
 		}
 		r.add(Diagnostic{Check: CheckSelfLoop, Severity: Error,
-			Addr: first.start(), Line: first.insts[0].line, Msg: msg})
+			Addr: first.start(), Line: int(first.insts[0].line), Msg: msg})
 	}
 }
 
@@ -201,14 +178,11 @@ func (g *cfg) checkSelfLoops(r *Report) {
 // exceed the range, so the check only fires when the caller pins a smaller
 // degree.
 func (g *cfg) checkHadRange(r *Report) {
-	for _, addr := range g.order {
-		if !g.reach[addr] {
-			continue
-		}
-		in := g.insts[addr]
-		if in.inst.Op == isa.OpQHad && int(in.inst.K) >= g.opts.Ways {
+	for i := range g.nodes {
+		in := &g.nodes[i]
+		if in.reach && in.inst.Op == isa.OpQHad && int(in.inst.K) >= g.opts.Ways {
 			r.add(Diagnostic{Check: CheckHadRange, Severity: Warning,
-				Addr: addr, Line: in.line,
+				Addr: in.addr, Line: int(in.line),
 				Msg: fmt.Sprintf("had pattern %d requires at least %d ways but the analysis assumes %d: the instruction faults at run time",
 					in.inst.K, int(in.inst.K)+1, g.opts.Ways)})
 		}
@@ -220,13 +194,14 @@ func (g *cfg) checkHadRange(r *Report) {
 // budget — statically visible Landauer cost, the lint-time analogue of the
 // paper's adiabatic-power argument.
 func (g *cfg) checkCosts(r *Report, opts Options) {
-	for _, b := range g.blocks {
+	for i := range g.blocks {
+		b := &g.blocks[i]
 		var bc BlockCost
 		bc.Start, bc.End = b.start(), b.end()
-		bc.Line = b.insts[0].line
+		bc.Line = int(b.insts[0].line)
 		bc.InLoop = b.inLoop
-		for _, ins := range b.insts {
-			op := ins.inst.Op
+		for k := range b.insts {
+			op := b.insts[k].inst.Op
 			if !op.IsQat() {
 				continue
 			}

@@ -127,12 +127,7 @@ func (s regset) forEachMember(f func(cpu bool, r uint8)) {
 }
 
 // entryID returns the block holding address 0 (-1 when none is reachable).
-func (g *cfg) entryID() int {
-	if id, ok := g.blockOf[0]; ok {
-		return id
-	}
-	return -1
-}
+func (g *cfg) entryID() int { return g.blockAt(0) }
 
 // definiteAssignment computes, per reachable block, the set of registers
 // written on every path from entry to the block's start. The machine zeroes
@@ -142,13 +137,13 @@ func (g *cfg) entryID() int {
 // positives; the real entry at address 0 starts empty.
 func (g *cfg) definiteAssignment() []regset {
 	n := len(g.blocks)
-	in := make([]regset, n)
-	out := make([]regset, n)
-	gen := make([]regset, n)
-	for i, b := range g.blocks {
+	sets := make([]regset, 3*n)
+	in, out, gen := sets[:n], sets[n:2*n], sets[2*n:]
+	for i := range g.blocks {
 		in[i] = fullSet
-		for _, ins := range b.insts {
-			gen[i] = gen[i].union(defSet(ins))
+		b := &g.blocks[i]
+		for k := range b.insts {
+			gen[i] = gen[i].union(defSet(&b.insts[k]))
 		}
 	}
 	entry := g.entryID()
@@ -161,12 +156,12 @@ func (g *cfg) definiteAssignment() []regset {
 	changed := true
 	for changed {
 		changed = false
-		for i, b := range g.blocks {
+		for i := range g.blocks {
 			ni := fullSet
 			if i == entry {
 				ni = regset{}
 			}
-			for _, p := range b.preds {
+			for _, p := range g.blocks[i].preds {
 				ni = ni.intersect(out[p])
 			}
 			if i == entry {
@@ -190,9 +185,11 @@ func (g *cfg) checkUseBeforeDef(r *Report) {
 		return
 	}
 	in := g.definiteAssignment()
-	for i, b := range g.blocks {
+	for i := range g.blocks {
 		state := in[i]
-		for _, ins := range b.insts {
+		b := &g.blocks[i]
+		for k := range b.insts {
+			ins := &b.insts[k]
 			missing := daUseSet(ins).diff(state)
 			missing.forEachMember(func(cpuReg bool, reg uint8) {
 				var msg string
@@ -204,7 +201,7 @@ func (g *cfg) checkUseBeforeDef(r *Report) {
 						ins.inst.Op.Name(), regName(false, reg))
 				}
 				r.add(Diagnostic{Check: CheckUseBeforeDef, Severity: Warning,
-					Addr: ins.addr, Line: ins.line, Msg: msg})
+					Addr: ins.addr, Line: int(ins.line), Msg: msg})
 			})
 			state = state.union(defSet(ins))
 		}
@@ -216,22 +213,21 @@ func (g *cfg) checkUseBeforeDef(r *Report) {
 // corresponding blocks conservatively keep everything live.
 func (g *cfg) liveness() []regset {
 	n := len(g.blocks)
-	use := make([]regset, n)
-	def := make([]regset, n)
-	for i, b := range g.blocks {
+	sets := make([]regset, 4*n)
+	use, def, liveOut, liveIn := sets[:n], sets[n:2*n], sets[2*n:3*n], sets[3*n:]
+	for i := range g.blocks {
+		b := &g.blocks[i]
 		for k := len(b.insts) - 1; k >= 0; k-- {
-			ins := b.insts[k]
+			ins := &b.insts[k]
 			d := defSet(ins)
 			use[i] = use[i].diff(d).union(liveUseSet(ins))
 			def[i] = def[i].union(d)
 		}
 	}
-	liveOut := make([]regset, n)
-	liveIn := make([]regset, n)
-	for i, b := range g.blocks {
-		last := b.insts[len(b.insts)-1]
+	for i := range g.blocks {
+		b := &g.blocks[i]
 		switch {
-		case !b.exitsUnknown && g.haltAt[last.addr]:
+		case !b.exitsUnknown && b.insts[len(b.insts)-1].haltAt:
 			// Certain halt: the Tangled register file is the run's output
 			// surface, but Qat state dies with the machine.
 			liveOut[i] = allCPUSet
@@ -244,9 +240,8 @@ func (g *cfg) liveness() []regset {
 	for changed {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
-			b := g.blocks[i]
 			no := liveOut[i]
-			for _, s := range b.succs {
+			for _, s := range g.blocks[i].succs {
 				no = no.union(liveIn[s])
 			}
 			ni := use[i].union(no.diff(def[i]))
@@ -260,21 +255,18 @@ func (g *cfg) liveness() []regset {
 }
 
 // checkDeadStores reports register writes whose value is overwritten before
-// any instruction reads it.
+// any instruction reads it, from the block live-out sets in g.liveOut.
 func (g *cfg) checkDeadStores(r *Report) {
-	if len(g.blocks) == 0 {
-		return
-	}
-	liveOut := g.liveness()
-	for i, b := range g.blocks {
-		live := liveOut[i]
+	for i := range g.blocks {
+		live := g.liveOut[i]
+		b := &g.blocks[i]
 		for k := len(b.insts) - 1; k >= 0; k-- {
-			ins := b.insts[k]
+			ins := &b.insts[k]
 			d := defSet(ins)
 			dead := d.diff(live)
 			dead.forEachMember(func(cpuReg bool, reg uint8) {
 				r.add(Diagnostic{Check: CheckDeadStore, Severity: Warning,
-					Addr: ins.addr, Line: ins.line,
+					Addr: ins.addr, Line: int(ins.line),
 					Msg: fmt.Sprintf("value %s writes to %s is overwritten before any read",
 						ins.inst.Op.Name(), regName(cpuReg, reg))})
 			})

@@ -133,8 +133,6 @@ type Facts struct {
 	Ways int
 	// Insts lists every decoded instruction in address order.
 	Insts []InstFact
-	// ByAddr maps a word address to its index in Insts.
-	ByAddr map[uint16]int
 	// Blocks lists the reachable basic blocks.
 	Blocks []BlockFact
 	// DataWords counts words that are data or failed to decode.
@@ -150,11 +148,24 @@ type Facts struct {
 	// Profile is the static entanglement/cost profile, attached by
 	// profile.Compute — nil until a profiler pass has run over these facts.
 	Profile *Profile
+
+	// byAddr maps each word address below Len to its index in Insts, or to
+	// a negative word class when no instruction starts there.
+	byAddr []int32
+}
+
+// ByAddr returns the index in Insts of the instruction starting at word
+// address addr, and whether one does.
+func (f *Facts) ByAddr(addr uint16) (int, bool) {
+	if int(addr) >= len(f.byAddr) || f.byAddr[addr] < 0 {
+		return -1, false
+	}
+	return int(f.byAddr[addr]), true
 }
 
 // AnalyzeWithFacts lints p like Analyze and additionally returns the Facts
-// projection of the CFG and dataflow results. For an empty image the facts
-// are empty but non-nil.
+// projection of the CFG and dataflow results. For an image the analyzer
+// refuses (empty, or longer than memory) the facts are empty but non-nil.
 func AnalyzeWithFacts(p *asm.Program, opts Options) (*Report, *Facts) {
 	opts = opts.withDefaults()
 	r := &Report{}
@@ -162,14 +173,10 @@ func AnalyzeWithFacts(p *asm.Program, opts Options) (*Report, *Facts) {
 		Prog:         p,
 		Len:          len(p.Words),
 		Ways:         opts.Ways,
-		ByAddr:       make(map[uint16]int),
 		HaltAt:       make(map[uint16]bool),
 		JumprTargets: make(map[uint16]uint16),
 	}
-	if len(p.Words) == 0 {
-		r.add(Diagnostic{Check: CheckNoHalt, Severity: Error, Addr: 0,
-			Msg: "empty program: execution begins in zeroed memory and never halts"})
-		r.finish()
+	if refuse(p, r) {
 		return r, f
 	}
 	g := buildCFG(p, opts)
@@ -180,6 +187,7 @@ func AnalyzeWithFacts(p *asm.Program, opts Options) (*Report, *Facts) {
 }
 
 // runChecks is the shared check sequence of Analyze and AnalyzeWithFacts.
+// It computes the block liveness once, for checkDeadStores and fillFacts.
 func runChecks(g *cfg, r *Report, opts Options) {
 	g.checkDecode(r)
 	g.checkReachability(r)
@@ -187,56 +195,66 @@ func runChecks(g *cfg, r *Report, opts Options) {
 	g.checkHalt(r)
 	g.checkHadRange(r)
 	g.checkUseBeforeDef(r)
+	g.liveOut = g.liveness()
 	g.checkDeadStores(r)
 	g.checkCosts(r, opts)
 }
 
-// fillFacts projects the CFG into f.
+// fillFacts projects the CFG into f. The facts share the CFG's address
+// table and edge slices; the rest is allocated once, at its final size,
+// and left nil when empty.
 func (g *cfg) fillFacts(f *Facts) {
 	f.Imprecise = g.imprecise
-	f.DataWords = len(g.data)
-	for a := range g.haltAt {
-		f.HaltAt[a] = true
+	f.DataWords = g.nData
+	f.byAddr = g.at
+	if len(g.nodes) > 0 {
+		f.Insts = make([]InstFact, len(g.nodes))
 	}
-	for a, t := range g.jumprTo {
-		f.JumprTargets[a] = t
-	}
-	for i, addr := range g.order {
-		in := g.insts[addr]
-		fi := InstFact{
-			Index:  i,
-			Addr:   addr,
-			Words:  int(in.words),
-			Line:   in.line,
-			Inst:   in.inst,
-			Eff:    in.eff,
-			PairBr: in.pairBr,
-			Block:  -1,
+	nReach := 0
+	for i := range g.nodes {
+		in := &g.nodes[i]
+		if in.haltAt {
+			f.HaltAt[in.addr] = true
 		}
-		if g.reach[addr] {
-			fi.Reachable = true
-			fi.Block = g.blockOf[addr]
+		if in.jumpKnown {
+			f.JumprTargets[in.addr] = in.jumpTo
 		}
-		f.ByAddr[addr] = i
-		f.Insts = append(f.Insts, fi)
+		if in.reach {
+			nReach++
+		}
+		f.Insts[i] = InstFact{
+			Index:     i,
+			Addr:      in.addr,
+			Words:     int(in.words),
+			Line:      int(in.line),
+			Inst:      in.inst,
+			Eff:       in.eff,
+			PairBr:    in.pairBr,
+			Reachable: in.reach,
+			Block:     int(in.block),
+		}
 	}
-	var liveOut []regset
-	if len(g.blocks) > 0 {
-		liveOut = g.liveness()
+	if len(g.blocks) == 0 {
+		return
 	}
-	for i, b := range g.blocks {
-		bf := BlockFact{
+	f.Blocks = make([]BlockFact, len(g.blocks))
+	instBuf := make([]int, 0, nReach)
+	for i := range g.blocks {
+		b := &g.blocks[i]
+		first := int(g.at[b.start()])
+		start := len(instBuf)
+		for k := range b.insts {
+			instBuf = append(instBuf, first+k)
+		}
+		f.Blocks[i] = BlockFact{
 			ID:           b.id,
-			Succs:        append([]int(nil), b.succs...),
-			Preds:        append([]int(nil), b.preds...),
+			Insts:        instBuf[start:len(instBuf):len(instBuf)],
+			Succs:        b.succs,
+			Preds:        b.preds,
 			ExitsUnknown: b.exitsUnknown,
 			MayHalt:      b.mayHalt,
 			InLoop:       b.inLoop,
-			LiveOut:      exportSet(liveOut[i]),
+			LiveOut:      exportSet(g.liveOut[i]),
 		}
-		for _, ins := range b.insts {
-			bf.Insts = append(bf.Insts, f.ByAddr[ins.addr])
-		}
-		f.Blocks = append(f.Blocks, bf)
 	}
 }

@@ -49,7 +49,7 @@ loop:	add	$1, $2
 		if !fi.Reachable || fi.Block < 0 {
 			t.Fatalf("inst %d unexpectedly unreachable", i)
 		}
-		if j, ok := f.ByAddr[fi.Addr]; !ok || j != i {
+		if j, ok := f.ByAddr(fi.Addr); !ok || j != i {
 			t.Fatalf("ByAddr[%#04x]=%d, want %d", fi.Addr, j, i)
 		}
 	}

@@ -20,6 +20,9 @@
 //     loop blocks that erase many bits per iteration surface as "hot-block",
 //     the static analogue of the paper's adiabatic-power argument.
 //
+// An image longer than the machine's memory is not analyzed: it gets one
+// "image-size" error.
+//
 // Diagnostics are deterministic (sorted by address, then check, then
 // message) and carry the 1-based source line when the program was assembled
 // in-process. Severity error means the program is certainly broken — the
@@ -35,6 +38,7 @@ import (
 
 	"tangled/internal/aob"
 	"tangled/internal/asm"
+	"tangled/internal/cpu"
 	"tangled/internal/isa"
 )
 
@@ -108,6 +112,7 @@ const (
 	CheckDeadStore    = "dead-store"     // write overwritten before any read
 	CheckHotBlock     = "hot-block"      // loop block with high erasure cost
 	CheckHadRange     = "had-range"      // had pattern >= assumed entanglement degree
+	CheckImageSize    = "image-size"     // image longer than the machine's memory
 )
 
 // Diagnostic is one finding, tied to a word address (and source line when
@@ -219,16 +224,31 @@ func (o Options) withDefaults() Options {
 func Analyze(p *asm.Program, opts Options) *Report {
 	opts = opts.withDefaults()
 	r := &Report{}
-	if len(p.Words) == 0 {
-		r.add(Diagnostic{Check: CheckNoHalt, Severity: Error, Addr: 0,
-			Msg: "empty program: execution begins in zeroed memory and never halts"})
-		r.finish()
+	if refuse(p, r) {
 		return r
 	}
 	g := buildCFG(p, opts)
 	runChecks(g, r, opts)
 	r.finish()
 	return r
+}
+
+// refuse reports, as one error finding in a finished r, an image the
+// analyzer does not take apart: an empty one, or one longer than the
+// machine's memory (which cpu.Load refuses).
+func refuse(p *asm.Program, r *Report) bool {
+	switch {
+	case len(p.Words) == 0:
+		r.add(Diagnostic{Check: CheckNoHalt, Severity: Error, Addr: 0,
+			Msg: "empty program: execution begins in zeroed memory and never halts"})
+	case len(p.Words) > cpu.MemWords:
+		r.add(Diagnostic{Check: CheckImageSize, Severity: Error, Addr: 0,
+			Msg: fmt.Sprintf("image of %d words exceeds the %d-word memory: the loader refuses it", len(p.Words), cpu.MemWords)})
+	default:
+		return false
+	}
+	r.finish()
+	return true
 }
 
 // AnalyzeSource assembles src and lints the result; assembly failures are

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tangled/internal/asm"
+	"tangled/internal/cpu"
 	"tangled/internal/lint"
 )
 
@@ -267,6 +268,38 @@ func TestEmptyProgram(t *testing.T) {
 	wantKeys(t, r, "error no-halt 0x0000")
 }
 
+// paddedHalt is `lex $0,0; sys` zero-padded to n words, with no data marks.
+func paddedHalt(t *testing.T, n int) *asm.Program {
+	t.Helper()
+	p := mustAssemble(t, "\tlex\t$0, 0\n\tsys\n")
+	p.Words = append(p.Words, make([]uint16, n-len(p.Words))...)
+	p.Source, p.Data = nil, nil
+	return p
+}
+
+func TestFullMemoryImage(t *testing.T) {
+	// A 65536-word image fills memory exactly: cpu.Load runs it, so it
+	// lints like the same program one word shorter — the zero padding is
+	// unreachable code, and the reachable sys halts.
+	for _, n := range []int{cpu.MemWords - 1, cpu.MemWords} {
+		r, f := lint.AnalyzeWithFacts(paddedHalt(t, n), lint.Options{})
+		wantKeys(t, r, "info unreachable 0x0002")
+		if f.Len != n || len(f.HaltAt) != 1 || !f.Insts[1].Reachable {
+			t.Fatalf("%d words: len=%d haltAt=%v: the halting sys is not in the facts", n, f.Len, f.HaltAt)
+		}
+	}
+}
+
+func TestImageLongerThanMemory(t *testing.T) {
+	p := paddedHalt(t, cpu.MemWords+1)
+	wantKeys(t, lint.Analyze(p, lint.Options{}), "error image-size 0x0000")
+	r, f := lint.AnalyzeWithFacts(p, lint.Options{})
+	wantKeys(t, r, "error image-size 0x0000")
+	if len(f.Insts) != 0 || len(f.Blocks) != 0 {
+		t.Fatalf("refused image has %d instruction and %d block facts", len(f.Insts), len(f.Blocks))
+	}
+}
+
 func TestHotBlockAndCosts(t *testing.T) {
 	src := `
 	lex $1, 10
@@ -377,7 +410,7 @@ tbl:	.word 4096
 	if !f.Imprecise {
 		t.Fatal("analysis not imprecise — fixture no longer exercises widening")
 	}
-	i, ok := f.ByAddr[tbl]
+	i, ok := f.ByAddr(tbl)
 	if !ok {
 		t.Fatalf("data word at %#04x did not decode; fixture needs a decodable word", tbl)
 	}

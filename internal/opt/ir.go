@@ -102,7 +102,7 @@ func (r *ir) emit() (*asm.Program, error) {
 	// mapOld forwards an original address to its new one: the new address
 	// of the first retained instruction at or after it, or the image end.
 	mapOld := func(orig uint16) int {
-		if i, ok := r.facts.ByAddr[orig]; ok {
+		if i, ok := r.facts.ByAddr(orig); ok {
 			for ; i < len(r.nodes); i++ {
 				if !r.nodes[i].removed {
 					return newAddr[i]

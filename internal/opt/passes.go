@@ -35,7 +35,7 @@ import (
 // the loader's all-zero machine: the block starting at address 0, provided
 // nothing branches back into it. -1 when no block qualifies.
 func (r *ir) entrySeedBlock() int {
-	i, ok := r.facts.ByAddr[0]
+	i, ok := r.facts.ByAddr(0)
 	if !ok {
 		return -1
 	}

@@ -64,13 +64,14 @@ func Compute(f *lint.Facts, opts Options) *lint.Profile {
 	top := depset(1)<<uint(ways) - 1
 
 	c := &computer{f: f, opts: opts, ways: ways, top: top, p: p}
-	for k := range c.uf {
-		c.uf[k] = k
+	for k := range c.comp {
+		c.comp[k] = 1 << uint(k)
 	}
 	c.countOps()
 	if f.Imprecise {
 		c.widenAll()
 	} else {
+		c.track()
 		c.fixpoint()
 	}
 	c.walkBlocks()
@@ -79,6 +80,13 @@ func Compute(f *lint.Facts, opts Options) *lint.Profile {
 	return p
 }
 
+// computer is one profile computation. Its degree analysis costs time
+// proportional to instructions plus blocks times tracked registers: block
+// entry states and joins cover only the tracked registers (every other
+// register stays empty everywhere), and after an instruction only the
+// registers it writes are observed — any other register still holds a
+// value observed at block entry or at its last write, and observing a
+// value twice changes nothing.
 type computer struct {
 	f    *lint.Facts
 	opts Options
@@ -86,16 +94,20 @@ type computer struct {
 	top  depset
 	p    *lint.Profile
 
-	// in holds the per-block entry dependence states once fixpoint runs.
-	in [][isa.NumQRegs]depset
-	// regMax/regunion accumulate the per-register degree bound and the union
+	// touched marks registers referenced by any reachable Qat instruction.
+	touched [isa.NumQRegs]bool
+	// regs lists the tracked registers, ascending (see track).
+	regs []uint8
+	// in holds the per-block entry dependence sets over regs, len(regs)
+	// per block, once fixpoint runs.
+	in []depset
+	// regMax/regUnion accumulate the per-register degree bound and the union
 	// of channels it ever depends on.
 	regMax   [isa.NumQRegs]int
 	regUnion [isa.NumQRegs]depset
-	// uf is the union-find parent array over channel bits.
-	uf [qat.MaxREWays]int
-	// touched marks registers referenced by any reachable Qat instruction.
-	touched [isa.NumQRegs]bool
+	// comp[k] is the set of channels entangled with channel k so far: the
+	// union-find over channel bits, kept as one mask per channel.
+	comp [qat.MaxREWays]depset
 }
 
 // countOps tallies reachable instructions and marks Qat-touched registers.
@@ -110,51 +122,72 @@ func (c *computer) countOps() {
 			continue
 		}
 		c.p.QatOps++
-		in := fi.Inst
-		switch in.Op {
-		case isa.OpQZero, isa.OpQOne, isa.OpQNot:
-			c.touch(in.QA)
-		case isa.OpQHad:
-			c.touch(in.QA)
-			if k := int(in.K) + 1; k <= c.ways && k > c.p.RequiredWays {
+		for _, q := range fi.Eff.QReads[:fi.Eff.NQReads] {
+			c.touched[q] = true
+		}
+		for _, q := range fi.Eff.QWrites[:fi.Eff.NQWrites] {
+			c.touched[q] = true
+		}
+		if fi.Inst.Op == isa.OpQHad {
+			if k := int(fi.Inst.K) + 1; k <= c.ways && k > c.p.RequiredWays {
 				c.p.RequiredWays = k
 			}
-		case isa.OpQAnd, isa.OpQOr, isa.OpQXor, isa.OpQCcnot, isa.OpQCswap:
-			c.touch(in.QA, in.QB, in.QC)
-		case isa.OpQCnot, isa.OpQSwap:
-			c.touch(in.QA, in.QB)
-		case isa.OpQMeas, isa.OpQNext, isa.OpQPop:
-			c.touch(in.QA)
 		}
 	}
 }
 
-func (c *computer) touch(qs ...uint8) {
-	for _, q := range qs {
-		c.touched[q] = true
+// seed is register q's dependence set in the loader's state: empty, or a
+// had seed in the constant-register variant.
+func (c *computer) seed(q int) depset {
+	if k := q - 2; c.opts.ConstantRegs && k >= 0 && k < c.ways {
+		return 1 << uint(k)
 	}
+	return 0
 }
 
-// entrySeed is the loader's state: all-zero registers (empty sets), or the
-// constant-register variant's had seeds.
-func (c *computer) entrySeed() [isa.NumQRegs]depset {
-	var s [isa.NumQRegs]depset
-	if c.opts.ConstantRegs {
-		for k := 0; k < c.ways && 2+k < isa.NumQRegs; k++ {
-			s[2+k] = 1 << uint(k)
+// track lists the registers whose dependence sets can be non-empty: the
+// Qat-touched ones, which every write hits, and the ones the entry state
+// seeds. A reachable non-entry block without predecessors (defensive:
+// precise graphs reach every non-entry block through an edge) enters with
+// every register at the full width, so then every register is tracked.
+func (c *computer) track() {
+	all := false
+	entry := c.entryBlock()
+	for b := range c.f.Blocks {
+		if b != entry && len(c.f.Blocks[b].Preds) == 0 {
+			all = true
 		}
 	}
-	return s
+	c.regs = make([]uint8, 0, isa.NumQRegs)
+	for q := 0; q < isa.NumQRegs; q++ {
+		if all || c.touched[q] || c.seed(q) != 0 {
+			c.regs = append(c.regs, uint8(q))
+		}
+	}
 }
 
 // entryBlock locates the block executing first (contains address 0), -1
 // when address 0 decodes to nothing.
 func (c *computer) entryBlock() int {
-	i, ok := c.f.ByAddr[0]
+	i, ok := c.f.ByAddr(0)
 	if !ok {
 		return -1
 	}
 	return c.f.Insts[i].Block
+}
+
+// entryState returns block b's entry sets over c.regs.
+func (c *computer) entryState(b int) []depset {
+	k := len(c.regs)
+	return c.in[b*k : (b+1)*k]
+}
+
+// load expands block b's entry sets into the full register state st.
+// Untracked registers are never written, so they stay empty in st.
+func (c *computer) load(st *[isa.NumQRegs]depset, b int) {
+	for i, d := range c.entryState(b) {
+		st[c.regs[i]] = d
+	}
 }
 
 // fixpoint runs the forward dataflow to a fixed point: block entry states
@@ -162,16 +195,18 @@ func (c *computer) entryBlock() int {
 // union lattice guarantees termination.
 func (c *computer) fixpoint() {
 	n := len(c.f.Blocks)
-	c.in = make([][isa.NumQRegs]depset, n)
+	c.in = make([]depset, n*len(c.regs))
 	entry := c.entryBlock()
 	for b := 0; b < n; b++ {
+		in := c.entryState(b)
 		if b == entry {
-			c.in[b] = c.entrySeed()
+			for i, q := range c.regs {
+				in[i] = c.seed(int(q))
+			}
 		} else if len(c.f.Blocks[b].Preds) == 0 {
-			// A reachable block no edge enters (defensive: precise graphs
-			// reach every non-entry block through an edge): assume the worst.
-			for q := range c.in[b] {
-				c.in[b][q] = c.top
+			// A reachable block no edge enters: assume the worst.
+			for i := range in {
+				in[i] = c.top
 			}
 		}
 	}
@@ -181,19 +216,21 @@ func (c *computer) fixpoint() {
 		work = append(work, b)
 		queued[b] = true
 	}
+	var st [isa.NumQRegs]depset
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
 		queued[b] = false
-		out := c.in[b]
+		c.load(&st, b)
 		for _, ii := range c.f.Blocks[b].Insts {
-			c.transfer(&out, c.f.Insts[ii].Inst)
+			c.transfer(&st, &c.f.Insts[ii])
 		}
 		for _, s := range c.f.Blocks[b].Succs {
+			in := c.entryState(s)
 			changed := false
-			for q := range out {
-				if c.in[s][q]|out[q] != c.in[s][q] {
-					c.in[s][q] |= out[q]
+			for i, q := range c.regs {
+				if in[i]|st[q] != in[i] {
+					in[i] |= st[q]
 					changed = true
 				}
 			}
@@ -206,7 +243,8 @@ func (c *computer) fixpoint() {
 }
 
 // transfer applies one instruction's dependence-set semantics in place.
-func (c *computer) transfer(st *[isa.NumQRegs]depset, in isa.Inst) {
+func (c *computer) transfer(st *[isa.NumQRegs]depset, fi *lint.InstFact) {
+	in := fi.Inst
 	a, b, cc := in.QA, in.QB, in.QC
 	switch in.Op {
 	case isa.OpQZero, isa.OpQOne:
@@ -231,11 +269,8 @@ func (c *computer) transfer(st *[isa.NumQRegs]depset, in isa.Inst) {
 	default:
 		// Defensive against future Qat-writing ops this switch does not
 		// model: widen whatever the instruction writes.
-		d := lint.DefSet(in)
-		for q := 0; q < isa.NumQRegs; q++ {
-			if d.HasQat(uint8(q)) {
-				st[q] = c.top
-			}
+		for _, q := range fi.Eff.QWrites[:fi.Eff.NQWrites] {
+			st[q] = c.top
 		}
 	}
 }
@@ -273,12 +308,15 @@ func (c *computer) walkBlocks() {
 			bp.End = last.Addr + uint16(last.Words)
 		}
 
-		// Degree walk (precise path): record maxima and union-find merges at
-		// the block entry and after every instruction.
+		// Degree walk (precise path): record maxima and channel merges for
+		// every tracked register at the block entry and for the written
+		// registers after every instruction.
 		var st [isa.NumQRegs]depset
 		if !c.f.Imprecise {
-			st = c.in[b]
-			bp.MaxDegree = c.observe(&st)
+			c.load(&st, b)
+			for _, q := range c.regs {
+				bp.MaxDegree = max(bp.MaxDegree, c.observe(q, st[q]))
+			}
 		} else {
 			bp.MaxDegree = c.ways
 		}
@@ -300,11 +338,12 @@ func (c *computer) walkBlocks() {
 		}
 
 		for _, ii := range bf.Insts {
-			in := c.f.Insts[ii].Inst
+			fi := &c.f.Insts[ii]
+			in := fi.Inst
 			if !c.f.Imprecise {
-				c.transfer(&st, in)
-				if d := c.observe(&st); d > bp.MaxDegree {
-					bp.MaxDegree = d
+				c.transfer(&st, fi)
+				for _, q := range fi.Eff.QWrites[:fi.Eff.NQWrites] {
+					bp.MaxDegree = max(bp.MaxDegree, c.observe(q, st[q]))
 				}
 			}
 			if in.Op.IsQat() {
@@ -327,56 +366,44 @@ func (c *computer) walkBlocks() {
 	}
 }
 
-// observe folds the current state into the per-register accumulators and
-// the channel union-find, returning the largest degree present.
-func (c *computer) observe(st *[isa.NumQRegs]depset) int {
-	max := 0
-	for q := range st {
-		d := st[q]
-		if d == 0 {
-			continue
-		}
-		n := bits.OnesCount32(d)
-		if n > c.regMax[q] {
-			c.regMax[q] = n
-		}
-		c.regUnion[q] |= d
-		if n > max {
-			max = n
-		}
-		if n > 1 {
-			c.union(d)
-		}
+// observe folds register q's dependence set d into the per-register
+// accumulators and the channel groups, returning its degree.
+func (c *computer) observe(q uint8, d depset) int {
+	if d == 0 {
+		return 0
 	}
-	return max
+	n := bits.OnesCount32(d)
+	if n > c.regMax[q] {
+		c.regMax[q] = n
+	}
+	c.regUnion[q] |= d
+	if n > 1 {
+		c.union(d)
+	}
+	return n
 }
 
-// union merges every channel bit of d into one union-find component.
+// union merges every channel bit of d into one group.
 func (c *computer) union(d depset) {
-	first := -1
-	for k := 0; k < c.ways; k++ {
-		if d&(1<<uint(k)) == 0 {
-			continue
-		}
-		if first < 0 {
-			first = k
-			continue
-		}
-		ra, rb := c.find(first), c.find(k)
-		if ra != rb {
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			c.uf[rb] = ra
-		}
+	if d&^c.comp[bits.TrailingZeros32(d)] == 0 {
+		return // already one group
+	}
+	var m depset
+	for r := d; r != 0; r &= r - 1 {
+		m |= c.comp[bits.TrailingZeros32(r)]
+	}
+	for r := m; r != 0; r &= r - 1 {
+		c.comp[bits.TrailingZeros32(r)] = m
 	}
 }
 
-func (c *computer) find(k int) int {
-	for c.uf[k] != k {
-		k = c.uf[k]
+// channels lists the channel bits of d, ascending.
+func channels(d depset) []int {
+	out := make([]int, 0, bits.OnesCount32(d))
+	for r := d; r != 0; r &= r - 1 {
+		out = append(out, bits.TrailingZeros32(r))
 	}
-	return k
+	return out
 }
 
 // qTransfer applies one instruction to the pbit state lattice, reporting
@@ -433,39 +460,23 @@ func qTransfer(st *[isa.NumQRegs]opt.QState, in isa.Inst) (written, structured b
 // finish assembles the register list, the channel groups, the degree bound
 // and the compressibility ratio.
 func (c *computer) finish() {
-	for q := 0; q < isa.NumQRegs; q++ {
-		if c.regMax[q] == 0 {
+	for q, deg := range c.regMax {
+		if deg == 0 {
 			continue
 		}
-		re := lint.RegEntanglement{Reg: q, Degree: c.regMax[q]}
-		for k := 0; k < c.ways; k++ {
-			if c.regUnion[q]&(1<<uint(k)) != 0 {
-				re.Channels = append(re.Channels, k)
-			}
-		}
-		c.p.Regs = append(c.p.Regs, re)
-		if c.regMax[q] > c.p.DegreeBound {
-			c.p.DegreeBound = c.regMax[q]
-		}
+		c.p.Regs = append(c.p.Regs, lint.RegEntanglement{Reg: q, Degree: deg, Channels: channels(c.regUnion[q])})
+		c.p.DegreeBound = max(c.p.DegreeBound, deg)
 	}
 	if c.f.Imprecise {
 		// All channels entangled as far as the analysis can tell.
 		if c.ways > 1 && c.p.QatOps > 0 {
-			all := make([]int, c.ways)
-			for k := range all {
-				all[k] = k
-			}
-			c.p.Groups = [][]int{all}
+			c.p.Groups = [][]int{channels(c.top)}
 		}
 	} else {
-		members := make(map[int][]int)
+		// A group is listed once, at its lowest channel.
 		for k := 0; k < c.ways; k++ {
-			r := c.find(k)
-			members[r] = append(members[r], k)
-		}
-		for k := 0; k < c.ways; k++ {
-			if g := members[k]; len(g) > 1 {
-				c.p.Groups = append(c.p.Groups, g)
+			if g := c.comp[k]; g&(g-1) != 0 && bits.TrailingZeros32(g) == k {
+				c.p.Groups = append(c.p.Groups, channels(g))
 			}
 		}
 	}
