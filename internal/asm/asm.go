@@ -40,7 +40,8 @@
 // Directives: ".word expr" emits a literal word, ".space n" emits n zero
 // words, ".ascii "text"" emits one word per character (with \n, \t, \0 and
 // \\ escapes), and ".equ name value" defines an assembly-time constant
-// usable wherever an immediate or address is expected.
+// usable wherever an immediate or address is expected. An image is at most
+// isa.MemWords words; the first statement past that is diagnosed.
 //
 // User-defined macros — the signature capability of the AIK tool the class
 // used — are written as
@@ -73,7 +74,7 @@ type Program struct {
 	// Symbols maps labels to word addresses.
 	Symbols map[string]uint16
 	// Source maps each word address to the 1-based source line that
-	// produced it (0 when none, e.g. .space padding).
+	// produced it.
 	Source []int
 	// Data marks the word addresses emitted by data directives (.word,
 	// .space, .ascii) rather than instructions, so downstream consumers
@@ -126,7 +127,8 @@ const (
 	refImm8           // 8-bit immediate from a .equ constant (lex/lhi)
 )
 
-// item is one concrete output unit after macro expansion.
+// item is one concrete output unit after macro expansion: an instruction,
+// or a run of n equal data words (.space is one run of zeros).
 type item struct {
 	line int
 	col  int // column of the ref operand, for pass-2 diagnostics
@@ -134,26 +136,40 @@ type item struct {
 	inst isa.Inst
 	ref  string
 	kind refKind
-	// raw data word (when isData)
+	// data run (when isData)
 	isData bool
 	data   uint16
+	n      int
 }
 
 // macroDef is one user-defined macro.
 type macroDef struct {
 	params []string
-	body   []string
+	// needles are the "\param" spellings and order the substitution order
+	// (longest parameter first, so \count is not clobbered by \c), both
+	// fixed when the macro is defined.
+	needles []string
+	order   []int
+	body    []string
 }
 
 type assembler struct {
 	items  []item
 	labels map[string]uint16
-	consts map[string]int64
-	macros map[string]*macroDef
+	consts map[string]int64     // made by the first .equ
+	macros map[string]*macroDef // made by the first .endm
 	enc    isa.Encoding
 	errs   ErrorList
-	pc     uint16
-	line   int
+	// pc is the location counter. It never passes isa.MemWords: the first
+	// statement that would push the image past memory is diagnosed and sets
+	// full, and nothing is emitted after it.
+	pc   int
+	full bool
+	line int
+	// ops is the operand scratch, reused by every line. Operands that
+	// outlive their line (macro parameters, macro arguments across the
+	// body's lines) are copied out of it.
+	ops []string
 	// rawLine is the text currently being processed (the expanded text
 	// inside macro bodies), used to recover token columns for diagnostics.
 	rawLine string
@@ -181,15 +197,24 @@ func Assemble(src string) (*Program, error) {
 // lengths are encoding-independent in both provided codecs, so label
 // arithmetic is unaffected.
 func AssembleWith(src string, enc isa.Encoding) (*Program, error) {
+	// Items are presized from the line count: outside macros and .ascii a
+	// line makes at most one. Every item holds at least one word, so no
+	// image needs more than isa.MemWords of them.
 	a := &assembler{
+		items:  make([]item, 0, min(strings.Count(src, "\n")+1, isa.MemWords)),
 		labels: make(map[string]uint16),
-		consts: make(map[string]int64),
-		macros: make(map[string]*macroDef),
+		ops:    make([]string, 0, 4),
 		enc:    enc,
 	}
-	for i, raw := range strings.Split(src, "\n") {
-		a.line = i + 1
-		a.doLine(raw)
+	// Pass 1: scan each line once, in place, into items.
+	for a.line = 1; ; a.line++ {
+		i := strings.IndexByte(src, '\n')
+		if i < 0 {
+			a.doLine(src)
+			break
+		}
+		a.doLine(src[:i])
+		src = src[i+1:]
 	}
 	if a.defining != nil {
 		a.errorf("unterminated .macro %q", a.definingName)
@@ -197,16 +222,23 @@ func AssembleWith(src string, enc isa.Encoding) (*Program, error) {
 	if len(a.errs) > 0 {
 		return nil, a.errs
 	}
-	// Pass 2: resolve references and encode.
+	// Pass 2: resolve references and encode into an image sized by pass 1.
+	// An empty program keeps nil slices, which serialize as null.
 	p := &Program{Symbols: a.labels}
-	for _, it := range a.items {
-		words, err := a.resolve(it)
-		if err != nil {
+	if a.pc > 0 {
+		p.Words = make([]uint16, 0, a.pc)
+		p.Source = make([]int, 0, a.pc)
+		p.Data = make([]bool, 0, a.pc)
+	}
+	for i := range a.items {
+		it := &a.items[i]
+		start := len(p.Words)
+		var err error
+		if p.Words, err = a.resolve(p.Words, it); err != nil {
 			a.errs = append(a.errs, Error{Line: it.line, Col: it.col, Msg: err.Error()})
 			continue
 		}
-		for _, w := range words {
-			p.Words = append(p.Words, w)
+		for range p.Words[start:] {
 			p.Source = append(p.Source, it.line)
 			p.Data = append(p.Data, it.isData)
 		}
@@ -246,6 +278,9 @@ func (a *assembler) doLine(raw string) {
 	if a.defining != nil {
 		// Collecting a macro body: only .endm is interpreted.
 		if strings.EqualFold(s, ".endm") {
+			if a.macros == nil {
+				a.macros = make(map[string]*macroDef)
+			}
 			a.macros[a.definingName] = a.defining
 			a.defining = nil
 			return
@@ -272,7 +307,13 @@ func (a *assembler) doLine(raw string) {
 			a.errorfTok(label, "label %q collides with a .equ constant", label)
 			return
 		}
-		a.labels[label] = a.pc
+		// A label after a full memory has no address. Once the image has
+		// overflowed, that is already reported.
+		if a.pc >= isa.MemWords && !a.full {
+			a.errorfTok(label, "label %q is past the end of the %d-word memory", label, isa.MemWords)
+			return
+		}
+		a.labels[label] = uint16(a.pc)
 		s = strings.TrimSpace(s[colon+1:])
 	}
 	if s == "" {
@@ -280,23 +321,37 @@ func (a *assembler) doLine(raw string) {
 	}
 	mnemonic := s
 	rest := ""
-	if i := strings.IndexAny(s, " \t"); i >= 0 {
+	if i := strings.IndexFunc(s, isBlank); i >= 0 {
 		mnemonic, rest = s[:i], strings.TrimSpace(s[i+1:])
 	}
 	mnemonic = strings.ToLower(mnemonic)
 	if mnemonic == ".ascii" {
-		// String literals may contain commas; keep the rest intact.
-		a.doStatement(mnemonic, []string{rest})
-		return
+		// The string literal is the whole rest of the line.
+		a.ops = append(a.ops[:0], rest)
+	} else {
+		a.ops = splitOperands(a.ops[:0], rest)
 	}
-	var operands []string
-	if rest != "" {
-		for _, op := range strings.Split(rest, ",") {
-			operands = append(operands, strings.TrimSpace(op))
-		}
-	}
-	a.doStatement(mnemonic, operands)
+	a.doStatement(mnemonic, a.ops)
 }
+
+// splitOperands appends the comma-separated operands of rest to dst, each
+// trimmed of surrounding space. A comma inside a quoted string or character
+// literal does not split.
+func splitOperands(dst []string, rest string) []string {
+	if rest == "" {
+		return dst
+	}
+	for {
+		i := indexUnquoted(rest, ',')
+		if i < 0 {
+			return append(dst, strings.TrimSpace(rest))
+		}
+		dst = append(dst, strings.TrimSpace(rest[:i]))
+		rest = rest[i+1:]
+	}
+}
+
+func isBlank(c rune) bool { return c == ' ' || c == '\t' }
 
 func isIdent(s string) bool {
 	if s == "" {
@@ -320,18 +375,40 @@ func isIdent(s string) bool {
 // column of the ref operand (if any) is captured now so pass-2 resolution
 // failures can point at the token.
 func (a *assembler) emit(inst isa.Inst, ref string, kind refKind) {
-	it := item{line: a.line, col: a.colOf(ref), addr: a.pc, inst: inst, ref: ref, kind: kind}
+	if !a.fits(inst.Words()) {
+		return
+	}
+	it := item{line: a.line, col: a.colOf(ref), addr: uint16(a.pc), inst: inst, ref: ref, kind: kind}
 	a.items = append(a.items, it)
-	a.pc += uint16(inst.Words())
+	a.pc += inst.Words()
 }
 
-func (a *assembler) emitData(w uint16, ref string) {
+// emitData appends a run of n data words w (or the value of ref, when set).
+func (a *assembler) emitData(w uint16, ref string, n int) {
+	if n == 0 || !a.fits(n) {
+		return
+	}
 	kind := refNone
 	if ref != "" {
 		kind = refWord
 	}
-	a.items = append(a.items, item{line: a.line, col: a.colOf(ref), addr: a.pc, isData: true, data: w, ref: ref, kind: kind})
-	a.pc++
+	a.items = append(a.items, item{line: a.line, col: a.colOf(ref), addr: uint16(a.pc), isData: true, data: w, n: n, ref: ref, kind: kind})
+	a.pc += n
+}
+
+// fits reports whether n more words still fit in memory. The first time
+// they do not, it reports the current line and marks the image full, so
+// one oversized source costs one diagnostic, not an unbounded image.
+func (a *assembler) fits(n int) bool {
+	if a.full {
+		return false
+	}
+	if a.pc+n > isa.MemWords {
+		a.errorf("image exceeds the %d-word memory", isa.MemWords)
+		a.full = true
+		return false
+	}
+	return true
 }
 
 func (a *assembler) doStatement(mnemonic string, ops []string) {
@@ -362,6 +439,9 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			a.errorf(".equ %s: %v", name, err)
 			return
 		}
+		if a.consts == nil {
+			a.consts = make(map[string]int64)
+		}
 		a.consts[name] = v
 	case ".ascii":
 		if !a.wantOps(mnemonic, ops, 1) {
@@ -373,7 +453,7 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			return
 		}
 		for _, ch := range text {
-			a.emitData(uint16(ch), "")
+			a.emitData(uint16(ch), "", 1)
 		}
 	case ".word":
 		if len(ops) != 1 {
@@ -381,7 +461,7 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			return
 		}
 		if isIdent(ops[0]) && !isNumber(ops[0]) {
-			a.emitData(0, ops[0])
+			a.emitData(0, ops[0], 1)
 			return
 		}
 		v, err := parseImm(ops[0], 16)
@@ -389,7 +469,7 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			a.errorf(".word: %v", err)
 			return
 		}
-		a.emitData(uint16(v), "")
+		a.emitData(uint16(v), "", 1)
 	case ".space":
 		if len(ops) != 1 {
 			a.errorf(".space wants one operand")
@@ -408,9 +488,7 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			a.errorf(".space: bad size %q", ops[0])
 			return
 		}
-		for i := int64(0); i < n; i++ {
-			a.emitData(0, "")
-		}
+		a.emitData(0, "", int(n))
 	case "br":
 		if !a.wantOps(mnemonic, ops, 1) {
 			return
@@ -463,7 +541,7 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			a.errorf(".macro: redefinition of %q", name)
 			return
 		}
-		a.defining = &macroDef{params: ops[1:]}
+		a.defining = newMacroDef(ops[1:])
 		a.definingName = name
 	case ".endm":
 		a.errorf(".endm without .macro")
@@ -503,6 +581,24 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 	}
 }
 
+// newMacroDef starts a macro with a copy of its parameter list (params
+// lives in the operand scratch) and its substitution order.
+func newMacroDef(params []string) *macroDef {
+	def := &macroDef{
+		params:  append([]string(nil), params...),
+		needles: make([]string, len(params)),
+		order:   make([]int, len(params)),
+	}
+	for i, p := range def.params {
+		def.needles[i] = "\\" + p
+		def.order[i] = i
+	}
+	sort.Slice(def.order, func(x, y int) bool {
+		return len(def.params[def.order[x]]) > len(def.params[def.order[y]])
+	})
+	return def
+}
+
 // expandMacro substitutes arguments and local labels, then re-feeds each
 // body line through the normal line path.
 func (a *assembler) expandMacro(name string, def *macroDef, args []string) {
@@ -514,21 +610,15 @@ func (a *assembler) expandMacro(name string, def *macroDef, args []string) {
 		a.errorf("macro %s: expansion too deep (recursive?)", name)
 		return
 	}
+	// The body's lines reuse the operand scratch args lives in.
+	args = append([]string(nil), args...)
 	a.expandDepth++
 	a.expandID++
 	id := a.expandID
-	// Longest parameter names first so \count is not clobbered by \c.
-	order := make([]int, len(def.params))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(x, y int) bool {
-		return len(def.params[order[x]]) > len(def.params[order[y]])
-	})
 	for _, line := range def.body {
 		text := line
-		for _, pi := range order {
-			text = strings.ReplaceAll(text, "\\"+def.params[pi], args[pi])
+		for _, pi := range def.order {
+			text = strings.ReplaceAll(text, def.needles[pi], args[pi])
 		}
 		text = uniquifyLocals(text, id)
 		a.doLine(text)
@@ -541,14 +631,18 @@ func (a *assembler) expandMacro(name string, def *macroDef, args []string) {
 // '$' is never preceded by an identifier character.
 func uniquifyLocals(s string, id int) string {
 	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '$' && i > 0 && isIdentChar(s[i-1]) {
+	last := 0
+	for i := 1; i < len(s); i++ {
+		if s[i] == '$' && isIdentChar(s[i-1]) {
+			b.WriteString(s[last:i])
 			fmt.Fprintf(&b, "__m%d", id)
-			continue
+			last = i + 1
 		}
-		b.WriteByte(c)
 	}
+	if last == 0 {
+		return s
+	}
+	b.WriteString(s[last:])
 	return b.String()
 }
 
@@ -570,7 +664,7 @@ func (a *assembler) doQatMacro(mnemonic string, ops []string) {
 	if !a.wantOps(mnemonic, ops, want) {
 		return
 	}
-	regs := make([]uint8, len(ops))
+	var regs [3]uint8
 	for i, op := range ops {
 		r, err := parseQReg(op)
 		if err != nil {
@@ -883,35 +977,39 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 	a.emit(inst, ref, kind)
 }
 
-// resolve patches label references and encodes one item to words.
-func (a *assembler) resolve(it item) ([]uint16, error) {
+// resolve patches one item's label reference and appends its words to
+// dst. On error dst is returned unchanged.
+func (a *assembler) resolve(dst []uint16, it *item) ([]uint16, error) {
 	if it.isData {
 		w := it.data
 		if it.kind == refWord {
 			v, err := a.symbolValue(it.ref)
 			if err != nil {
-				return nil, err
+				return dst, err
 			}
 			w = uint16(v)
 		}
-		return []uint16{w}, nil
+		for i := 0; i < it.n; i++ {
+			dst = append(dst, w)
+		}
+		return dst, nil
 	}
 	inst := it.inst
 	if it.kind != refNone {
 		if it.kind == refImm8 {
 			v, ok := a.consts[it.ref]
 			if !ok {
-				return nil, fmt.Errorf("undefined constant %q", it.ref)
+				return dst, fmt.Errorf("undefined constant %q", it.ref)
 			}
 			if v < -128 || v > 255 {
-				return nil, fmt.Errorf("constant %q = %d does not fit in 8 bits", it.ref, v)
+				return dst, fmt.Errorf("constant %q = %d does not fit in 8 bits", it.ref, v)
 			}
 			inst.Imm = int8(uint16(v) & 0xFF)
-			return a.enc.Encode(inst)
+			return a.enc.Append(dst, inst)
 		}
 		v, err := a.symbolValue(it.ref)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		switch it.kind {
 		case refBranch:
@@ -922,7 +1020,7 @@ func (a *assembler) resolve(it item) ([]uint16, error) {
 				off = int32(int16(v))
 			}
 			if off < -128 || off > 127 {
-				return nil, fmt.Errorf("branch to %q out of range (%d words); use jump", it.ref, off)
+				return dst, fmt.Errorf("branch to %q out of range (%d words); use jump", it.ref, off)
 			}
 			inst.Imm = int8(off)
 		case refLow:
@@ -931,7 +1029,7 @@ func (a *assembler) resolve(it item) ([]uint16, error) {
 			inst.Imm = int8(v >> 8)
 		}
 	}
-	return a.enc.Encode(inst)
+	return a.enc.Append(dst, inst)
 }
 
 // symbolValue resolves a symbol: labels first, then .equ constants.
@@ -948,23 +1046,37 @@ func (a *assembler) symbolValue(name string) (uint16, error) {
 // stripComment removes a ';' comment, ignoring semicolons inside quoted
 // string or character literals.
 func stripComment(s string) string {
-	var inStr, inChar, esc bool
+	if strings.IndexByte(s, ';') < 0 {
+		return s
+	}
+	if i := indexUnquoted(s, ';'); i >= 0 {
+		return s[:i]
+	}
+	return s
+}
+
+// indexUnquoted returns the index of the first sep in s that lies outside
+// quoted string and character literals, or -1. A backslash inside a
+// literal escapes the byte after it.
+func indexUnquoted(s string, sep byte) int {
+	var quote byte // the open literal's quote, or 0
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
-		case esc:
-			esc = false
-		case c == '\\' && (inStr || inChar):
-			esc = true
-		case c == '"' && !inChar:
-			inStr = !inStr
-		case c == '\'' && !inStr:
-			inChar = !inChar
-		case c == ';' && !inStr && !inChar:
-			return s[:i]
+		case quote == 0:
+			if c == sep {
+				return i
+			}
+			if c == '"' || c == '\'' {
+				quote = c
+			}
+		case c == '\\':
+			i++
+		case c == quote:
+			quote = 0
 		}
 	}
-	return s
+	return -1
 }
 
 // parseStringLit parses a double-quoted string with \n, \t, \0, \\ and \"

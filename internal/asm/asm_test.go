@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -323,25 +324,27 @@ func TestCharLiterals(t *testing.T) {
 	}
 }
 
+// errorCases pair a bad source with a fragment of its diagnostic.
+var errorCases = []struct {
+	src  string
+	frag string
+}{
+	{"frob $1,$2", "unknown mnemonic"},
+	{"add $1", "wants 2 operand"},
+	{"add $1,$77", "bad register"},
+	{"add $1,@2", "expected Tangled register"},
+	{"meas @1,@2", "expected Tangled register"},
+	{"zero $1", "expected Qat register"},
+	{"had @1,16", "bad hadamard"},
+	{"lex $0,300", "does not fit"},
+	{"brt $0,nowhere", "undefined label"},
+	{"x: sys\nx: sys", "duplicate label"},
+	{"zero @256", "bad Qat register"},
+	{"lex $0,zzz", "undefined constant"},
+}
+
 func TestErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		frag string
-	}{
-		{"frob $1,$2", "unknown mnemonic"},
-		{"add $1", "wants 2 operand"},
-		{"add $1,$77", "bad register"},
-		{"add $1,@2", "expected Tangled register"},
-		{"meas @1,@2", "expected Tangled register"},
-		{"zero $1", "expected Qat register"},
-		{"had @1,16", "bad hadamard"},
-		{"lex $0,300", "does not fit"},
-		{"brt $0,nowhere", "undefined label"},
-		{"x: sys\nx: sys", "duplicate label"},
-		{"zero @256", "bad Qat register"},
-		{"lex $0,zzz", "undefined constant"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		_, err := Assemble(c.src)
 		if err == nil {
 			t.Errorf("%q assembled without error", c.src)
@@ -492,16 +495,17 @@ func TestEquSpaceSize(t *testing.T) {
 	}
 }
 
+var equErrorCases = []struct{ src, frag string }{
+	{".equ X 1\n.equ X 2\n", "redefinition"},
+	{".equ X 1\nX: sys\n", "collides"},
+	{"X: sys\n.equ X 1\n", "collides"},
+	{".equ 9bad 1\n", "invalid name"},
+	{".equ X 99999\n", "does not fit"},
+	{".equ HUGE 300\nlex $1,HUGE\n", "does not fit in 8 bits"},
+}
+
 func TestEquErrors(t *testing.T) {
-	cases := []struct{ src, frag string }{
-		{".equ X 1\n.equ X 2\n", "redefinition"},
-		{".equ X 1\nX: sys\n", "collides"},
-		{"X: sys\n.equ X 1\n", "collides"},
-		{".equ 9bad 1\n", "invalid name"},
-		{".equ X 99999\n", "does not fit"},
-		{".equ HUGE 300\nlex $1,HUGE\n", "does not fit in 8 bits"},
-	}
-	for _, c := range cases {
+	for _, c := range equErrorCases {
 		if _, err := Assemble(c.src); err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%q: err %v lacks %q", c.src, err, c.frag)
 		}
@@ -700,17 +704,18 @@ func TestUserMacroParamPrefixes(t *testing.T) {
 	}
 }
 
+var userMacroErrorCases = []struct{ src, frag string }{
+	{".macro add x\n.endm\n", "shadows"},
+	{".macro br x\n.endm\n", "shadows"},
+	{".macro m\n.endm\n.macro m\n.endm\n", "redefinition"},
+	{".macro m x\nlex \\x,1\n.endm\nm $1,$2\n", "wants 1 argument"},
+	{".macro m\nsys\n", "unterminated"},
+	{".endm\n", ".endm without"},
+	{".macro m\nm\n.endm\nm\n", "too deep"},
+}
+
 func TestUserMacroErrors(t *testing.T) {
-	cases := []struct{ src, frag string }{
-		{".macro add x\n.endm\n", "shadows"},
-		{".macro br x\n.endm\n", "shadows"},
-		{".macro m\n.endm\n.macro m\n.endm\n", "redefinition"},
-		{".macro m x\nlex \\x,1\n.endm\nm $1,$2\n", "wants 1 argument"},
-		{".macro m\nsys\n", "unterminated"},
-		{".endm\n", ".endm without"},
-		{".macro m\nm\n.endm\nm\n", "too deep"},
-	}
-	for _, c := range cases {
+	for _, c := range userMacroErrorCases {
 		if _, err := Assemble(c.src); err == nil || !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%q: err %v lacks %q", c.src, err, c.frag)
 		}
@@ -783,37 +788,39 @@ func TestAssembleWithStudentEncoding(t *testing.T) {
 	}
 }
 
+// formatErrorCases each fail one operand check of an instruction format.
+var formatErrorCases = []string{
+	"copy $1",        // FmtRR arity
+	"copy @1,$2",     // FmtRR wrong sigil
+	"copy $1,@2",     // FmtRR wrong sigil (source)
+	"neg",            // FmtR arity
+	"neg @1",         // FmtR sigil
+	"lex $1",         // FmtRI arity
+	"lex @1,5",       // FmtRI sigil
+	"brt $1",         // FmtBr arity
+	"brt @1,x",       // FmtBr sigil
+	"sys $1",         // FmtNone arity
+	"zero",           // FmtQ1 arity
+	"had @1",         // FmtQHad arity
+	"had $1,3",       // FmtQHad sigil
+	"meas $1",        // FmtQMeas arity
+	"meas $1,$2",     // FmtQMeas sigil
+	"cnot @1",        // FmtQ2 arity
+	"cnot @1,$2",     // FmtQ2 sigil
+	"ccnot @1,@2",    // FmtQ3 arity
+	"ccnot @1,@2,$3", // FmtQ3 sigil
+	"cswap $1,@2,@3", // FmtQ3 sigil (first)
+	"brt $1,300",     // branch literal out of range
+	".word",          // directive arity
+	".word 99999",    // directive range
+	".space -1",      // negative size
+	".ascii",         // arity
+}
+
 // TestFormatErrorPaths drives the remaining operand-validation branches of
 // every instruction format.
 func TestFormatErrorPaths(t *testing.T) {
-	cases := []string{
-		"copy $1",        // FmtRR arity
-		"copy @1,$2",     // FmtRR wrong sigil
-		"copy $1,@2",     // FmtRR wrong sigil (source)
-		"neg",            // FmtR arity
-		"neg @1",         // FmtR sigil
-		"lex $1",         // FmtRI arity
-		"lex @1,5",       // FmtRI sigil
-		"brt $1",         // FmtBr arity
-		"brt @1,x",       // FmtBr sigil
-		"sys $1",         // FmtNone arity
-		"zero",           // FmtQ1 arity
-		"had @1",         // FmtQHad arity
-		"had $1,3",       // FmtQHad sigil
-		"meas $1",        // FmtQMeas arity
-		"meas $1,$2",     // FmtQMeas sigil
-		"cnot @1",        // FmtQ2 arity
-		"cnot @1,$2",     // FmtQ2 sigil
-		"ccnot @1,@2",    // FmtQ3 arity
-		"ccnot @1,@2,$3", // FmtQ3 sigil
-		"cswap $1,@2,@3", // FmtQ3 sigil (first)
-		"brt $1,300",     // branch literal out of range
-		".word",          // directive arity
-		".word 99999",    // directive range
-		".space -1",      // negative size
-		".ascii",         // arity
-	}
-	for _, src := range cases {
+	for _, src := range formatErrorCases {
 		if _, err := Assemble(src + "\n"); err == nil {
 			t.Errorf("%q assembled", src)
 		}
@@ -833,23 +840,24 @@ func TestQatRegisterNumericRange(t *testing.T) {
 	}
 }
 
+var errorColumnCases = []struct {
+	src       string
+	line, col int
+	frag      string
+}{
+	{"x: sys\nx: sys", 2, 1, "duplicate label"},
+	{"  add $1,$77", 1, 10, "bad register"},
+	{"lex $0,300", 1, 8, "does not fit"},
+	{"brt $0,nowhere", 1, 8, "undefined label"},
+	{"frob $1,$2", 1, 1, "unknown mnemonic"},
+	{"zero @256", 1, 6, "bad Qat register"},
+}
+
 // TestErrorColumns checks that diagnostics carry 1-based line and column
 // info pointing at the offending token — the contract /v1/assemble's 400
 // body and qatlint's text output both depend on.
 func TestErrorColumns(t *testing.T) {
-	cases := []struct {
-		src       string
-		line, col int
-		frag      string
-	}{
-		{"x: sys\nx: sys", 2, 1, "duplicate label"},
-		{"  add $1,$77", 1, 10, "bad register"},
-		{"lex $0,300", 1, 8, "does not fit"},
-		{"brt $0,nowhere", 1, 8, "undefined label"},
-		{"frob $1,$2", 1, 1, "unknown mnemonic"},
-		{"zero @256", 1, 6, "bad Qat register"},
-	}
-	for _, c := range cases {
+	for _, c := range errorColumnCases {
 		_, err := Assemble(c.src)
 		if err == nil {
 			t.Errorf("%q assembled without error", c.src)
@@ -899,6 +907,85 @@ func TestProgramDataMarks(t *testing.T) {
 	for i, w := range want {
 		if p.Data[i] != w {
 			t.Errorf("Data[%d] = %v, want %v", i, p.Data[i], w)
+		}
+	}
+}
+
+var commaLiteralCases = []struct {
+	src  string
+	want uint16 // the first word's immediate or data value
+}{
+	{"lex $1,','\n", ','},
+	{"lex $1 , ',' ; a comma\n", ','},
+	{".word ','\n", ','},
+	{".word ';'\n", ';'},
+	{".equ C,','\nlex $1,C\n", ','},
+	{".macro put r c\nlex \\r,\\c\n.endm\nput $2,','\n", ','},
+}
+
+// TestCommaInsideCharLiteral: a ',' inside a character literal is part of
+// the operand, as ';' is.
+func TestCommaInsideCharLiteral(t *testing.T) {
+	for _, c := range commaLiteralCases {
+		p, err := Assemble(c.src)
+		if err != nil {
+			t.Errorf("%q: %v", c.src, err)
+			continue
+		}
+		got := p.Words[0]
+		if !p.Data[0] {
+			got = uint16(uint8(decodeAll(t, p.Words)[0].Imm))
+		}
+		if got != c.want {
+			t.Errorf("%q: value %d, want %d", c.src, got, c.want)
+		}
+	}
+}
+
+// TestImageBound: a short source cannot make the assembler build an image
+// larger than memory. It gets one diagnostic, on the line that overflows,
+// and the assembler stops growing the image there.
+func TestImageBound(t *testing.T) {
+	src := strings.Repeat(".space 65535\n", 40) + "sys\n"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Assemble(src)
+	runtime.ReadMemStats(&after)
+	el, ok := err.(ErrorList)
+	if !ok || len(el) != 1 {
+		t.Fatalf("got %v, want one diagnostic", err)
+	}
+	if want := (Error{Line: 2, Msg: "image exceeds the 65536-word memory"}); el[0] != want {
+		t.Fatalf("got %+v, want %+v", el[0], want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("rejecting a %d-byte source allocated %d bytes", len(src), alloc)
+	}
+}
+
+var imageLimitCases = []struct {
+	src string
+	err Error
+}{
+	{".space 65535\nsys\nsys\n", Error{Line: 3, Msg: "image exceeds the 65536-word memory"}},
+	{".space 65535\nand @1,@2,@3\n", Error{Line: 2, Msg: "image exceeds the 65536-word memory"}},
+	{".space 65535\nsys\nend: .word 0\n", Error{Line: 3, Col: 1, Msg: `label "end" is past the end of the 65536-word memory`}},
+}
+
+// TestImageFillsMemory: an image of exactly isa.MemWords words assembles;
+// one more word, or a label past the last word, is diagnosed.
+func TestImageFillsMemory(t *testing.T) {
+	p := mustAssemble(t, ".space 65534\nlast: sys\nlex $0,0\n")
+	if len(p.Words) != isa.MemWords || len(p.Source) != isa.MemWords || len(p.Data) != isa.MemWords {
+		t.Fatalf("image %d words, want %d", len(p.Words), isa.MemWords)
+	}
+	if p.Symbols["last"] != 65534 || p.Source[65535] != 3 || p.Data[65535] {
+		t.Fatalf("last word: symbol %d, line %d, data %v", p.Symbols["last"], p.Source[65535], p.Data[65535])
+	}
+	for _, c := range imageLimitCases {
+		_, err := Assemble(c.src)
+		if el, ok := err.(ErrorList); !ok || len(el) != 1 || el[0] != c.err {
+			t.Errorf("%q: got %v, want %v", c.src, err, c.err)
 		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 )
 
 // MemWords is the size of Tangled's word-addressed memory.
-const MemWords = 1 << 16
+const MemWords = isa.MemWords
 
 // Syscall service codes, taken from $0 when sys executes. The paper leaves
 // sys semantics to the implementation; these match the conventions used by

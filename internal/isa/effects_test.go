@@ -70,7 +70,7 @@ func newEffectsMachine(t *testing.T, inst isa.Inst, out *bytes.Buffer) *cpu.Mach
 			t.Fatalf("prep @%d: %v", q, err)
 		}
 	}
-	words, err := isa.Encode(inst)
+	words, err := isa.Append(nil, inst)
 	if err != nil {
 		t.Fatalf("encode %s: %v", inst, err)
 	}

@@ -15,8 +15,9 @@ import "fmt"
 type Encoding interface {
 	// Name identifies the codec.
 	Name() string
-	// Encode produces the 1- or 2-word binary form.
-	Encode(Inst) ([]uint16, error)
+	// Append appends the 1- or 2-word binary form of an instruction to dst
+	// and returns the extended slice; on error dst is returned unchanged.
+	Append(dst []uint16, i Inst) ([]uint16, error)
 	// Decode reads one instruction (w1 is the following word, used by
 	// two-word forms) and reports the words consumed.
 	Decode(w0, w1 uint16) (Inst, int, error)
@@ -27,9 +28,9 @@ var Primary Encoding = primaryEnc{}
 
 type primaryEnc struct{}
 
-func (primaryEnc) Name() string                            { return "primary" }
-func (primaryEnc) Encode(i Inst) ([]uint16, error)         { return Encode(i) }
-func (primaryEnc) Decode(w0, w1 uint16) (Inst, int, error) { return Decode(w0, w1) }
+func (primaryEnc) Name() string                                  { return "primary" }
+func (primaryEnc) Append(dst []uint16, i Inst) ([]uint16, error) { return Append(dst, i) }
+func (primaryEnc) Decode(w0, w1 uint16) (Inst, int, error)       { return Decode(w0, w1) }
 
 // Student is an alternative layout in the spirit of a different team's
 // project: the major opcode lives in the LOW nibble, register fields are
@@ -93,9 +94,9 @@ func init() {
 	}
 }
 
-func (studentEnc) Encode(i Inst) ([]uint16, error) {
+func (studentEnc) Append(dst []uint16, i Inst) ([]uint16, error) {
 	if err := i.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	d := uint16(i.RD) & 0xF
 	s := uint16(i.RS) & 0xF
@@ -103,35 +104,35 @@ func (studentEnc) Encode(i Inst) ([]uint16, error) {
 	qa := uint16(i.QA)
 	switch i.Op {
 	case OpLex:
-		return []uint16{imm<<8 | d<<4 | 0x1}, nil
+		return append(dst, imm<<8|d<<4|0x1), nil
 	case OpLhi:
-		return []uint16{imm<<8 | d<<4 | 0x2}, nil
+		return append(dst, imm<<8|d<<4|0x2), nil
 	case OpBrf:
-		return []uint16{imm<<8 | d<<4 | 0x3}, nil
+		return append(dst, imm<<8|d<<4|0x3), nil
 	case OpBrt:
-		return []uint16{imm<<8 | d<<4 | 0x4}, nil
+		return append(dst, imm<<8|d<<4|0x4), nil
 	case OpQNot, OpQZero, OpQOne:
-		return []uint16{qa<<8 | sQat1Minor[i.Op]<<4 | 0x5}, nil
+		return append(dst, qa<<8|sQat1Minor[i.Op]<<4|0x5), nil
 	case OpQHad:
-		return []uint16{qa<<8 | uint16(i.K&0xF)<<4 | 0x6}, nil
+		return append(dst, qa<<8|uint16(i.K&0xF)<<4|0x6), nil
 	case OpQMeas:
-		return []uint16{qa<<8 | d<<4 | 0x7}, nil
+		return append(dst, qa<<8|d<<4|0x7), nil
 	case OpQNext:
-		return []uint16{qa<<8 | d<<4 | 0x8}, nil
+		return append(dst, qa<<8|d<<4|0x8), nil
 	case OpQPop:
-		return []uint16{qa<<8 | d<<4 | 0x9}, nil
+		return append(dst, qa<<8|d<<4|0x9), nil
 	case OpQXor, OpQAnd, OpQOr, OpQCnot, OpQSwap, OpQCcnot, OpQCswap:
 		w0 := qa<<8 | sQatmMinor[i.Op]<<4 | 0xA
 		w1 := uint16(i.QC)<<8 | uint16(i.QB)
-		return []uint16{w0, w1}, nil
+		return append(dst, w0, w1), nil
 	case OpSys, OpJumpr, OpNot, OpNeg, OpNegf, OpFloat, OpInt, OpRecip:
-		return []uint16{sAlu1Minor[i.Op]<<8 | d<<4 | 0xC}, nil
+		return append(dst, sAlu1Minor[i.Op]<<8|d<<4|0xC), nil
 	default:
 		m, ok := sAlu2Minor[i.Op]
 		if !ok {
-			return nil, fmt.Errorf("isa: student encoding cannot encode %s", i.Op.Name())
+			return dst, fmt.Errorf("isa: student encoding cannot encode %s", i.Op.Name())
 		}
-		return []uint16{s<<12 | d<<8 | m<<4 | 0xB}, nil
+		return append(dst, s<<12|d<<8|m<<4|0xB), nil
 	}
 }
 
@@ -187,7 +188,7 @@ func (studentEnc) Decode(w0, w1 uint16) (Inst, int, error) {
 // Instruction boundaries are taken from the source codec; any word that
 // fails to decode is copied through unchanged (data words).
 func Transcode(words []uint16, from, to Encoding) ([]uint16, error) {
-	var out []uint16
+	out := make([]uint16, 0, len(words))
 	for i := 0; i < len(words); {
 		var w1 uint16
 		if i+1 < len(words) {
@@ -199,11 +200,10 @@ func Transcode(words []uint16, from, to Encoding) ([]uint16, error) {
 			i++
 			continue
 		}
-		enc, err := to.Encode(inst)
+		out, err = to.Append(out, inst)
 		if err != nil {
 			return nil, fmt.Errorf("isa: transcode at word %d: %w", i, err)
 		}
-		out = append(out, enc...)
 		i += n
 	}
 	return out, nil

@@ -11,7 +11,7 @@ import (
 func TestStudentEncodingRoundTrip(t *testing.T) {
 	for _, op := range allOps() {
 		in := sampleInst(op)
-		words, err := Student.Encode(in)
+		words, err := Student.Append(nil, in)
 		if err != nil {
 			t.Fatalf("%s: %v", op.Name(), err)
 		}
@@ -35,14 +35,42 @@ func TestEncodingsDiffer(t *testing.T) {
 	diff := 0
 	for _, op := range allOps() {
 		in := sampleInst(op)
-		a, _ := Primary.Encode(in)
-		b, _ := Student.Encode(in)
+		a, _ := Primary.Append(nil, in)
+		b, _ := Student.Append(nil, in)
 		if a[0] != b[0] {
 			diff++
 		}
 	}
 	if diff < int(numOps)-2 {
 		t.Errorf("only %d ops encode differently", diff)
+	}
+}
+
+// TestAppendKeepsPrefix: both codecs append after what dst already holds,
+// and a failed encoding leaves dst as it was.
+func TestAppendKeepsPrefix(t *testing.T) {
+	for _, enc := range []Encoding{Primary, Student} {
+		prefix := []uint16{0xAAAA, 0x5555}
+		for _, op := range allOps() {
+			in := sampleInst(op)
+			alone, err := enc.Append(nil, in)
+			if err != nil {
+				t.Fatalf("%s %s: %v", enc.Name(), op.Name(), err)
+			}
+			got, err := enc.Append(prefix[:2:2], in)
+			if err != nil || len(got) != 2+len(alone) || got[0] != 0xAAAA || got[1] != 0x5555 {
+				t.Fatalf("%s %s: %04x (%v), want the prefix then %04x", enc.Name(), op.Name(), got, err, alone)
+			}
+			for i, w := range alone {
+				if got[2+i] != w {
+					t.Fatalf("%s %s: word %d %04x, want %04x", enc.Name(), op.Name(), i, got[2+i], w)
+				}
+			}
+		}
+		bad := Inst{Op: OpAdd, RD: NumRegs}
+		if got, err := enc.Append(prefix, bad); err == nil || len(got) != len(prefix) {
+			t.Fatalf("%s: bad instruction gave %04x, %v", enc.Name(), got, err)
+		}
 	}
 }
 
@@ -59,7 +87,7 @@ func TestStudentZeroWordTraps(t *testing.T) {
 func TestCrossTranscode(t *testing.T) {
 	var words []uint16
 	for _, op := range allOps() {
-		w, err := Primary.Encode(sampleInst(op))
+		w, err := Primary.Append(nil, sampleInst(op))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +119,7 @@ func TestStudentDecodeTotalProperty(t *testing.T) {
 		if err != nil {
 			return n == 1
 		}
-		words, err := Student.Encode(inst)
+		words, err := Student.Append(nil, inst)
 		if err != nil || len(words) != n {
 			return false
 		}
@@ -110,8 +138,8 @@ func TestPrimaryEncodingWrapper(t *testing.T) {
 		t.Error("names")
 	}
 	in := Inst{Op: OpAdd, RD: 1, RS: 2}
-	a, _ := Primary.Encode(in)
-	b, _ := Encode(in)
+	a, _ := Primary.Append(nil, in)
+	b, _ := Append(nil, in)
 	if a[0] != b[0] {
 		t.Error("Primary wrapper diverges from package functions")
 	}

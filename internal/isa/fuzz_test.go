@@ -18,7 +18,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		words, err := Encode(inst)
+		words, err := Append(nil, inst)
 		if err != nil {
 			t.Fatalf("decoded %v but cannot encode: %v", inst, err)
 		}

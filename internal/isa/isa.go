@@ -113,6 +113,10 @@ const NumRegs = 16
 // for Qat: 256".
 const NumQRegs = 256
 
+// MemWords is the size of Tangled's word-addressed memory: 16-bit addresses
+// reach 65536 words, which also bounds an assembled image.
+const MemWords = 1 << 16
+
 // regNames maps register numbers to assembly spellings.
 var regNames = [NumRegs]string{
 	"$0", "$1", "$2", "$3", "$4", "$5", "$6", "$7", "$8", "$9", "$10",
@@ -302,45 +306,46 @@ func init() {
 	}
 }
 
-// Encode produces the 1- or 2-word binary form of i.
-func Encode(i Inst) ([]uint16, error) {
+// Append appends the 1- or 2-word binary form of i to dst. On error dst is
+// returned unchanged.
+func Append(dst []uint16, i Inst) ([]uint16, error) {
 	if err := i.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	d := uint16(i.RD) & 0xF
 	s := uint16(i.RS) & 0xF
 	imm := uint16(uint8(i.Imm))
 	switch i.Op {
 	case OpLex:
-		return []uint16{majLex<<12 | d<<8 | imm}, nil
+		return append(dst, majLex<<12|d<<8|imm), nil
 	case OpLhi:
-		return []uint16{majLhi<<12 | d<<8 | imm}, nil
+		return append(dst, majLhi<<12|d<<8|imm), nil
 	case OpBrf:
-		return []uint16{majBrf<<12 | d<<8 | imm}, nil
+		return append(dst, majBrf<<12|d<<8|imm), nil
 	case OpBrt:
-		return []uint16{majBrt<<12 | d<<8 | imm}, nil
+		return append(dst, majBrt<<12|d<<8|imm), nil
 	case OpQZero, OpQOne, OpQNot:
-		return []uint16{majQat1<<12 | qat1Minor[i.Op]<<8 | uint16(i.QA)}, nil
+		return append(dst, majQat1<<12|qat1Minor[i.Op]<<8|uint16(i.QA)), nil
 	case OpQHad:
-		return []uint16{majHad<<12 | uint16(i.K&0xF)<<8 | uint16(i.QA)}, nil
+		return append(dst, majHad<<12|uint16(i.K&0xF)<<8|uint16(i.QA)), nil
 	case OpQMeas:
-		return []uint16{majMeas<<12 | d<<8 | uint16(i.QA)}, nil
+		return append(dst, majMeas<<12|d<<8|uint16(i.QA)), nil
 	case OpQNext:
-		return []uint16{majNext<<12 | d<<8 | uint16(i.QA)}, nil
+		return append(dst, majNext<<12|d<<8|uint16(i.QA)), nil
 	case OpQPop:
-		return []uint16{majPop<<12 | d<<8 | uint16(i.QA)}, nil
+		return append(dst, majPop<<12|d<<8|uint16(i.QA)), nil
 	case OpQAnd, OpQOr, OpQXor, OpQCcnot, OpQCswap, OpQCnot, OpQSwap:
 		w0 := uint16(majQatM<<12) | qatmMinor[i.Op]<<8 | uint16(i.QA)
 		w1 := uint16(i.QB)<<8 | uint16(i.QC)
-		return []uint16{w0, w1}, nil
+		return append(dst, w0, w1), nil
 	case OpSys, OpFloat, OpInt, OpJumpr, OpNeg, OpNegf, OpNot, OpRecip:
-		return []uint16{majAlu1<<12 | d<<8 | alu1Minor[i.Op]}, nil
+		return append(dst, majAlu1<<12|d<<8|alu1Minor[i.Op]), nil
 	default:
 		m, ok := alu2Minor[i.Op]
 		if !ok {
-			return nil, fmt.Errorf("isa: cannot encode op %s", i.Op.Name())
+			return dst, fmt.Errorf("isa: cannot encode op %s", i.Op.Name())
 		}
-		return []uint16{majAlu2<<12 | d<<8 | s<<4 | m}, nil
+		return append(dst, majAlu2<<12|d<<8|s<<4|m), nil
 	}
 }
 

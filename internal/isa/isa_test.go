@@ -44,7 +44,7 @@ func sampleInst(op Op) Inst {
 func TestTable1ISAEncodeDecodeRoundTrip(t *testing.T) {
 	for _, op := range allOps() {
 		in := sampleInst(op)
-		words, err := Encode(in)
+		words, err := Append(nil, in)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", op.Name(), err)
 		}
@@ -74,7 +74,7 @@ func TestEncodingExhaustiveRegisters(t *testing.T) {
 	for d := uint8(0); d < NumRegs; d++ {
 		for s := uint8(0); s < NumRegs; s++ {
 			in := Inst{Op: OpAdd, RD: d, RS: s}
-			w, err := Encode(in)
+			w, err := Append(nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,7 +85,7 @@ func TestEncodingExhaustiveRegisters(t *testing.T) {
 		}
 		for imm := -128; imm <= 127; imm++ {
 			in := Inst{Op: OpLex, RD: d, Imm: int8(imm)}
-			w, _ := Encode(in)
+			w, _ := Append(nil, in)
 			out, _, _ := Decode(w[0], 0)
 			if out != in {
 				t.Fatalf("lex $%d,%d round trip failed", d, imm)
@@ -99,7 +99,7 @@ func TestQatRegisterFullRange(t *testing.T) {
 	// instructions are two words.
 	for qa := 0; qa < NumQRegs; qa++ {
 		in := Inst{Op: OpQCcnot, QA: uint8(qa), QB: uint8(255 - qa), QC: uint8(qa / 2)}
-		w, err := Encode(in)
+		w, err := Append(nil, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestDecodeNeverPanicsProperty(t *testing.T) {
 		}
 		// A successful decode must re-encode to the same bits (for the
 		// fields the format defines).
-		words, err := Encode(inst)
+		words, err := Append(nil, inst)
 		if err != nil {
 			return false
 		}
@@ -253,12 +253,12 @@ func TestStringRendering(t *testing.T) {
 func BenchmarkTable1ISAEncode(b *testing.B) {
 	in := Inst{Op: OpAdd, RD: 3, RS: 9}
 	for i := 0; i < b.N; i++ {
-		_, _ = Encode(in)
+		_, _ = Append(nil, in)
 	}
 }
 
 func BenchmarkTable1ISADecode(b *testing.B) {
-	w, _ := Encode(Inst{Op: OpQCcnot, QA: 1, QB: 2, QC: 3})
+	w, _ := Append(nil, Inst{Op: OpQCcnot, QA: 1, QB: 2, QC: 3})
 	for i := 0; i < b.N; i++ {
 		_, _, _ = Decode(w[0], w[1])
 	}

@@ -138,15 +138,16 @@ func (r *ir) emit() (*asm.Program, error) {
 			}
 			inst.Imm = int8(off)
 		}
-		ws, err := r.opts.Enc.Encode(inst)
+		before := len(p.Words)
+		var err error
+		p.Words, err = r.opts.Enc.Append(p.Words, inst)
 		if err != nil {
 			return nil, fmt.Errorf("opt: re-encode at %#04x: %w", n.fact.Addr, err)
 		}
-		if len(ws) != inst.Words() {
-			return nil, fmt.Errorf("opt: re-encode at %#04x: %d words, want %d", n.fact.Addr, len(ws), inst.Words())
+		if got := len(p.Words) - before; got != inst.Words() {
+			return nil, fmt.Errorf("opt: re-encode at %#04x: %d words, want %d", n.fact.Addr, got, inst.Words())
 		}
-		p.Words = append(p.Words, ws...)
-		for range ws {
+		for range p.Words[before:] {
 			p.Source = append(p.Source, n.fact.Line)
 		}
 	}

@@ -458,7 +458,7 @@ func randomProgram(r *rand.Rand, n int) *asm.Program {
 	emit(isa.Inst{Op: isa.OpSys})
 	var words []uint16
 	for _, in := range insts {
-		w, err := isa.Encode(in)
+		w, err := isa.Append(nil, in)
 		if err != nil {
 			panic(err)
 		}

@@ -141,6 +141,21 @@ func TestAssemblyError400WithLineInfo(t *testing.T) {
 	}
 }
 
+// TestOversizedImage400: a short source whose image would outgrow memory
+// is refused by the assembler with a diagnostic, before any image is built.
+func TestOversizedImage400(t *testing.T) {
+	_, base := startTestServer(t, Config{})
+	resp := postJSON(t, base+"/v1/run", RunRequest{Src: strings.Repeat(".space 65535\n", 40) + "sys\n"})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	var er ErrorResponse
+	decodeInto(t, resp, &er)
+	if len(er.Lines) != 1 || er.Lines[0].Line != 2 || !strings.Contains(er.Lines[0].Msg, "65536-word memory") {
+		t.Fatalf("diagnostics %+v, want one at line 2 naming the memory size", er.Lines)
+	}
+}
+
 func TestValidation400(t *testing.T) {
 	_, base := startTestServer(t, Config{})
 	bad := []RunRequest{
