@@ -167,8 +167,13 @@ func main() {
 			fatal(err)
 		}
 		qcfg = plan.Config
-		fmt.Fprintf(os.Stderr, "tangled-run: auto backend: %s (degree bound %d, compressibility %.2f)\n",
-			qcfg.Backend, plan.Profile.DegreeBound, plan.Profile.Compressibility)
+		// With no memo to probe, a plan without a profile was decided by
+		// the width alone.
+		why := "(width-forced)"
+		if p := plan.Profile; p != nil {
+			why = fmt.Sprintf("(degree bound %d, compressibility %.2f)", p.DegreeBound, p.Compressibility)
+		}
+		fmt.Fprintf(os.Stderr, "tangled-run: auto backend: %s %s\n", qcfg.Backend, why)
 	}
 	m, err := cpu.NewFromConfig(qcfg)
 	if err != nil {

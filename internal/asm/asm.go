@@ -63,6 +63,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"tangled/internal/isa"
 )
@@ -170,9 +171,13 @@ type assembler struct {
 	// outlive their line (macro parameters, macro arguments across the
 	// body's lines) are copied out of it.
 	ops []string
-	// rawLine is the text currently being processed (the expanded text
-	// inside macro bodies), used to recover token columns for diagnostics.
-	rawLine string
+	// rest is the current statement's operand text, which starts at byte
+	// offset restOff of the line being processed (the expanded text
+	// inside macro bodies), and mnemCol is its mnemonic's 1-based column:
+	// the positions diagnostic columns are taken from.
+	rest    string
+	restOff int
+	mnemCol int
 
 	// defining is non-nil while between .macro and .endm.
 	defining     *macroDef
@@ -230,12 +235,19 @@ func AssembleWith(src string, enc isa.Encoding) (*Program, error) {
 		p.Source = make([]int, 0, a.pc)
 		p.Data = make([]bool, 0, a.pc)
 	}
+	var blamed *item // the last item whose reference failed to resolve
 	for i := range a.items {
 		it := &a.items[i]
 		start := len(p.Words)
 		var err error
 		if p.Words, err = a.resolve(p.Words, it); err != nil {
-			a.errs = append(a.errs, Error{Line: it.line, Col: it.col, Msg: err.Error()})
+			// A statement that expands to several words (br, jump, loadi)
+			// carries its reference in each; report it once per (line,
+			// column, reference). Those items are adjacent.
+			if blamed == nil || blamed.line != it.line || blamed.col != it.col || blamed.ref != it.ref {
+				a.errs = append(a.errs, Error{Line: it.line, Col: it.col, Msg: err.Error()})
+			}
+			blamed = it
 			continue
 		}
 		for range p.Words[start:] {
@@ -253,28 +265,44 @@ func (a *assembler) errorf(format string, args ...interface{}) {
 	a.errs = append(a.errs, Error{Line: a.line, Msg: fmt.Sprintf(format, args...)})
 }
 
-// errorfTok is errorf with the column of tok within the current line.
-func (a *assembler) errorfTok(tok, format string, args ...interface{}) {
-	a.errs = append(a.errs, Error{Line: a.line, Col: a.colOf(tok), Msg: fmt.Sprintf(format, args...)})
+// errorfAt is errorf with a 1-based column within the current line.
+func (a *assembler) errorfAt(col int, format string, args ...interface{}) {
+	a.errs = append(a.errs, Error{Line: a.line, Col: col, Msg: fmt.Sprintf(format, args...)})
 }
 
-// colOf recovers the 1-based byte column of the first occurrence of tok in
-// the line being processed, or 0 when it cannot be located (empty token, or
-// text rewritten beyond recognition by macro substitution).
-func (a *assembler) colOf(tok string) int {
-	if tok == "" {
+// opCol is the 1-based column of operand i of the current statement, or 0
+// for an empty operand (nothing to point at). It walks the operand text
+// the way splitOperands did, so it blames the i-th operand even when an
+// earlier one has the same text; only diagnostics and label references
+// ask for it.
+func (a *assembler) opCol(i int) int {
+	if a.ops[i] == "" {
 		return 0
 	}
-	if i := strings.Index(a.rawLine, tok); i >= 0 {
-		return i + 1
+	s, off := a.rest, a.restOff
+	for ; i > 0; i-- {
+		j := indexUnquoted(s, ',')
+		s, off = s[j+1:], off+j+1
 	}
-	return 0
+	_, off = trimAt(s, off)
+	return off + 1
+}
+
+// trimAt is strings.TrimSpace for s found at byte offset off of the line:
+// it also returns the offset of the trimmed text.
+func trimAt(s string, off int) (string, int) {
+	t := strings.TrimSpace(s)
+	if len(t) == len(s) {
+		return t, off
+	}
+	return t, off + len(s) - len(strings.TrimLeftFunc(s, unicode.IsSpace))
 }
 
 // doLine handles labels, directives and (macro-)instructions on one line.
+// Every token is a substring of raw, so each carries its byte offset from
+// the scan that found it.
 func (a *assembler) doLine(raw string) {
-	a.rawLine = raw
-	s := strings.TrimSpace(stripComment(raw))
+	s, off := trimAt(stripComment(raw), 0)
 	if a.defining != nil {
 		// Collecting a macro body: only .endm is interpreted.
 		if strings.EqualFold(s, ".endm") {
@@ -293,43 +321,44 @@ func (a *assembler) doLine(raw string) {
 		if colon < 0 {
 			break
 		}
-		label := strings.TrimSpace(s[:colon])
+		label, at := trimAt(s[:colon], off)
 		if !isIdent(label) {
 			// Not a label (e.g. a ':' inside a character literal); treat
 			// the whole text as a statement.
 			break
 		}
 		if _, dup := a.labels[label]; dup {
-			a.errorfTok(label, "duplicate label %q", label)
+			a.errorfAt(at+1, "duplicate label %q", label)
 			return
 		}
 		if _, dup := a.consts[label]; dup {
-			a.errorfTok(label, "label %q collides with a .equ constant", label)
+			a.errorfAt(at+1, "label %q collides with a .equ constant", label)
 			return
 		}
 		// A label after a full memory has no address. Once the image has
 		// overflowed, that is already reported.
 		if a.pc >= isa.MemWords && !a.full {
-			a.errorfTok(label, "label %q is past the end of the %d-word memory", label, isa.MemWords)
+			a.errorfAt(at+1, "label %q is past the end of the %d-word memory", label, isa.MemWords)
 			return
 		}
 		a.labels[label] = uint16(a.pc)
-		s = strings.TrimSpace(s[colon+1:])
+		s, off = trimAt(s[colon+1:], off+colon+1)
 	}
 	if s == "" {
 		return
 	}
 	mnemonic := s
-	rest := ""
+	a.rest, a.restOff, a.mnemCol = "", 0, off+1
 	if i := strings.IndexFunc(s, isBlank); i >= 0 {
-		mnemonic, rest = s[:i], strings.TrimSpace(s[i+1:])
+		mnemonic = s[:i]
+		a.rest, a.restOff = trimAt(s[i+1:], off+i+1)
 	}
 	mnemonic = strings.ToLower(mnemonic)
 	if mnemonic == ".ascii" {
 		// The string literal is the whole rest of the line.
-		a.ops = append(a.ops[:0], rest)
+		a.ops = append(a.ops[:0], a.rest)
 	} else {
-		a.ops = splitOperands(a.ops[:0], rest)
+		a.ops = splitOperands(a.ops[:0], a.rest)
 	}
 	a.doStatement(mnemonic, a.ops)
 }
@@ -371,28 +400,36 @@ func isIdent(s string) bool {
 	return true
 }
 
-// emit appends a concrete instruction, advancing the location counter. The
-// column of the ref operand (if any) is captured now so pass-2 resolution
-// failures can point at the token.
-func (a *assembler) emit(inst isa.Inst, ref string, kind refKind) {
+// emit appends a concrete instruction with no label reference.
+func (a *assembler) emit(inst isa.Inst) { a.emitRef(inst, -1, refNone) }
+
+// emitRef appends a concrete instruction, advancing the location counter.
+// Operand op of the current line (none when negative) is a label
+// reference of the given kind; its column is captured now so pass-2
+// resolution failures can point at the token.
+func (a *assembler) emitRef(inst isa.Inst, op int, kind refKind) {
 	if !a.fits(inst.Words()) {
 		return
 	}
-	it := item{line: a.line, col: a.colOf(ref), addr: uint16(a.pc), inst: inst, ref: ref, kind: kind}
+	it := item{line: a.line, addr: uint16(a.pc), inst: inst, kind: kind}
+	if op >= 0 {
+		it.ref, it.col = a.ops[op], a.opCol(op)
+	}
 	a.items = append(a.items, it)
 	a.pc += inst.Words()
 }
 
-// emitData appends a run of n data words w (or the value of ref, when set).
-func (a *assembler) emitData(w uint16, ref string, n int) {
+// emitData appends a run of n data words w, or of the value of the label
+// in operand op of the current line when op is not negative.
+func (a *assembler) emitData(w uint16, op, n int) {
 	if n == 0 || !a.fits(n) {
 		return
 	}
-	kind := refNone
-	if ref != "" {
-		kind = refWord
+	it := item{line: a.line, addr: uint16(a.pc), isData: true, data: w, n: n}
+	if op >= 0 {
+		it.ref, it.col, it.kind = a.ops[op], a.opCol(op), refWord
 	}
-	a.items = append(a.items, item{line: a.line, col: a.colOf(ref), addr: uint16(a.pc), isData: true, data: w, n: n, ref: ref, kind: kind})
+	a.items = append(a.items, it)
 	a.pc += n
 }
 
@@ -453,7 +490,7 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			return
 		}
 		for _, ch := range text {
-			a.emitData(uint16(ch), "", 1)
+			a.emitData(uint16(ch), -1, 1)
 		}
 	case ".word":
 		if len(ops) != 1 {
@@ -461,7 +498,7 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			return
 		}
 		if isIdent(ops[0]) && !isNumber(ops[0]) {
-			a.emitData(0, ops[0], 1)
+			a.emitData(0, 0, 1)
 			return
 		}
 		v, err := parseImm(ops[0], 16)
@@ -469,7 +506,7 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			a.errorf(".word: %v", err)
 			return
 		}
-		a.emitData(uint16(v), "", 1)
+		a.emitData(uint16(v), -1, 1)
 	case ".space":
 		if len(ops) != 1 {
 			a.errorf(".space wants one operand")
@@ -488,27 +525,27 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 			a.errorf(".space: bad size %q", ops[0])
 			return
 		}
-		a.emitData(0, "", int(n))
+		a.emitData(0, -1, int(n))
 	case "br":
 		if !a.wantOps(mnemonic, ops, 1) {
 			return
 		}
 		// Unconditional branch from two complementary conditionals on $at:
 		// whatever $at holds, one of them fires.
-		a.emit(isa.Inst{Op: isa.OpBrf, RD: isa.RegAT}, ops[0], refBranch)
-		a.emit(isa.Inst{Op: isa.OpBrt, RD: isa.RegAT}, ops[0], refBranch)
+		a.emitRef(isa.Inst{Op: isa.OpBrf, RD: isa.RegAT}, 0, refBranch)
+		a.emitRef(isa.Inst{Op: isa.OpBrt, RD: isa.RegAT}, 0, refBranch)
 	case "jump":
 		if !a.wantOps(mnemonic, ops, 1) {
 			return
 		}
-		a.expandJump(ops[0])
+		a.expandJump(0)
 	case "jumpf", "jumpt":
 		if !a.wantOps(mnemonic, ops, 2) {
 			return
 		}
 		c, err := parseReg(ops[0])
 		if err != nil {
-			a.errorfTok(ops[0], "%s: %v", mnemonic, err)
+			a.errorfAt(a.opCol(0), "%s: %v", mnemonic, err)
 			return
 		}
 		// Skip over the 3-word jump expansion when the condition does not
@@ -517,8 +554,8 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 		if mnemonic == "jumpt" {
 			inv = isa.OpBrf
 		}
-		a.emit(isa.Inst{Op: inv, RD: c, Imm: 3}, "", refNone)
-		a.expandJump(ops[1])
+		a.emit(isa.Inst{Op: inv, RD: c, Imm: 3})
+		a.expandJump(1)
 	case ".macro":
 		if len(ops) == 1 {
 			ops = strings.Fields(ops[0])
@@ -553,25 +590,25 @@ func (a *assembler) doStatement(mnemonic string, ops []string) {
 		}
 		d, err := parseReg(ops[0])
 		if err != nil {
-			a.errorfTok(ops[0], "loadi: %v", err)
+			a.errorfAt(a.opCol(0), "loadi: %v", err)
 			return
 		}
 		if isIdent(ops[1]) && !isNumber(ops[1]) {
-			a.emit(isa.Inst{Op: isa.OpLex, RD: d}, ops[1], refLow)
-			a.emit(isa.Inst{Op: isa.OpLhi, RD: d}, ops[1], refHigh)
+			a.emitRef(isa.Inst{Op: isa.OpLex, RD: d}, 1, refLow)
+			a.emitRef(isa.Inst{Op: isa.OpLhi, RD: d}, 1, refHigh)
 			return
 		}
 		v, err := parseImm(ops[1], 16)
 		if err != nil {
-			a.errorfTok(ops[1], "loadi: %v", err)
+			a.errorfAt(a.opCol(1), "loadi: %v", err)
 			return
 		}
 		if v >= -128 && v <= 127 {
-			a.emit(isa.Inst{Op: isa.OpLex, RD: d, Imm: int8(v)}, "", refNone)
+			a.emit(isa.Inst{Op: isa.OpLex, RD: d, Imm: int8(v)})
 			return
 		}
-		a.emit(isa.Inst{Op: isa.OpLex, RD: d, Imm: int8(uint16(v) & 0xFF)}, "", refNone)
-		a.emit(isa.Inst{Op: isa.OpLhi, RD: d, Imm: int8(uint16(v) >> 8)}, "", refNone)
+		a.emit(isa.Inst{Op: isa.OpLex, RD: d, Imm: int8(uint16(v) & 0xFF)})
+		a.emit(isa.Inst{Op: isa.OpLhi, RD: d, Imm: int8(uint16(v) >> 8)})
 	default:
 		if def, ok := a.macros[mnemonic]; ok {
 			a.expandMacro(mnemonic, def, ops)
@@ -668,20 +705,20 @@ func (a *assembler) doQatMacro(mnemonic string, ops []string) {
 	for i, op := range ops {
 		r, err := parseQReg(op)
 		if err != nil {
-			a.errorfTok(op, "%s: %v", mnemonic, err)
+			a.errorfAt(a.opCol(i), "%s: %v", mnemonic, err)
 			return
 		}
 		if r == QatAT {
-			a.errorfTok(op, "%s: @%d is reserved as the Qat macro temporary", mnemonic, QatAT)
+			a.errorfAt(a.opCol(i), "%s: @%d is reserved as the Qat macro temporary", mnemonic, QatAT)
 			return
 		}
 		regs[i] = r
 	}
 	qxor := func(d, s1, s2 uint8) {
-		a.emit(isa.Inst{Op: isa.OpQXor, QA: d, QB: s1, QC: s2}, "", refNone)
+		a.emit(isa.Inst{Op: isa.OpQXor, QA: d, QB: s1, QC: s2})
 	}
 	qand := func(d, s1, s2 uint8) {
-		a.emit(isa.Inst{Op: isa.OpQAnd, QA: d, QB: s1, QC: s2}, "", refNone)
+		a.emit(isa.Inst{Op: isa.OpQAnd, QA: d, QB: s1, QC: s2})
 	}
 	switch mnemonic {
 	case "mcnot": // @a ^= @b
@@ -707,15 +744,16 @@ func (a *assembler) doQatMacro(mnemonic string, ops []string) {
 	}
 }
 
-func (a *assembler) expandJump(target string) {
-	a.emit(isa.Inst{Op: isa.OpLex, RD: isa.RegAT}, target, refLow)
-	a.emit(isa.Inst{Op: isa.OpLhi, RD: isa.RegAT}, target, refHigh)
-	a.emit(isa.Inst{Op: isa.OpJumpr, RD: isa.RegAT}, "", refNone)
+// expandJump expands a jump to the label in operand op of the current line.
+func (a *assembler) expandJump(op int) {
+	a.emitRef(isa.Inst{Op: isa.OpLex, RD: isa.RegAT}, op, refLow)
+	a.emitRef(isa.Inst{Op: isa.OpLhi, RD: isa.RegAT}, op, refHigh)
+	a.emit(isa.Inst{Op: isa.OpJumpr, RD: isa.RegAT})
 }
 
 func (a *assembler) wantOps(mnemonic string, ops []string, n int) bool {
 	if len(ops) != n {
-		a.errorfTok(mnemonic, "%s wants %d operand(s), got %d", mnemonic, n, len(ops))
+		a.errorfAt(a.mnemCol, "%s wants %d operand(s), got %d", mnemonic, n, len(ops))
 		return false
 	}
 	return true
@@ -821,13 +859,12 @@ func mnemonicOp(mnemonic string, ops []string) (isa.Op, bool) {
 func (a *assembler) doInstruction(mnemonic string, ops []string) {
 	op, ok := mnemonicOp(mnemonic, ops)
 	if !ok {
-		a.errorfTok(mnemonic, "unknown mnemonic %q", mnemonic)
+		a.errorfAt(a.mnemCol, "unknown mnemonic %q", mnemonic)
 		return
 	}
 	inst := isa.Inst{Op: op}
-	var ref string
-	kind := refNone
-	fail := func(tok string, err error) { a.errorfTok(tok, "%s: %v", mnemonic, err) }
+	ref, kind := -1, refNone
+	fail := func(op int, err error) { a.errorfAt(a.opCol(op), "%s: %v", mnemonic, err) }
 	switch op.Fmt() {
 	case isa.FmtRR:
 		if !a.wantOps(mnemonic, ops, 2) {
@@ -835,12 +872,12 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 		}
 		d, err := parseReg(ops[0])
 		if err != nil {
-			fail(ops[0], err)
+			fail(0, err)
 			return
 		}
 		s, err := parseReg(ops[1])
 		if err != nil {
-			fail(ops[1], err)
+			fail(1, err)
 			return
 		}
 		inst.RD, inst.RS = d, s
@@ -850,7 +887,7 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 		}
 		d, err := parseReg(ops[0])
 		if err != nil {
-			fail(ops[0], err)
+			fail(0, err)
 			return
 		}
 		inst.RD = d
@@ -860,17 +897,17 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 		}
 		d, err := parseReg(ops[0])
 		if err != nil {
-			fail(ops[0], err)
+			fail(0, err)
 			return
 		}
 		inst.RD = d
 		if isIdent(ops[1]) && !isNumber(ops[1]) {
-			ref, kind = ops[1], refImm8
+			ref, kind = 1, refImm8
 			break
 		}
 		v, err := parseImm(ops[1], 8)
 		if err != nil {
-			fail(ops[1], err)
+			fail(1, err)
 			return
 		}
 		inst.Imm = int8(v)
@@ -880,16 +917,16 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 		}
 		c, err := parseReg(ops[0])
 		if err != nil {
-			fail(ops[0], err)
+			fail(0, err)
 			return
 		}
 		inst.RD = c
 		if isIdent(ops[1]) && !isNumber(ops[1]) {
-			ref, kind = ops[1], refBranch
+			ref, kind = 1, refBranch
 		} else {
 			v, err := parseImm(ops[1], 8)
 			if err != nil {
-				fail(ops[1], err)
+				fail(1, err)
 				return
 			}
 			inst.Imm = int8(v)
@@ -904,7 +941,7 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 		}
 		qa, err := parseQReg(ops[0])
 		if err != nil {
-			fail(ops[0], err)
+			fail(0, err)
 			return
 		}
 		inst.QA = qa
@@ -914,12 +951,12 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 		}
 		qa, err := parseQReg(ops[0])
 		if err != nil {
-			fail(ops[0], err)
+			fail(0, err)
 			return
 		}
 		k, err := parseImm(ops[1], 8)
 		if err != nil || k < 0 || k > 15 {
-			fail(ops[1], fmt.Errorf("bad hadamard index %q", ops[1]))
+			fail(1, fmt.Errorf("bad hadamard index %q", ops[1]))
 			return
 		}
 		inst.QA, inst.K = qa, uint8(k)
@@ -929,12 +966,12 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 		}
 		d, err := parseReg(ops[0])
 		if err != nil {
-			fail(ops[0], err)
+			fail(0, err)
 			return
 		}
 		qa, err := parseQReg(ops[1])
 		if err != nil {
-			fail(ops[1], err)
+			fail(1, err)
 			return
 		}
 		inst.RD, inst.QA = d, qa
@@ -944,12 +981,12 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 		}
 		qa, err := parseQReg(ops[0])
 		if err != nil {
-			fail(ops[0], err)
+			fail(0, err)
 			return
 		}
 		qb, err := parseQReg(ops[1])
 		if err != nil {
-			fail(ops[1], err)
+			fail(1, err)
 			return
 		}
 		inst.QA, inst.QB = qa, qb
@@ -959,22 +996,22 @@ func (a *assembler) doInstruction(mnemonic string, ops []string) {
 		}
 		qa, err := parseQReg(ops[0])
 		if err != nil {
-			fail(ops[0], err)
+			fail(0, err)
 			return
 		}
 		qb, err := parseQReg(ops[1])
 		if err != nil {
-			fail(ops[1], err)
+			fail(1, err)
 			return
 		}
 		qc, err := parseQReg(ops[2])
 		if err != nil {
-			fail(ops[2], err)
+			fail(2, err)
 			return
 		}
 		inst.QA, inst.QB, inst.QC = qa, qb, qc
 	}
-	a.emit(inst, ref, kind)
+	a.emitRef(inst, ref, kind)
 }
 
 // resolve patches one item's label reference and appends its words to

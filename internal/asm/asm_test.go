@@ -876,6 +876,58 @@ func TestErrorColumns(t *testing.T) {
 	}
 }
 
+// operandColumnCases blame the token the scan found, not the first
+// occurrence of its text on the line: each failed when columns were
+// recovered by searching the line. They stay out of errorColumnCases so
+// the assembler digest's source set is unchanged.
+var operandColumnCases = []struct {
+	src       string
+	line, col int
+	frag      string
+}{
+	{"add $1,$", 1, 8, `bad register "$"`},
+	{"lex $1,$1", 1, 8, `bad immediate "$1"`},
+	{"copy $1,$;", 1, 9, `bad register "$"`},
+	{"mcnot @1,@1x", 1, 10, "bad Qat register"},
+	{" X", 1, 2, "unknown mnemonic"},
+	{"x: syL", 1, 4, "unknown mnemonic"},
+	{"L::", 1, 3, "unknown mnemonic"},
+}
+
+func TestErrorColumnsFromOperandScan(t *testing.T) {
+	for _, c := range operandColumnCases {
+		_, err := Assemble(c.src)
+		el, ok := err.(ErrorList)
+		if !ok || len(el) != 1 {
+			t.Errorf("%q: got %v, want one diagnostic", c.src, err)
+			continue
+		}
+		if e := el[0]; e.Line != c.line || e.Col != c.col || !strings.Contains(e.Msg, c.frag) {
+			t.Errorf("%q: got %d:%d %q, want %d:%d containing %q", c.src, e.Line, e.Col, e.Msg, c.line, c.col, c.frag)
+		}
+	}
+}
+
+// TestUnresolvedReferenceReportedOnce: a statement that expands to several
+// words carries its label reference in each, but an undefined label is one
+// mistake and gets one diagnostic.
+func TestUnresolvedReferenceReportedOnce(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want string
+	}{
+		{"lex $0,1\nbr zz\n", `line 2:4: undefined label or constant "zz"`},
+		{"jump zz\n", `line 1:6: undefined label or constant "zz"`},
+		{"jumpt $3,zz\n", `line 1:10: undefined label or constant "zz"`},
+		{"loadi $2,zz\n", `line 1:10: undefined label or constant "zz"`},
+		{"br zz\nbr zz\n", "line 1:4: undefined label or constant \"zz\"\nline 2:4: undefined label or constant \"zz\""},
+	} {
+		if _, err := Assemble(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("%q: got %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
 // TestBranchOutOfRangeColumn checks the pass-2 out-of-range diagnostic
 // points at the branch target token.
 func TestBranchOutOfRangeColumn(t *testing.T) {

@@ -24,7 +24,7 @@ import (
 
 // assemblerDigest is the digest of digestSources under isa.Primary and
 // isa.Student.
-const assemblerDigest = "a597632e1c672cc7c551f49e8955e092516c2ebde2fcb729e6429275f36f18ac"
+const assemblerDigest = "a0f821940472076cfa2545d6caf8adfb9fbc4a629ca20a7f03d8ea7875b1bfd6"
 
 // digestMutants is how many seeded mutants of the other sources are added.
 const digestMutants = 600

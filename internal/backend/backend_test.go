@@ -5,13 +5,18 @@ package backend
 // explicit spelling lives in internal/farm (TestAutoPlannerDifferential).
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"tangled/internal/aob"
 	"tangled/internal/asm"
+	"tangled/internal/farm/farmtest"
+	"tangled/internal/lint"
+	"tangled/internal/profile"
 	"tangled/internal/qat"
 )
 
@@ -113,9 +118,21 @@ func TestPlanAutoForcedREOverDenseWidth(t *testing.T) {
 	if plan.Config.ChunkWays != aob.MaxWays || plan.Config.SpillRuns != -1 {
 		t.Fatalf("planned geometry %+v not the canonical RE default", plan.Config)
 	}
-	if plan.Profile == nil || plan.Profile.Ways != 20 {
-		t.Fatalf("plan profile missing or at wrong width: %+v", plan.Profile)
+	// The width alone decides, so the planner skips lint and profile.
+	if plan.Profile != nil {
+		t.Fatalf("width-forced plan computed a profile: %+v", plan.Profile)
 	}
+	// The profiler itself still profiles at the requested width.
+	if p := profileAt(t, mustProg(t, wideProg), 20, false); p.Ways != 20 {
+		t.Fatalf("profile at wrong width: %+v", p)
+	}
+}
+
+// profileAt is the eager profile PlanAuto computes when a rule needs one.
+func profileAt(t *testing.T, prog *asm.Program, ways int, constRegs bool) *lint.Profile {
+	t.Helper()
+	_, f := lint.AnalyzeWithFacts(prog, lint.Options{Ways: min(ways, aob.MaxWays)})
+	return profile.Compute(f, profile.Options{Ways: ways, ConstantRegs: constRegs})
 }
 
 func TestPlanAutoDenseForSmallPrograms(t *testing.T) {
@@ -131,14 +148,7 @@ func TestPlanAutoDenseForSmallPrograms(t *testing.T) {
 func TestPlanAutoCompressibilityRoute(t *testing.T) {
 	// >= 16 Qat writes, all structured (inits and folds over known states):
 	// compressibility 1.0 routes to RE even at a dense-servable width.
-	var b strings.Builder
-	for i := 1; i <= 17; i++ {
-		b.WriteString("\tzero\t@")
-		b.WriteString(string(rune('0' + i%10)))
-		b.WriteString("\n")
-	}
-	b.WriteString("\tlex\t$0, 0\n\tsys\n")
-	plan, err := PlanAuto(mustProg(t, b.String()), qat.Config{Ways: 8, Backend: Auto}, nil)
+	plan, err := PlanAuto(mustProg(t, zeroProg()), qat.Config{Ways: 8, Backend: Auto}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +158,19 @@ func TestPlanAutoCompressibilityRoute(t *testing.T) {
 	if plan.Config.Backend != qat.BackendRE {
 		t.Fatalf("backend=%q, want re on compressibility", plan.Config.Backend)
 	}
+}
+
+// zeroProg makes 17 structured Qat writes (inits and folds over known
+// states): compressible enough for rule 4 to pick RE.
+func zeroProg() string {
+	var b strings.Builder
+	for i := 1; i <= 17; i++ {
+		b.WriteString("\tzero\t@")
+		b.WriteString(string(rune('0' + i%10)))
+		b.WriteString("\n")
+	}
+	b.WriteString("\tlex\t$0, 0\n\tsys\n")
+	return b.String()
 }
 
 func TestPlanAutoUnservable(t *testing.T) {
@@ -188,4 +211,73 @@ func TestDecidePassThroughNonAuto(t *testing.T) {
 	if plan.Config.Backend != qat.BackendRE || plan.Config.ChunkWays != 12 {
 		t.Fatalf("pass-through=%+v", plan.Config)
 	}
+}
+
+// TestPlanAutoMatchesEagerDecide is the differential proof that planning
+// lazily decides exactly as the eager pipeline — lint, profile, then
+// Decide — over the corpus, a wide program and a compressible one, across
+// widths on both sides of the dense wall and past every backend, both Qat
+// variants, and every memo state.
+func TestPlanAutoMatchesEagerDecide(t *testing.T) {
+	var progs []*asm.Program
+	for i := 0; i < farmtest.Programs; i++ {
+		progs = append(progs, mustProg(t, farmtest.Generate(farmtest.Seed(i))))
+	}
+	progs = append(progs, wideSubsetSum(t), mustProg(t, zeroProg()))
+
+	probes := []struct {
+		name  string
+		probe func(qat.Config) bool
+	}{
+		{"nil", nil},
+		{"none", func(qat.Config) bool { return false }},
+		{"dense", func(c qat.Config) bool { return c.Backend == qat.BackendDense }},
+		{"re", func(c qat.Config) bool { return c.Backend == qat.BackendRE }},
+		{"both", func(qat.Config) bool { return true }},
+	}
+	cases, rule4RE := 0, 0
+	for pi, prog := range progs {
+		for _, ways := range []int{0, 1, 6, 16, 17, 20, 24, 25} {
+			for _, constRegs := range []bool{false, true} {
+				cfg := qat.Config{Ways: ways, ConstantRegs: constRegs, Backend: Auto}
+				eager := profileAt(t, prog, cmp.Or(ways, aob.MaxWays), constRegs)
+				for _, pr := range probes {
+					want, wantErr := Decide(eager, cfg, pr.probe)
+					probe, calls := pr.probe, map[string]int{}
+					if probe != nil {
+						probe = func(c qat.Config) bool { calls[c.Backend]++; return pr.probe(c) }
+					}
+					got, gotErr := PlanAuto(prog, cfg, probe)
+					cases++
+					if calls[qat.BackendDense] > 1 || calls[qat.BackendRE] > 1 {
+						t.Fatalf("program %d ways %d probe %s: probed %v, want each backend at most once",
+							pi, ways, pr.name, calls)
+					}
+					if got.Config != want.Config || errClass(gotErr) != errClass(wantErr) {
+						t.Fatalf("program %d ways %d const %v probe %s: lazy %+v (%v), eager %+v (%v)",
+							pi, ways, constRegs, pr.name, got.Config, gotErr, want.Config, wantErr)
+					}
+					if got.Profile != nil && ways <= aob.MaxWays && got.Config.Backend == qat.BackendRE {
+						rule4RE++
+					}
+				}
+			}
+		}
+	}
+	if rule4RE == 0 {
+		t.Fatal("rule 4 never picked RE: the compressibility route is untested")
+	}
+	t.Logf("%d cases agree; rule 4 picked RE in %d", cases, rule4RE)
+}
+
+// errClass names an error's kind for comparison: nil, unservable, other.
+func errClass(err error) string {
+	var ue *UnservableError
+	switch {
+	case err == nil:
+		return "nil"
+	case errors.As(err, &ue):
+		return fmt.Sprintf("unservable(%d)", ue.Ways)
+	}
+	return "other"
 }

@@ -1,10 +1,13 @@
 package backend
 
-// The planner's cost budget. Every auto job pays for one lint analysis and
-// one profile before it runs, so PlanAuto's allocation count is gated here;
-// BenchmarkPlanAuto is the same call for timing and pprof work.
+// The planner's cost budget. An auto job that reaches rule 4 pays for one
+// lint analysis and one profile before it runs, so PlanAuto's allocation
+// count on that path is gated here; the cheap rules (a memo hit, a
+// width-forced RE plan) must not analyze at all. BenchmarkPlanAuto times
+// both paths for pprof work.
 
 import (
+	"fmt"
 	"testing"
 
 	"tangled/internal/asm"
@@ -12,8 +15,9 @@ import (
 	"tangled/internal/qat"
 )
 
-// planAutoAllocBudget bounds PlanAuto's allocations on wideSubsetSum, which
-// takes about 120: a budget, not a pin, so unrelated small changes pass.
+// planAutoAllocBudget bounds PlanAuto's allocations on wideSubsetSum at
+// 16 ways with no probe, which lints and profiles and takes about 120: a
+// budget, not a pin, so unrelated small changes pass.
 const planAutoAllocBudget = 400
 
 // wideSubsetSum compiles a 16-item subset-sum program, the shape of a
@@ -34,9 +38,10 @@ func wideSubsetSum(tb testing.TB) *asm.Program {
 
 func TestPlanAutoAllocs(t *testing.T) {
 	prog := wideSubsetSum(t)
-	cfg := qat.Config{Ways: 20, Backend: Auto}
-	if plan, err := PlanAuto(prog, cfg, nil); err != nil || plan.Config.Backend != qat.BackendRE {
-		t.Fatalf("plan %+v, err %v: want the RE backend", plan.Config, err)
+	cfg := qat.Config{Ways: 16, Backend: Auto}
+	plan, err := PlanAuto(prog, cfg, nil)
+	if err != nil || plan.Profile == nil {
+		t.Fatalf("plan %+v, err %v: want a rule-4 plan with a profile", plan, err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := PlanAuto(prog, cfg, nil); err != nil {
@@ -48,13 +53,48 @@ func TestPlanAutoAllocs(t *testing.T) {
 	}
 }
 
+// TestPlanAutoSkipsAnalysis: a plan decided by the width or by the memo
+// reads no profile, so it neither lints nor profiles.
+func TestPlanAutoSkipsAnalysis(t *testing.T) {
+	prog := wideSubsetSum(t)
+	hit := func(c qat.Config) bool { return c.Backend == qat.BackendDense }
+	for _, tc := range []struct {
+		name  string
+		cfg   qat.Config
+		probe func(qat.Config) bool
+		want  string
+	}{
+		{"width-forced", qat.Config{Ways: 20, Backend: Auto}, nil, qat.BackendRE},
+		{"memo-hit", qat.Config{Ways: 16, Backend: Auto}, hit, qat.BackendDense},
+	} {
+		plan, err := PlanAuto(prog, tc.cfg, tc.probe)
+		if err != nil || plan.Config.Backend != tc.want || plan.Profile != nil {
+			t.Fatalf("%s: plan %+v, err %v: want %s with no profile", tc.name, plan, err, tc.want)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := PlanAuto(prog, tc.cfg, tc.probe); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Fatalf("%s: PlanAuto allocates %.0f times per call, budget 2", tc.name, allocs)
+		}
+	}
+}
+
+// BenchmarkPlanAuto times the analyzing path (16 ways, rule 4) and the
+// width-forced path (20 ways).
 func BenchmarkPlanAuto(b *testing.B) {
 	prog := wideSubsetSum(b)
-	cfg := qat.Config{Ways: 20, Backend: Auto}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := PlanAuto(prog, cfg, nil); err != nil {
-			b.Fatal(err)
-		}
+	for _, ways := range []int{16, 20} {
+		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {
+			cfg := qat.Config{Ways: ways, Backend: Auto}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := PlanAuto(prog, cfg, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,8 +1,7 @@
 package backend
 
 // The auto-planner: resolves the Auto pseudo-backend into a registered
-// driver from the program's static profile (internal/profile), before any
-// machine is built or pool touched.
+// driver, before any machine is built or pool touched.
 //
 // Decision order, first match wins:
 //
@@ -15,6 +14,11 @@ package backend
 //  4. highly compressible (>= 0.9) AND enough writes
 //     to matter (>= 16)                              -> RE
 //  5. otherwise                                      -> dense
+//
+// Only rules 1, 4 and 5 read the program's static profile
+// (internal/profile), so PlanAuto lints and profiles only when the cheap
+// rules 2 and 3 did not decide: a memoized or width-forced plan costs two
+// config canonicalizations and at most one probe per backend.
 //
 // The planner never changes the requested width — it only picks the file
 // the width runs on. The RE plan uses the driver's default geometry
@@ -64,64 +68,79 @@ type Plan struct {
 // must be Auto (or empty/dense/re, which pass through canonicalization
 // untouched — callers can funnel every job through Decide).
 func Decide(p *lint.Profile, cfg qat.Config, probe func(qat.Config) bool) (Plan, error) {
+	plan, err := decide(func() *lint.Profile { return p }, cfg, probe)
+	if err == nil {
+		plan.Profile = p
+	}
+	return plan, err
+}
+
+// PlanAuto resolves Auto for prog at cfg's width. It profiles prog only for
+// the rules that read the profile — the unservable-width error (1) and the
+// compressibility route (4) — so a width-forced or memoized plan does no
+// analysis and returns a nil Plan.Profile. The lint analysis runs in
+// facts-only mode: diagnostics are not gated here — admission checks
+// belong to the caller's lint policy, the planner only reads the profile.
+func PlanAuto(prog *asm.Program, cfg qat.Config, probe func(qat.Config) bool) (Plan, error) {
+	var p *lint.Profile
+	prof := func() *lint.Profile {
+		if p == nil && prog != nil {
+			ways := cfg.Ways
+			if ways == 0 {
+				ways = aob.MaxWays
+			}
+			// lint's cost model is dense-clamped; the profile is not.
+			_, f := lint.AnalyzeWithFacts(prog, lint.Options{Ways: min(ways, aob.MaxWays)})
+			p = profile.Compute(f, profile.Options{Ways: ways, ConstantRegs: cfg.ConstantRegs})
+		}
+		return p
+	}
+	return decide(prof, cfg, probe)
+}
+
+// decide is the one rule table behind Decide and PlanAuto (see the order
+// at the top of this file). prof yields the program's profile and is
+// called only by the rules that read it; each probe runs at most once. The
+// returned Plan carries the profile when a rule read it.
+func decide(prof func() *lint.Profile, cfg qat.Config, probe func(qat.Config) bool) (Plan, error) {
 	if cfg.Backend != Auto {
 		c, err := Canonicalize(cfg)
-		return Plan{Config: c, Profile: p}, err
+		return Plan{Config: c}, err
 	}
 	ways := cfg.Ways
 	if ways == 0 {
 		ways = aob.MaxWays
 	}
 	if ways < 0 || ways > qat.MaxREWays {
-		return Plan{}, &UnservableError{Ways: ways, Profile: p}
+		return Plan{}, &UnservableError{Ways: ways, Profile: prof()}
 	}
 
-	dense := cfg
-	dense.Backend = qat.BackendDense
-	dense.ChunkWays, dense.SpillRuns = 0, 0
-	re := cfg
-	re.Backend = qat.BackendRE
-	re.ChunkWays, re.SpillRuns = 0, 0
-
-	if probe != nil && ways <= aob.MaxWays {
-		if c, err := Canonicalize(dense); err == nil && probe(c) {
-			return Plan{Config: c, Profile: p}, nil
+	var denseC qat.Config
+	var denseErr error
+	if ways <= aob.MaxWays {
+		denseC, denseErr = Canonicalize(defaultGeometry(cfg, qat.BackendDense))
+		if probe != nil && denseErr == nil && probe(denseC) {
+			return Plan{Config: denseC}, nil
 		}
 	}
-	if probe != nil {
-		if c, err := Canonicalize(re); err == nil && probe(c) {
-			return Plan{Config: c, Profile: p}, nil
-		}
+	reC, reErr := Canonicalize(defaultGeometry(cfg, qat.BackendRE))
+	if probe != nil && reErr == nil && probe(reC) {
+		return Plan{Config: reC}, nil
 	}
-
-	pick := dense
-	switch {
-	case ways > aob.MaxWays:
-		pick = re // dense hardware cannot hold the width
-	case p != nil && p.Compressibility >= CompressibilityFloor && p.QatWrites >= MinWritesForRE:
-		pick = re // structured enough for run-length compression to win
+	if ways > aob.MaxWays {
+		return Plan{Config: reC}, reErr // dense hardware cannot hold the width
 	}
-	c, err := Canonicalize(pick)
-	return Plan{Config: c, Profile: p}, err
+	p := prof()
+	if p != nil && p.Compressibility >= CompressibilityFloor && p.QatWrites >= MinWritesForRE {
+		return Plan{Config: reC, Profile: p}, reErr // structured enough for run-length compression to win
+	}
+	return Plan{Config: denseC, Profile: p}, denseErr
 }
 
-// PlanAuto profiles prog at cfg's width and resolves Auto via Decide. The
-// lint analysis runs in facts-only mode: diagnostics are not gated here —
-// admission checks belong to the caller's lint policy, the planner only
-// reads the profile.
-func PlanAuto(prog *asm.Program, cfg qat.Config, probe func(qat.Config) bool) (Plan, error) {
-	ways := cfg.Ways
-	if ways == 0 {
-		ways = aob.MaxWays
-	}
-	var p *lint.Profile
-	if prog != nil && cfg.Backend == Auto {
-		lintWays := ways
-		if lintWays > aob.MaxWays {
-			lintWays = aob.MaxWays // lint's cost model is dense-clamped
-		}
-		_, f := lint.AnalyzeWithFacts(prog, lint.Options{Ways: lintWays})
-		p = profile.Compute(f, profile.Options{Ways: ways, ConstantRegs: cfg.ConstantRegs})
-	}
-	return Decide(p, cfg, probe)
+// defaultGeometry is cfg on the named backend with the driver's default
+// geometry, the only geometry the planner plans.
+func defaultGeometry(cfg qat.Config, name string) qat.Config {
+	cfg.Backend = name
+	cfg.ChunkWays, cfg.SpillRuns = 0, 0
+	return cfg
 }

@@ -7,10 +7,17 @@ package cluster
 // from a direct one. A sub-batch whose node fails mid-flight fails over as
 // a unit to the next candidate; only when a program exhausts every node
 // does the merged stream carry a synthesized per-program failure record.
+// A worker's authoritative refusal of its sub-batch (a program that does
+// not assemble, a strict-lint 422) refuses the whole batch, as a single
+// server would: the client gets that status and body, re-indexed to its
+// own batch, instead of a stream.
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 
 	"tangled/internal/client"
@@ -56,18 +63,23 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]server.RunResult, len(items))
+	var ref refusal
 	var wg sync.WaitGroup
 	for _, group := range co.groupByNode(items, nil) {
 		wg.Add(1)
 		go func(n *node, group []*batchItem) {
 			defer wg.Done()
-			co.forwardGroup(r, breq.ID, n, group, results, map[*node]bool{})
+			co.forwardGroup(r, breq.ID, n, group, results, &ref, map[*node]bool{})
 		}(group.n, group.items)
 	}
 	wg.Wait()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Request-ID", breq.ID)
+	if ref.status != 0 {
+		co.writeError(w, ref.status, ref.resp)
+		return
+	}
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	enc.Encode(server.ResultsHeader{Schema: server.ResultsSchema, Version: server.ResultsSchemaVersion, Count: len(results)})
 	for i := range results {
@@ -119,7 +131,7 @@ func (co *Coordinator) groupByNode(items []*batchItem, excluded map[*node]bool) 
 // group (minus that node) and recurses; programs that run out of nodes get
 // per-program failure records so the merged stream still carries one line
 // per program.
-func (co *Coordinator) forwardGroup(r *http.Request, batchID string, n *node, group []*batchItem, results []server.RunResult, tried map[*node]bool) {
+func (co *Coordinator) forwardGroup(r *http.Request, batchID string, n *node, group []*batchItem, results []server.RunResult, ref *refusal, tried map[*node]bool) {
 	tried[n] = true
 	sub := server.BatchRequest{ID: batchID, Programs: make([]server.RunRequest, len(group))}
 	for i, it := range group {
@@ -149,10 +161,7 @@ func (co *Coordinator) forwardGroup(r *http.Request, batchID string, n *node, gr
 	}
 	failover, relay := co.noteForwardFailure(n, err)
 	if !failover {
-		// Authoritative per-batch refusal (bad program, strict-lint 422):
-		// surface it on every program of this group, like the worker's own
-		// whole-batch error but without losing the other groups' results.
-		co.failGroup(group, results, relay.Status, relay.Resp.Error)
+		ref.note(relay, group)
 		return
 	}
 	co.obs.failovers.Inc()
@@ -166,7 +175,7 @@ func (co *Coordinator) forwardGroup(r *http.Request, batchID string, n *node, gr
 		wg.Add(1)
 		go func(g nodeGroup) {
 			defer wg.Done()
-			co.forwardGroup(r, batchID, g.n, g.items, results, tried)
+			co.forwardGroup(r, batchID, g.n, g.items, results, ref, tried)
 		}(g)
 	}
 	wg.Wait()
@@ -187,5 +196,33 @@ func (co *Coordinator) forwardGroup(r *http.Request, batchID string, n *node, gr
 func (co *Coordinator) failGroup(group []*batchItem, results []server.RunResult, code int, msg string) {
 	for _, it := range group {
 		results[it.idx] = server.RunResult{ID: it.req.ID, Error: msg, Code: code}
+	}
+}
+
+// refusal keeps the authoritative sub-batch refusal that names the
+// earliest program of the client's batch: the one a single server, which
+// checks programs in order, would have answered with.
+type refusal struct {
+	mu     sync.Mutex
+	idx    int // the refused program's index in the client's batch
+	status int // 0 while no sub-batch was refused
+	resp   server.ErrorResponse
+}
+
+// note records a worker's refusal of group. The worker names the failing
+// program by its sub-batch index ("program <i>: ...", see
+// server.handleBatch); note maps it back to the client's index.
+func (ref *refusal) note(apiErr *client.APIError, group []*batchItem) {
+	resp, idx := apiErr.Resp, group[0].idx
+	if n, msg, ok := strings.Cut(strings.TrimPrefix(resp.Error, "program "), ":"); ok {
+		if i, err := strconv.Atoi(n); err == nil && i >= 0 && i < len(group) {
+			idx = group[i].idx
+			resp.Error = fmt.Sprintf("program %d:%s", idx, msg)
+		}
+	}
+	ref.mu.Lock()
+	defer ref.mu.Unlock()
+	if ref.status == 0 || idx < ref.idx {
+		ref.idx, ref.status, ref.resp = idx, apiErr.Status, resp
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -564,12 +565,84 @@ func TestRouteKeyStability(t *testing.T) {
 		t.Fatal("pipelined requests must key separately from scalar ones")
 	}
 
+	// The router does not assemble: a bad source is keyed like any other,
+	// and its owning worker reports the diagnostics.
 	bad := server.RunRequest{Src: "bogus $9\n", Ways: 2}
-	if _, ok := RouteKey(&bad); ok {
-		t.Fatal("unassemblable source must fall back to unkeyed routing")
+	if kb, ok := RouteKey(&bad); !ok || kb == k1 {
+		t.Fatalf("unassemblable source keyed %x/%v, want a key of its own", kb, ok)
+	}
+	withID := base
+	withID.ID = "retry-7"
+	if k7, _ := RouteKey(&withID); k7 != k1 {
+		t.Fatal("the request ID must not move the key")
 	}
 	empty := server.RunRequest{}
 	if _, ok := RouteKey(&empty); ok {
 		t.Fatal("invalid request must fall back to unkeyed routing")
+	}
+}
+
+// TestRouteKeyAllocs gates the routing key's cost: it hashes the request
+// as submitted, without assembling it.
+func TestRouteKeyAllocs(t *testing.T) {
+	req := server.RunRequest{Src: farmtest.Generate(farmtest.Seed(0)), Ways: farmtest.Ways, Backend: "auto"}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, ok := RouteKey(&req); !ok {
+			t.Fatal("corpus program failed to key")
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("RouteKey allocates %.0f times per call, budget 4", allocs)
+	}
+}
+
+// TestCoordinatorRelaysAssemblyErrors: a source that does not assemble is
+// routed like any other, and the client gets the owning worker's 400 with
+// the same line diagnostics a direct request gets — for a single run and
+// for a batch, where the refused program is named by its index in the
+// client's batch.
+func TestCoordinatorRelaysAssemblyErrors(t *testing.T) {
+	var urls []string
+	for i := 0; i < 2; i++ {
+		_, base := startWorker(t, server.Config{Workers: 1})
+		urls = append(urls, base)
+	}
+	_, coBase := startCoordinator(t, Config{Nodes: urls})
+	direct := client.NewWith(client.Config{BaseURL: urls[0], MaxRetries: -1})
+	routed := client.NewWith(client.Config{BaseURL: coBase, MaxRetries: -1})
+	ctx := context.Background()
+
+	bad := server.RunRequest{Src: "lex $1,1\nadd $1,$\nbogus $9\n", Ways: 2}
+	apiErr := func(err error) *client.APIError {
+		t.Helper()
+		var e *client.APIError
+		if !errors.As(err, &e) || e.Status != http.StatusBadRequest || len(e.Resp.Lines) == 0 {
+			t.Fatalf("err=%v, want a 400 with line diagnostics", err)
+		}
+		return e
+	}
+	same := func(what string, got, want *client.APIError) {
+		t.Helper()
+		if fmt.Sprint(got.Resp.Lines) != fmt.Sprint(want.Resp.Lines) || got.Resp.Error != want.Resp.Error {
+			t.Fatalf("%s: routed %q %v, direct %q %v", what, got.Resp.Error, got.Resp.Lines, want.Resp.Error, want.Resp.Lines)
+		}
+	}
+
+	_, derr := direct.Run(ctx, bad)
+	_, rerr := routed.Run(ctx, bad)
+	same("/v1/run", apiErr(rerr), apiErr(derr))
+
+	// Good programs spread over both nodes around the bad one.
+	var progs []server.RunRequest
+	for i := 0; i < 12; i++ {
+		progs = append(progs, server.RunRequest{Src: farmtest.Generate(farmtest.Seed(i)), Ways: farmtest.Ways})
+	}
+	progs = slices.Insert(progs, 7, bad)
+	batch := server.BatchRequest{ID: "bad-batch", Programs: progs}
+	_, derr = direct.Batch(ctx, batch)
+	_, rerr = routed.Batch(ctx, batch)
+	same("/v1/batch", apiErr(rerr), apiErr(derr))
+	if !strings.HasPrefix(apiErr(rerr).Resp.Error, "program 7:") {
+		t.Fatalf("batch refusal %q does not name program 7", apiErr(rerr).Resp.Error)
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 // resolveAuto resolves the backend.Auto pseudo-backend in place on j,
 // returning the static profile that drove the decision (nil when j did not
-// ask for auto). Pipelined jobs resolve to dense — the pipeline models the
+// ask for auto, or when the memo or the width decided without one). Pipelined jobs resolve to dense — the pipeline models the
 // paper's dense hardware, so auto has exactly one answer there. The
 // planner may fail with backend.UnservableError when the requested width
 // exceeds every backend; the profile rides on that error.

@@ -11,11 +11,14 @@ import (
 	"strings"
 	"testing"
 
+	"tangled/internal/aob"
 	"tangled/internal/asm"
 	"tangled/internal/backend"
 	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
+	"tangled/internal/lint"
 	"tangled/internal/memo"
+	"tangled/internal/profile"
 	"tangled/internal/qat"
 )
 
@@ -39,10 +42,18 @@ func wideEntangleSrc(chans int) string {
 	return b.String()
 }
 
+// profileAt is the static profile the planner computes for prog at ways
+// when a rule reads it.
+func profileAt(prog *asm.Program, ways int) *lint.Profile {
+	_, f := lint.AnalyzeWithFacts(prog, lint.Options{Ways: min(ways, aob.MaxWays)})
+	return profile.Compute(f, profile.Options{Ways: ways})
+}
+
 // TestAutoPicksREBeyondDense is the acceptance case: at a width dense
 // hardware cannot hold, auto must resolve to the RE backend and produce
-// the same bytes as the explicit RE spelling, while the profile records a
-// degree bound past the dense wall.
+// the same bytes as the explicit RE spelling. The width alone decides, so
+// the result carries no profile; the profiler, asked directly, records
+// the degree bound.
 func TestAutoPicksREBeyondDense(t *testing.T) {
 	const ways = 20
 	src := wideEntangleSrc(16)
@@ -66,11 +77,11 @@ func TestAutoPicksREBeyondDense(t *testing.T) {
 	if auto.Backend != qat.BackendRE {
 		t.Fatalf("auto resolved to %q, want re", auto.Backend)
 	}
-	if auto.Profile == nil {
-		t.Fatal("auto result carries no profile")
+	if auto.Profile != nil {
+		t.Fatalf("width-forced plan computed a profile: %+v", auto.Profile)
 	}
-	if auto.Profile.DegreeBound != 16 {
-		t.Fatalf("DegreeBound=%d, want 16 (all seedable channels folded)", auto.Profile.DegreeBound)
+	if p := profileAt(prog, ways); p.DegreeBound != 16 {
+		t.Fatalf("DegreeBound=%d, want 16 (all seedable channels folded)", p.DegreeBound)
 	}
 	if auto.Regs != re.Regs || auto.Output != re.Output || auto.Insts != re.Insts {
 		t.Fatalf("auto diverged from explicit re:\nauto %v %q %d\nre   %v %q %d",
@@ -86,7 +97,8 @@ func TestAutoPicksREBeyondDense(t *testing.T) {
 // past that the bound comes from imprecise-mode widening (an unresolved
 // indirect jump widens every dependence set to the full width). At 20 ways
 // the profile reports DegreeBound 20 > 16, dense cannot serve, and auto
-// must land on RE with bytes identical to the explicit spelling.
+// must land on RE with bytes identical to the explicit spelling — on the
+// width alone, without computing that profile.
 func TestAutoPicksREOnWideDegreeBound(t *testing.T) {
 	const ways = 20
 	src := `
@@ -120,8 +132,11 @@ L:	had	@1, 0
 	if auto.Backend != qat.BackendRE {
 		t.Fatalf("auto resolved to %q, want re", auto.Backend)
 	}
-	if auto.Profile == nil || !auto.Profile.Imprecise || auto.Profile.DegreeBound != ways {
-		t.Fatalf("profile=%+v, want imprecise with DegreeBound %d", auto.Profile, ways)
+	if auto.Profile != nil {
+		t.Fatalf("width-forced plan computed a profile: %+v", auto.Profile)
+	}
+	if p := profileAt(prog, ways); !p.Imprecise || p.DegreeBound != ways {
+		t.Fatalf("profile=%+v, want imprecise with DegreeBound %d", p, ways)
 	}
 	if auto.Regs != re.Regs || auto.Output != re.Output || auto.Insts != re.Insts {
 		t.Fatal("auto diverged from explicit re")

@@ -168,7 +168,9 @@ type Result struct {
 	// Pipelined jobs and for jobs whose configuration failed validation.
 	Backend string
 	// Profile is the static profile the auto-planner derived when the job
-	// requested backend.Auto; nil otherwise.
+	// requested backend.Auto and a planner rule read it (the compressibility
+	// route); nil otherwise — in particular for memoized and width-forced
+	// plans, which do no analysis.
 	Profile *lint.Profile
 }
 

@@ -187,6 +187,10 @@ var (
 	ErrDraining = errors.New("jobs: manager is draining")
 	// ErrNotFound is returned by Cancel for an unknown job ID.
 	ErrNotFound = errors.New("jobs: no such job")
+	// ErrWALFailed is returned by Submit once the WAL could not record a
+	// transition and could not be repaired: the store is read-only until
+	// restart (the serving layer turns it into a 503).
+	ErrWALFailed = errors.New("jobs: write-ahead log failed")
 )
 
 // Manager owns the job store, the WAL, the fair queue, the dispatcher
@@ -214,6 +218,8 @@ type Manager struct {
 	// resumedQueued / resumedFailed count the restart-replay outcomes, for
 	// tests and the serving layer's health surface.
 	resumedQueued, resumedFailed int
+	// walErrors counts failed WAL writes (appends and snapshots).
+	walErrors uint64
 }
 
 // New builds a manager, replaying the WAL in cfg.Dir (when set): terminal
@@ -272,7 +278,7 @@ func (m *Manager) adopt(replayed []*Job) {
 			j.Resumed = true
 			m.jobs[j.ID] = j
 			m.term = append(m.term, j.ID)
-			m.walAppend(walRecord{Op: opState, ID: j.ID, State: j.State, Reason: j.Reason, Time: now})
+			m.walApplied(walRecord{Op: opState, ID: j.ID, State: j.State, Reason: j.Reason, Time: now})
 			m.events.publish(Event{Type: EventFailed, Job: j.ID, Tenant: j.Tenant, State: j.State, Reason: j.Reason})
 			m.resumedFailed++
 			m.cfg.Obs.countState(StateFailed)
@@ -290,8 +296,10 @@ func (m *Manager) adopt(replayed []*Job) {
 	}
 	m.enforceRetention()
 	// Snapshot immediately: the resume transitions above and any evictions
-	// are folded in, so a crash loop cannot grow the log without bound.
-	m.compactLocked()
+	// are folded in, so a crash loop cannot grow the log without bound. A
+	// failed snapshot is counted and leaves the replayed log, which the
+	// appends above extended, in place.
+	_ = m.compactLocked()
 }
 
 // Submit admits one job. The job must carry a non-empty ID; Tenant,
@@ -311,6 +319,9 @@ func (m *Manager) Submit(j Job) (Job, bool, error) {
 	if existing, ok := m.jobs[j.ID]; ok {
 		return existing.snapshot(), true, nil
 	}
+	if m.wal != nil && m.wal.broken != nil {
+		return Job{}, false, m.wal.broken
+	}
 	if m.fq.size+m.runningN >= m.cfg.QueueLimit {
 		m.cfg.Obs.incRejected()
 		return Job{}, false, ErrQueueFull
@@ -325,7 +336,8 @@ func (m *Manager) Submit(j Job) (Job, bool, error) {
 	j.heapIdx = -1
 	jp := &j
 	if err := m.walAppend(walRecord{Op: opJob, Job: jp}); err != nil {
-		return Job{}, false, fmt.Errorf("jobs: wal append: %w", err)
+		// Not admitted: the log holds no trace of it either.
+		return Job{}, false, err
 	}
 	m.jobs[j.ID] = jp
 	m.fq.push(jp)
@@ -417,7 +429,7 @@ func (m *Manager) worker() {
 		m.cancels[j.ID] = cancel
 		m.runningN++
 		m.cfg.Obs.setRunning(int64(m.runningN))
-		m.walAppend(walRecord{Op: opState, ID: j.ID, State: StateRunning, Time: j.Started})
+		m.walApplied(walRecord{Op: opState, ID: j.ID, State: StateRunning, Time: j.Started})
 		m.cfg.Obs.countState(StateRunning)
 		m.events.publish(Event{Type: EventStarted, Job: j.ID, Tenant: j.Tenant, State: StateRunning})
 		snap := j.snapshot()
@@ -452,7 +464,7 @@ func (m *Manager) terminalLocked(j *Job, st State, reason string) {
 	j.State = st
 	j.Reason = reason
 	j.Finished = time.Now()
-	m.walAppend(walRecord{Op: opState, ID: j.ID, State: st, Reason: reason, Result: j.Result, Time: j.Finished})
+	m.walApplied(walRecord{Op: opState, ID: j.ID, State: st, Reason: reason, Result: j.Result, Time: j.Finished})
 	m.cfg.Obs.countState(st)
 	m.events.publish(Event{Type: eventTypeFor(st), Job: j.ID, Tenant: j.Tenant, State: st, Reason: reason})
 	m.term = append(m.term, j.ID)
@@ -468,7 +480,7 @@ func (m *Manager) enforceRetention() {
 		m.term = append([]string(nil), m.term[1:]...)
 		if _, ok := m.jobs[id]; ok {
 			delete(m.jobs, id)
-			m.walAppend(walRecord{Op: opEvict, ID: id})
+			m.walApplied(walRecord{Op: opEvict, ID: id})
 			m.cfg.Obs.incEvicted()
 		}
 	}
@@ -476,12 +488,15 @@ func (m *Manager) enforceRetention() {
 
 // walAppend appends one fsynced record and triggers compaction past the
 // threshold. Caller holds m.mu (or runs pre-start). A nil WAL (no Dir) is
-// a no-op.
+// a no-op. A failed append is counted and leaves the log as it was before
+// the call (see wal.writeLine), or else broken.
 func (m *Manager) walAppend(rec walRecord) error {
 	if m.wal == nil {
 		return nil
 	}
 	if err := m.wal.append(rec); err != nil {
+		m.walErrors++
+		m.cfg.Obs.incWALErrors()
 		return err
 	}
 	m.cfg.Obs.setWAL(m.wal.records, m.wal.bytes)
@@ -491,19 +506,46 @@ func (m *Manager) walAppend(rec walRecord) error {
 	return nil
 }
 
-// compactLocked rewrites the WAL as a snapshot of the live job set.
-func (m *Manager) compactLocked() {
-	if m.wal == nil {
+// walApplied logs a transition already applied in memory. If the append
+// fails and was undone, the log is one transition behind memory, so it is
+// caught up with a snapshot; if that fails too, or the append could not be
+// undone, the WAL is broken and Submit refuses new work with ErrWALFailed.
+func (m *Manager) walApplied(rec walRecord) {
+	if m.walAppend(rec) == nil || m.wal.broken != nil {
 		return
+	}
+	if err := m.compactLocked(); err != nil {
+		m.wal.broken = fmt.Errorf("%w: could not record a %s: %v", ErrWALFailed, rec.Op, err)
+	}
+}
+
+// compactLocked rewrites the WAL as a snapshot of the live job set. A
+// failed snapshot leaves the previous log in place and is counted.
+func (m *Manager) compactLocked() error {
+	if m.wal == nil {
+		return nil
 	}
 	all := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		all = append(all, j)
 	}
-	if err := m.wal.compact(all); err == nil {
+	err := m.wal.compact(all)
+	if err == nil {
 		m.cfg.Obs.incCompactions()
+	} else {
+		m.walErrors++
+		m.cfg.Obs.incWALErrors()
 	}
 	m.cfg.Obs.setWAL(m.wal.records, m.wal.bytes)
+	return err
+}
+
+// WALHealth reports the failed WAL writes so far and whether the WAL is
+// broken (Submit then returns ErrWALFailed). Both are zero without a Dir.
+func (m *Manager) WALHealth() (failures uint64, broken bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.walErrors, m.wal != nil && m.wal.broken != nil
 }
 
 // Close drains the manager: submissions are refused, queued jobs stay
@@ -540,7 +582,7 @@ func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()
 	m.events.close()
 	if m.wal != nil {
-		m.compactLocked()
+		_ = m.compactLocked() // counted; the log it would replace stays
 		m.wal.close()
 		m.wal = nil
 	}

@@ -25,6 +25,8 @@ type Obs struct {
 	WALRecords  *obs.Gauge
 	WALBytes    *obs.Gauge
 	Compactions *obs.Counter
+	// WALErrors counts failed WAL writes (appends and snapshots).
+	WALErrors *obs.Counter
 	// Subscribers is current event-stream subscribers; EventsDropped
 	// counts events lost to slow subscribers (recoverable via since).
 	Subscribers   *obs.Gauge
@@ -45,6 +47,7 @@ func NewObs(r *obs.Registry) *Obs {
 		WALRecords:    r.Gauge("jobs_wal_records", "Records in the WAL since the last compaction."),
 		WALBytes:      r.Gauge("jobs_wal_bytes", "Current WAL file size in bytes."),
 		Compactions:   r.Counter("jobs_wal_compactions_total", "WAL snapshot rewrites."),
+		WALErrors:     r.Counter("jobs_wal_errors_total", "Failed WAL writes (appends and snapshots)."),
 		Subscribers:   r.Gauge("jobs_event_subscribers", "Current lifecycle-event stream subscribers."),
 		EventsDropped: r.Counter("jobs_events_dropped_total", "Events dropped on slow subscriber channels."),
 	}
@@ -130,6 +133,13 @@ func (o *Obs) incCompactions() {
 		return
 	}
 	o.Compactions.Inc()
+}
+
+func (o *Obs) incWALErrors() {
+	if o == nil {
+		return
+	}
+	o.WALErrors.Inc()
 }
 
 func (o *Obs) setSubscribers(n int64) {

@@ -57,14 +57,29 @@ type walRecord struct {
 	Time   time.Time       `json:"time,omitempty"`
 }
 
+// logFile is the slice of *os.File the log appends through. Tests wrap
+// the real file to inject faults (a short write, an fsync error, a failed
+// truncate).
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // wal is the append-only log handle. Not safe for concurrent use; the
 // Manager serializes access under its lock.
 type wal struct {
 	dir     string
 	path    string
-	f       *os.File
+	f       logFile
 	records int   // records appended since the last compaction
-	bytes   int64 // current file size
+	bytes   int64 // file size after the last good record
+	// broken is set when the log no longer matches memory: a failed
+	// append could not be undone (the file may end in a partial line,
+	// where replay stops), or a visible transition could not be recorded.
+	// Nothing more is appended until a snapshot replaces the file.
+	broken error
 }
 
 // openWAL opens (creating if absent) the log in dir, replays the existing
@@ -181,13 +196,28 @@ func (w *wal) writeHeader() error {
 	return w.writeLine(line)
 }
 
+// writeLine appends one line and fsyncs it. A failed write or fsync is
+// undone by truncating the file back to the last good record, because
+// replay stops at the first malformed line and a partial line would hide
+// every record appended after it. If the truncate fails as well the log
+// is broken, and every later append is refused.
 func (w *wal) writeLine(line []byte) error {
-	n, err := w.f.Write(append(line, '\n'))
-	w.bytes += int64(n)
-	if err != nil {
-		return err
+	if w.broken != nil {
+		return w.broken
 	}
-	return w.f.Sync()
+	n, err := w.f.Write(append(line, '\n'))
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err == nil {
+		w.bytes += int64(n)
+		return nil
+	}
+	if terr := w.f.Truncate(w.bytes); terr != nil {
+		w.broken = fmt.Errorf("%w: %v (undoing it: %v)", ErrWALFailed, err, terr)
+		return w.broken
+	}
+	return err
 }
 
 // append writes one fsynced record.
@@ -245,7 +275,8 @@ func (w *wal) compact(jobs []*Job) error {
 		return err
 	}
 	// Re-point the append handle at the new file and sync the directory so
-	// the rename itself is durable.
+	// the rename itself is durable. The snapshot replaced whatever a failed
+	// append left behind.
 	old := w.f
 	f, err := os.OpenFile(w.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -253,6 +284,7 @@ func (w *wal) compact(jobs []*Job) error {
 	}
 	old.Close()
 	w.f = f
+	w.broken = nil
 	w.records = 0
 	if st != nil {
 		w.bytes = st.Size()

@@ -234,6 +234,11 @@ type Health struct {
 	// zero when the server runs without one).
 	JobsQueued  int `json:"jobs_queued"`
 	JobsRunning int `json:"jobs_running"`
+	// JobsWALErrors counts the job store's failed log writes, and
+	// JobsWALFailed reports a log that could not be repaired: job
+	// submissions then get 503 until restart. Sync runs are unaffected.
+	JobsWALErrors uint64 `json:"jobs_wal_errors,omitempty"`
+	JobsWALFailed bool   `json:"jobs_wal_failed,omitempty"`
 }
 
 // BuildInfo is the body of GET /v1/buildinfo.

@@ -97,6 +97,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, jobs.ErrDraining):
 		s.writeUnavailable(w)
 		return
+	case errors.Is(err, jobs.ErrWALFailed):
+		s.writeError(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
+		return
 	case err != nil:
 		s.writeError(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return

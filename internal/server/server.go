@@ -688,6 +688,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.jobs != nil {
 		h.JobsQueued, h.JobsRunning = s.jobs.Depths()
+		h.JobsWALErrors, h.JobsWALFailed = s.jobs.WALHealth()
 	}
 	code := http.StatusOK
 	if s.draining.Load() {

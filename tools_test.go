@@ -114,6 +114,30 @@ func TestToolchainEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTangledRunAutoWide: at a width past the dense wall the auto planner
+// decides on the width alone and computes no profile; the tool must still
+// run the program on RE and say why it chose it.
+func TestTangledRunAutoWide(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	runBin := buildTool(t, dir, "tangled-run")
+	src := filepath.Join(dir, "wide.asm")
+	if err := os.WriteFile(src, []byte("\thad @1,4\n\tpop $1,@1\n\tlex $0,0\n\tsys\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ ways, want string }{
+		{"20", "auto backend: re (width-forced)"},
+		{"6", "auto backend: dense (degree bound 1,"},
+	} {
+		_, stderr, err := runTool(t, runBin, "", "-backend", "auto", "-ways", tc.ways, src)
+		if err != nil || !strings.Contains(stderr, tc.want) {
+			t.Fatalf("tangled-run -backend auto -ways %s: err %v, stderr %q, want %q", tc.ways, err, stderr, tc.want)
+		}
+	}
+}
+
 func TestQatFactorTool(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
