@@ -63,7 +63,6 @@ func main() {
 	jobsDir := flag.String("jobs-dir", "", "enable the async job API (POST /v1/jobs, GET /v1/events) with a durable WAL-backed store in DIR; queued jobs survive restarts")
 	jobsQueue := flag.Int("jobs-queue", 0, "async job queue limit (default 1024; needs -jobs-dir)")
 	jobWorkers := flag.Int("jobs-workers", 0, "concurrent async jobs (default half of -workers; needs -jobs-dir)")
-	optAdmission := flag.Bool("opt-admission", false, "run the optimizing recompiler on async jobs at first admission (memo key stays the original program; needs -jobs-dir)")
 	quiet := flag.Bool("quiet", false, "suppress startup/drain log lines")
 	clusterMode := flag.Bool("cluster-coordinator", false, "serve as a cluster coordinator over -nodes instead of executing programs")
 	nodes := flag.String("nodes", "", "comma-separated worker base URLs (needs -cluster-coordinator)")
@@ -111,7 +110,6 @@ func main() {
 		JobsDir:       *jobsDir,
 		JobQueueLimit: *jobsQueue,
 		JobWorkers:    *jobWorkers,
-		OptAdmission:  *optAdmission,
 		Registry:      reg,
 		Trace:         ring,
 	})

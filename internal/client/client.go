@@ -358,9 +358,8 @@ func (c *Client) Assemble(ctx context.Context, src string) (server.AssembleRespo
 	return c.AssembleWith(ctx, server.AssembleRequest{Src: src})
 }
 
-// AssembleWith is Assemble with the full request surface: opt-in lint
-// reports and the optimizing recompiler (req.Optimize — the delta report
-// and, when applied, the rewritten word image come back on the response).
+// AssembleWith is Assemble with the full request surface: the opt-in lint
+// report comes back on the response.
 func (c *Client) AssembleWith(ctx context.Context, req server.AssembleRequest) (server.AssembleResponse, error) {
 	var out server.AssembleResponse
 	err := c.post(ctx, "/v1/assemble", &req, &out)

@@ -214,16 +214,13 @@ func TestAgainstRealServer(t *testing.T) {
 	if _, err := c.Assemble(ctx, "nonsense $9\n"); err == nil {
 		t.Fatal("assemble of nonsense succeeded")
 	}
-	// AssembleWith carries the optimizer opt-in: the dead first store must
-	// be rewritten away and the shrunken image ride the response.
+	// AssembleWith carries the lint opt-in: the dead first store must come
+	// back as a warning on the attached report.
 	ar, err := c.AssembleWith(ctx, server.AssembleRequest{
-		Src: "lex $1,5\nlex $1,7\nlex $0,0\nsys\n", Optimize: true,
+		Src: "lex $1,5\nlex $1,7\nlex $0,0\nsys\n", Lint: true,
 	})
-	if err != nil || ar.Opt == nil || !ar.Opt.Applied {
-		t.Fatalf("assemble with optimize: %+v, %v", ar.Opt, err)
-	}
-	if len(ar.OptimizedWords) == 0 || len(ar.OptimizedWords) >= len(ar.Words) {
-		t.Fatalf("optimized image did not shrink: %d vs %d words", len(ar.OptimizedWords), len(ar.Words))
+	if err != nil || ar.Lint == nil || ar.Lint.Warnings == 0 {
+		t.Fatalf("assemble with lint: %+v, %v", ar.Lint, err)
 	}
 	h, err := c.Health(ctx)
 	if err != nil || h.Status != "ok" {

@@ -37,19 +37,11 @@ import (
 
 // Options configures code generation; the zero value is the paper-faithful
 // configuration (greedy no-reuse allocation, instruction initializers,
-// irreversible gates, no CSE).
+// irreversible gates).
 type Options struct {
 	Reuse        bool
 	ConstantRegs bool
 	Reversible   bool
-	// CSE enables gate-level common-subexpression elimination: an
-	// operation whose operand registers and opcode were seen before reuses
-	// the earlier result register instead of emitting a new gate — the
-	// "aggressive bit-level compiler optimization" the paper's introduction
-	// and conclusions call for (citing the LCPC'17 "How Low Can You Go?"
-	// work). Sound only because registers are write-once under the greedy
-	// allocator; CSE therefore cannot be combined with Reuse.
-	CSE bool
 }
 
 type kind uint8
@@ -101,12 +93,6 @@ type Pint struct {
 // Width returns the bit width.
 func (p Pint) Width() int { return len(p.Bits) }
 
-// cseKey identifies a gate by opcode and operand registers.
-type cseKey struct {
-	op   byte
-	a, b uint8
-}
-
 // Compiler accumulates generated assembly.
 type Compiler struct {
 	ways    int
@@ -117,8 +103,6 @@ type Compiler struct {
 	inUse   int
 	maxUse  int
 	opCount map[string]int
-	cse     map[cseKey]Pbit
-	cseHits int
 	err     error
 }
 
@@ -129,43 +113,7 @@ func New(ways int, opts Options) *Compiler {
 		// Registers 0..1+ways hold the constant bank.
 		c.nextReg = 2 + ways
 	}
-	if opts.CSE {
-		if opts.Reuse {
-			c.err = fmt.Errorf("compile: CSE requires write-once registers; disable Reuse")
-		}
-		c.cse = make(map[cseKey]Pbit)
-	}
 	return c
-}
-
-// CSEHits reports how many gates were eliminated by value reuse.
-func (c *Compiler) CSEHits() int { return c.cseHits }
-
-// cseLookup returns a prior result for (op, a, b) if CSE is on. Commutative
-// ops normalize operand order.
-func (c *Compiler) cseLookup(op byte, a, b uint8) (Pbit, bool) {
-	if c.cse == nil {
-		return Pbit{}, false
-	}
-	if b < a {
-		a, b = b, a
-	}
-	p, ok := c.cse[cseKey{op, a, b}]
-	if ok {
-		c.cseHits++
-		return p.share(), true
-	}
-	return Pbit{}, false
-}
-
-func (c *Compiler) cseStore(op byte, a, b uint8, result Pbit) {
-	if c.cse == nil || result.k != kindReg {
-		return
-	}
-	if b < a {
-		a, b = b, a
-	}
-	c.cse[cseKey{op, a, b}] = result.share()
 }
 
 // Err returns the first code-generation error (e.g. register exhaustion).
@@ -368,9 +316,6 @@ func (c *Compiler) And(a, b Pbit) Pbit {
 	case b.k == kindConst1:
 		return a.share()
 	}
-	if prev, ok := c.cseLookup('&', a.c.reg, b.c.reg); ok {
-		return prev
-	}
 	out := c.alloc()
 	if out.k != kindReg {
 		return out
@@ -382,7 +327,6 @@ func (c *Compiler) And(a, b Pbit) Pbit {
 	} else {
 		c.emit("and @%d,@%d,@%d", out.c.reg, a.c.reg, b.c.reg)
 	}
-	c.cseStore('&', a.c.reg, b.c.reg, out)
 	return out
 }
 
@@ -409,15 +353,11 @@ func (c *Compiler) Or(a, b Pbit) Pbit {
 		c.Free(t)
 		return out
 	}
-	if prev, ok := c.cseLookup('|', a.c.reg, b.c.reg); ok {
-		return prev
-	}
 	out := c.alloc()
 	if out.k != kindReg {
 		return out
 	}
 	c.emit("or @%d,@%d,@%d", out.c.reg, a.c.reg, b.c.reg)
-	c.cseStore('|', a.c.reg, b.c.reg, out)
 	return out
 }
 
@@ -433,9 +373,6 @@ func (c *Compiler) Xor(a, b Pbit) Pbit {
 	case b.k == kindConst1:
 		return c.Not(a)
 	}
-	if prev, ok := c.cseLookup('^', a.c.reg, b.c.reg); ok {
-		return prev
-	}
 	out := c.alloc()
 	if out.k != kindReg {
 		return out
@@ -446,7 +383,6 @@ func (c *Compiler) Xor(a, b Pbit) Pbit {
 	} else {
 		c.emit("xor @%d,@%d,@%d", out.c.reg, a.c.reg, b.c.reg)
 	}
-	c.cseStore('^', a.c.reg, b.c.reg, out)
 	return out
 }
 
@@ -459,16 +395,12 @@ func (c *Compiler) Not(a Pbit) Pbit {
 	case kindConst1:
 		return Pbit{k: kindConst0}
 	}
-	if prev, ok := c.cseLookup('~', a.c.reg, a.c.reg); ok {
-		return prev
-	}
 	out := c.alloc()
 	if out.k != kindReg {
 		return out
 	}
 	c.copyInto(out.c.reg, a.c.reg)
 	c.emit("not @%d", out.c.reg)
-	c.cseStore('~', a.c.reg, a.c.reg, out)
 	return out
 }
 

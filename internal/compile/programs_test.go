@@ -172,82 +172,6 @@ func BenchmarkSubsetSumGenerate(b *testing.B) {
 	}
 }
 
-// TestCSECorrectAndSmaller: gate-level common-subexpression elimination
-// must preserve semantics and reduce the instruction count.
-func TestCSECorrectAndSmaller(t *testing.T) {
-	base, err := FactorProgram(15, 8, 4, 4, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := FactorProgram(15, 8, 4, 4, Options{CSE: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := runAsm(t, opt.Asm, 8, false)
-	if m.Regs[4] != 5 || m.Regs[1] != 3 {
-		t.Fatalf("CSE broke factoring: $4=%d $1=%d", m.Regs[4], m.Regs[1])
-	}
-	if opt.QatInsts > base.QatInsts {
-		t.Errorf("CSE grew the program: %d > %d", opt.QatInsts, base.QatInsts)
-	}
-	t.Logf("factor 15: %d insts base, %d insts with CSE", base.QatInsts, opt.QatInsts)
-}
-
-// TestCSEDedupesRepeatedGates: an artificial program with blatant
-// redundancy collapses to single gates.
-func TestCSEDedupesRepeatedGates(t *testing.T) {
-	c := New(8, Options{CSE: true})
-	a, b := c.Had(0), c.Had(1)
-	x1 := c.Xor(a, b)
-	x2 := c.Xor(a, b) // duplicate
-	x3 := c.Xor(b, a) // commuted duplicate
-	n1 := c.Not(x1)
-	n2 := c.Not(x2) // duplicate via shared x
-	if c.Err() != nil {
-		t.Fatal(c.Err())
-	}
-	if c.CSEHits() != 3 {
-		t.Errorf("CSE hits = %d, want 3", c.CSEHits())
-	}
-	r1, r2, r3 := c.Reg(&x1), c.Reg(&x2), c.Reg(&x3)
-	if r1 != r2 || r1 != r3 {
-		t.Error("duplicates not unified")
-	}
-	if c.Reg(&n1) != c.Reg(&n2) {
-		t.Error("dependent duplicates not unified")
-	}
-	// 2 had + 1 xor + 1 not(copy+not = 2 insts) = 5 instructions total.
-	if got := c.InstCount(); got != 5 {
-		t.Errorf("emitted %d instructions, want 5", got)
-	}
-}
-
-func TestCSERejectsReuse(t *testing.T) {
-	c := New(8, Options{CSE: true, Reuse: true})
-	if c.Err() == nil {
-		t.Fatal("CSE+Reuse accepted")
-	}
-}
-
-// TestCSESubsetSum: the gated adder chains expose real sharing.
-func TestCSESubsetSum(t *testing.T) {
-	weights := []uint64{3, 5, 7, 11, 13, 2, 9, 6}
-	base, err := SubsetSumProgram(weights, 20, 8, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt, err := SubsetSumProgram(weights, 20, 8, Options{CSE: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mBase := runAsm(t, base.Asm, 8, false)
-	mOpt := runAsm(t, opt.Asm, 8, false)
-	if mBase.Regs[2] != mOpt.Regs[2] || mBase.Regs[1] != mOpt.Regs[1] {
-		t.Fatal("CSE changed subset-sum results")
-	}
-	t.Logf("subset-sum: %d insts base, %d with CSE", base.QatInsts, opt.QatInsts)
-}
-
 // TestNQueensProgram runs the compiled 4-queens search on the simulated
 // hardware: 2 solutions, first at the known channel.
 func TestNQueensProgram(t *testing.T) {

@@ -5,9 +5,9 @@ package farm
 // keys, memo keys, or machines exist — through the static planner
 // (internal/backend), with a memo probe so a previously executed identity
 // under either concrete backend wins over the static prediction. The
-// resolution happens at every entry point that derives a job identity
-// (runJob, MemoProbe, MemoKey), because a key computed on the unresolved
-// pseudo-name would silently alias the dense spelling.
+// resolution happens at both entry points that derive a job identity
+// (runJob, MemoProbe), because a key computed on the unresolved pseudo-name
+// would silently alias the dense spelling.
 
 import (
 	"tangled/internal/asm"

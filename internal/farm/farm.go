@@ -119,14 +119,6 @@ type Job struct {
 	// (see obs.TagTrace), correlating interleaved rows back to requests.
 	TraceTag string
 
-	// Memo, when non-nil, overrides the engine's cache (Engine.SetMemo) for
-	// this job. NoMemo opts the job out of memoization entirely: it always
-	// executes and its result is never stored. Jobs with an Inspect hook and
-	// pipelined jobs feeding a trace ring bypass the cache regardless — both
-	// exist to observe a real execution. See memo.go.
-	Memo   *memo.Cache
-	NoMemo bool
-
 	// Inspect, when non-nil, is called with the machine after the run
 	// completes (successfully or not), before the machine returns to the
 	// pool. It runs on the worker goroutine and owns the machine only for

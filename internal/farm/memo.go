@@ -12,8 +12,8 @@ package farm
 // Two kinds of jobs must see a real machine and therefore bypass the cache:
 // jobs with an Inspect hook (they observe post-run machine state) and
 // pipelined jobs while a trace ring is attached (their value is the
-// cycle-by-cycle rows, which a cache hit would not emit). Job.NoMemo is the
-// caller-controlled opt-out for everything else.
+// cycle-by-cycle rows, which a cache hit would not emit). Every other job
+// meets the cache: detaching it (SetMemo(nil)) is the only way off.
 
 import (
 	"tangled/internal/asm"
@@ -24,21 +24,18 @@ import (
 
 // SetMemo attaches (or with nil detaches) the engine-wide execution cache.
 // Safe to call concurrently with Run; jobs pick up the value current when
-// they start. A job's own Memo field, when set, takes precedence.
+// they start.
 func (e *Engine) SetMemo(c *memo.Cache) { e.memo.Store(c) }
 
 // Memo returns the engine-wide cache, nil when disabled.
 func (e *Engine) Memo() *memo.Cache { return e.memo.Load() }
 
-// jobCache resolves the cache a job should consult: the job's own handle,
-// else the engine's, else nil; nil also for jobs that must execute for
-// real (NoMemo, Inspect, pipelined trace capture).
+// jobCache resolves the cache a job should consult: the engine's, or nil
+// when none is attached or the job must execute for real (Inspect,
+// pipelined trace capture).
 func (e *Engine) jobCache(j *Job, o *Obs) *memo.Cache {
-	c := j.Memo
-	if c == nil {
-		c = e.memo.Load()
-	}
-	if c == nil || j.NoMemo || j.Inspect != nil {
+	c := e.memo.Load()
+	if c == nil || j.Inspect != nil {
 		return nil
 	}
 	if j.Mode == Pipelined && o != nil && o.Trace != nil {
@@ -73,38 +70,6 @@ func jobKey(j *Job, prog *asm.Program, maxSteps uint64) memo.Key {
 		}
 	}
 	return ek.Sum()
-}
-
-// MemoKey exposes j's content address to serving layers that need to
-// populate the cache under the job's *original* identity while executing
-// a rewritten image (the optimize-at-admission path: the memo key must
-// stay the submitted program so later submissions of the same source hit,
-// whatever the optimizer did to the executed words). Returns false when
-// the job would bypass the cache (NoMemo, Inspect, traced pipelined runs,
-// no cache attached) or has no resolved program; when j carries source it
-// is assembled and stored back into j.Prog, like MemoProbe.
-func (e *Engine) MemoKey(j *Job) (memo.Key, bool) {
-	if e.jobCache(j, e.currentObs()) == nil {
-		return memo.Key{}, false
-	}
-	if j.Prog == nil {
-		if j.Src == "" {
-			return memo.Key{}, false
-		}
-		p, err := asm.Assemble(j.Src)
-		if err != nil {
-			return memo.Key{}, false
-		}
-		j.Prog = p
-	}
-	maxSteps := j.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	if _, err := e.resolveAuto(j, j.Prog, maxSteps, e.currentObs()); err != nil {
-		return memo.Key{}, false
-	}
-	return jobKey(j, j.Prog, maxSteps), true
 }
 
 // MemoProbe checks whether j's result is already cached, without executing

@@ -18,6 +18,7 @@ import (
 	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/memo"
+	"tangled/internal/obs"
 )
 
 // sameResult compares the deterministic slice of two farm results.
@@ -144,8 +145,8 @@ func TestMemoBatchSingleflight(t *testing.T) {
 	}
 }
 
-// TestMemoBypass: NoMemo jobs and Inspect-carrying jobs always execute, and
-// never populate or read the cache.
+// TestMemoBypass: Inspect-carrying jobs and pipelined jobs feeding a trace
+// ring always execute, and never populate or read the cache.
 func TestMemoBypass(t *testing.T) {
 	src := farmtest.Generate(farmtest.Seed(2))
 	prog, err := asm.Assemble(src)
@@ -155,13 +156,18 @@ func TestMemoBypass(t *testing.T) {
 	cache := memo.New(0)
 	engine := farm.New(1)
 	engine.SetMemo(cache)
+	o := farm.NewObs(obs.NewRegistry())
+	o.Trace = obs.NewTraceRing(1 << 16)
+	engine.SetObs(o)
+	p4cfg, _ := pipeConfigs(2)
 
 	var inspected atomic.Int64
+	inspect := func(*cpu.Machine) { inspected.Add(1) }
 	jobs := []farm.Job{
-		{Name: "no-memo", Prog: prog, Mode: farm.Functional, Ways: diffWays, NoMemo: true},
-		{Name: "no-memo-again", Prog: prog, Mode: farm.Functional, Ways: diffWays, NoMemo: true},
-		{Name: "inspect", Prog: prog, Mode: farm.Functional, Ways: diffWays,
-			Inspect: func(*cpu.Machine) { inspected.Add(1) }},
+		{Name: "inspect", Prog: prog, Mode: farm.Functional, Ways: diffWays, Inspect: inspect},
+		{Name: "inspect-again", Prog: prog, Mode: farm.Functional, Ways: diffWays, Inspect: inspect},
+		{Name: "traced", Prog: prog, Mode: farm.Pipelined, Pipeline: p4cfg},
+		{Name: "traced-again", Prog: prog, Mode: farm.Pipelined, Pipeline: p4cfg},
 	}
 	results, st := engine.Run(nil, jobs)
 	for i, res := range results {
@@ -175,7 +181,10 @@ func TestMemoBypass(t *testing.T) {
 	if cs := cache.Stats(); cs.Hits != 0 || cs.Misses != 0 || cache.Len() != 0 {
 		t.Fatalf("bypass jobs touched the cache: %+v len=%d", cs, cache.Len())
 	}
-	if inspected.Load() != 1 {
-		t.Fatalf("inspect ran %d times, want 1", inspected.Load())
+	if inspected.Load() != 2 {
+		t.Fatalf("inspect ran %d times, want 2", inspected.Load())
+	}
+	if o.Trace.Len() == 0 {
+		t.Fatal("traced pipelined jobs emitted no trace rows")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"tangled/internal/backend"
 	"tangled/internal/farm"
 	"tangled/internal/lint"
-	"tangled/internal/opt"
 	"tangled/internal/pipeline"
 	"tangled/internal/qasm"
 	"tangled/internal/qat"
@@ -256,8 +255,8 @@ type BuildInfo struct {
 	TraceSchema   string `json:"trace_schema"`
 	TraceVer      int    `json:"trace_version"`
 	// Capabilities lists the server's feature set ("jobs", "events",
-	// "memo", "opt", "opt-admission", "backend:re", "backend:auto") so
-	// clients feature-detect from one probe instead of poking endpoints.
+	// "memo", "backend:re", "backend:auto") so clients feature-detect
+	// from one probe instead of poking endpoints.
 	Capabilities []string `json:"capabilities,omitempty"`
 	// Backends lists the registered register-file backends by name
 	// (sorted); "auto" is a planner pseudo-backend, advertised through the
@@ -278,11 +277,6 @@ type AssembleRequest struct {
 	// Ways is the entanglement degree the lint energy estimates assume;
 	// 0 means the full hardware.
 	Ways int `json:"ways,omitempty"`
-	// Optimize asks the server to rewrite the program through the
-	// optimizing recompiler (internal/opt) and attach the delta report.
-	// Programs with error-level lint findings are never rewritten: the
-	// report comes back refused with reason "lint-errors".
-	Optimize bool `json:"optimize,omitempty"`
 }
 
 // AssembleResponse is the success body of POST /v1/assemble.
@@ -295,13 +289,6 @@ type AssembleResponse struct {
 	// Lint is the static-analysis report, present when the request set
 	// Lint.
 	Lint *lint.Report `json:"lint,omitempty"`
-	// Opt is the optimizer's per-pass delta report, present when the
-	// request set Optimize. When Opt.Applied, OptimizedWords carries the
-	// rewritten image (loadable through RunRequest.Words exactly like
-	// Words); on refusal OptimizedWords is absent and Words is the only
-	// artifact, unchanged.
-	Opt            *opt.Report `json:"opt,omitempty"`
-	OptimizedWords []uint16    `json:"optimized_words,omitempty"`
 }
 
 // validate checks a RunRequest and resolves it into a farm job skeleton

@@ -17,12 +17,6 @@ package server
 // coalescer — which is what makes the async differential guarantee hold:
 // a job's result is byte-identical to a synchronous run of the same
 // program.
-//
-// Optimize-at-first-admission rides here: on a memo miss, when the
-// optimizing recompiler applies cleanly, the shrunk image executes but the
-// memo entry is stored under the *original* program's key — later
-// identical submissions (sync or async) hit the cache without ever seeing
-// the optimizer, and the rewrite happens once per distinct program.
 
 import (
 	"context"
@@ -34,8 +28,6 @@ import (
 
 	"tangled/internal/farm"
 	"tangled/internal/jobs"
-	"tangled/internal/memo"
-	"tangled/internal/opt"
 )
 
 // jobSpec is the durable execution description stored in the WAL: the
@@ -217,39 +209,13 @@ func (s *Server) execJob(ctx context.Context, j jobs.Job) (json.RawMessage, erro
 	if fr, ok := s.engine.MemoProbe(&job); ok {
 		return marshalJobResult(j.ID, &fr)
 	}
-	// The original program's content address, captured before any rewrite:
-	// whatever executes below is stored under this key.
-	origKey, keyOK := s.engine.MemoKey(&job)
-
 	if err := s.admitWait(ctx, 1); err != nil {
 		return nil, err
 	}
 	defer s.release(1)
-
-	if s.cfg.OptAdmission {
-		if optProg, rep := opt.Optimize(job.Prog, opt.Options{Ways: spec.Run.Ways}); rep.Applied {
-			job.Prog = optProg
-			s.obs.optAdmission.Inc()
-		}
-	}
-
-	var fr farm.Result
-	if cache := s.engine.Memo(); cache != nil && keyOK {
-		// Execute with the farm's own memoization off (it would key the
-		// possibly-rewritten image) and store under the original key here;
-		// concurrent identical jobs collapse onto one execution.
-		job.NoMemo = true
-		ent, cached, err := cache.Do(ctx, origKey, func() memo.Entry {
-			r := s.runJobThroughCoalescer(job)
-			return memo.Entry{Regs: r.Regs, Output: r.Output, Insts: r.Insts, Pipe: r.Pipe, Err: r.Err}
-		})
-		if err != nil {
-			return nil, err
-		}
-		fr = farm.Result{Name: j.ID, Regs: ent.Regs, Output: ent.Output, Insts: ent.Insts, Pipe: ent.Pipe, Err: ent.Err, Cached: cached}
-	} else {
-		fr = s.runJobThroughCoalescer(job)
-	}
+	// The farm's own memo stores the result and collapses concurrent
+	// identical jobs onto one execution, as for a synchronous run.
+	fr := s.runJobThroughCoalescer(job)
 	return marshalJobResult(j.ID, &fr)
 }
 

@@ -4,8 +4,7 @@ package server
 // wire semantics, the NDJSON lifecycle stream with since-replay, the
 // durable store across server instances, and the async differential proof —
 // a job's result must be byte-identical to a synchronous /v1/run of the
-// same program, with optimize-at-first-admission enabled, over a corpus
-// subset. The SIGKILL crash-resume path is exercised end-to-end against
+// same program, with the memo on and off, over a corpus subset. The SIGKILL crash-resume path is exercised end-to-end against
 // real processes in the repository root's tools_test.go.
 
 import (
@@ -21,7 +20,6 @@ import (
 
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/jobs"
-	"tangled/internal/obs"
 	"tangled/internal/qasm"
 )
 
@@ -273,16 +271,23 @@ func TestHealthzReportsJobDepths(t *testing.T) {
 }
 
 func TestBuildinfoCapabilities(t *testing.T) {
-	_, base := startTestServer(t, Config{JobsEphemeral: true, OptAdmission: true})
+	_, base := startTestServer(t, Config{JobsEphemeral: true})
 	var bi BuildInfo
 	getJSON(t, base+"/v1/buildinfo", &bi)
 	caps := map[string]bool{}
 	for _, c := range bi.Capabilities {
 		caps[c] = true
 	}
-	for _, want := range []string{"jobs", "events", "memo", "opt", "opt-admission", "backend:re"} {
+	for _, want := range []string{"jobs", "events", "memo", "backend:re"} {
 		if !caps[want] {
 			t.Fatalf("capabilities %v missing %q", bi.Capabilities, want)
+		}
+	}
+	// The optimizer is an offline tool (qatlint -optimize): no server
+	// advertises it.
+	for _, gone := range []string{"opt", "opt-admission"} {
+		if caps[gone] {
+			t.Fatalf("capabilities %v advertise retired %q", bi.Capabilities, gone)
 		}
 	}
 	if bi.EventsSchema != jobs.EventsSchema || bi.EventsVer != jobs.EventsSchemaVersion {
@@ -423,90 +428,58 @@ func TestJobStorePersistsAcrossServers(t *testing.T) {
 }
 
 // TestDifferentialAsyncVsSync is the async acceptance proof: over a corpus
-// subset, a job's result — executed through admission, the optimizing
-// recompiler (OptAdmission on), the memo cache and the coalescer — must be
-// byte-identical to the direct in-process execution of the same program.
+// subset plus sloppySrc (a dead store), a job's result — executed through
+// admission, the memo cache and the coalescer — must be byte-identical to
+// the direct in-process execution of the same program and to a synchronous
+// /v1/run of it, with the memo on (the sync run is then a hit on the entry
+// the job stored) and off (both execute).
 func TestDifferentialAsyncVsSync(t *testing.T) {
 	const n = 32
-	reg := obs.NewRegistry()
-	s, base := startTestServer(t, Config{JobsEphemeral: true, OptAdmission: true, Registry: reg})
-
-	srcs := make([]string, n)
+	srcs := make([]string, n, n+1)
 	for i := range srcs {
 		srcs[i] = farmtest.Generate(farmtest.Seed(i))
 	}
+	srcs = append(srcs, sloppySrc)
 	direct, _, err := qasm.RunFunctionalBatch(context.Background(), srcs, farmtest.Ways, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, src := range srcs {
-		id := fmt.Sprintf("diff-%d", i)
-		resp := postJSON(t, base+"/v1/jobs", JobRequest{RunRequest: RunRequest{ID: id, Src: src, Ways: farmtest.Ways}})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: %d", i, resp.StatusCode)
-		}
-		resp.Body.Close()
-	}
-	for i := range srcs {
-		id := fmt.Sprintf("diff-%d", i)
-		fin := waitJobHTTP(t, base, id)
-		if fin.State != string(jobs.StateCompleted) {
-			t.Fatalf("job %d ended %s: %s", i, fin.State, fin.Reason)
-		}
-		// Observable state must match direct execution exactly. Insts may
-		// legitimately shrink when the admission-time optimizer applied —
-		// that delta is the optimizer's proven-equivalent rewrite, not a
-		// serving-layer divergence.
-		d := direct[i]
-		if fin.Result.Regs != d.Regs || fin.Result.Output != d.Output {
-			t.Fatalf("program %d diverged async vs direct:\nasync:  regs=%v output=%q\ndirect: regs=%v output=%q\n%s",
-				i, fin.Result.Regs, fin.Result.Output, d.Regs, d.Output, srcs[i])
-		}
-		if fin.Result.Insts > d.Insts {
-			t.Fatalf("program %d retired more instructions async (%d) than direct (%d)",
-				i, fin.Result.Insts, d.Insts)
-		}
-		// The acceptance criterion proper: a synchronous /v1/run of the same
-		// program returns the byte-identical document (served from the memo
-		// entry the job stored under the original program's key).
-		var sync RunResult
-		decodeInto(t, postJSON(t, base+"/v1/run", RunRequest{ID: id + "-sync", Src: srcs[i], Ways: farmtest.Ways}), &sync)
-		if sync.Regs != fin.Result.Regs || sync.Output != fin.Result.Output || sync.Insts != fin.Result.Insts {
-			t.Fatalf("program %d: sync run diverged from its async job: %+v vs %+v", i, sync, fin.Result)
-		}
-	}
-	// The corpus is peephole-rich enough that the admission-time optimizer
-	// must have applied at least once; the counter proves the path ran.
-	if got := s.obs.optAdmission.Value(); got == 0 {
-		t.Error("server_opt_admission_applied_total = 0 over the corpus subset")
-	}
-}
-
-// TestOptAdmissionMemoKeyIsOriginalProgram proves the memo-key discipline:
-// after an async job executes a rewritten image, a synchronous /v1/run of
-// the *original* program must hit the cache (the entry is stored under the
-// original program's content address, not the shrunk image's).
-func TestOptAdmissionMemoKeyIsOriginalProgram(t *testing.T) {
-	_, base := startTestServer(t, Config{JobsEphemeral: true, OptAdmission: true})
-
-	// sloppySrc is rewritten by the optimizer (dead store), so the job
-	// executes a different image than the submitted program.
-	resp := postJSON(t, base+"/v1/jobs", JobRequest{RunRequest: RunRequest{ID: "mk", Src: sloppySrc}})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d", resp.StatusCode)
-	}
-	resp.Body.Close()
-	fin := waitJobHTTP(t, base, "mk")
-	if fin.State != string(jobs.StateCompleted) {
-		t.Fatalf("job ended %s: %s", fin.State, fin.Reason)
-	}
-
-	var sync RunResult
-	decodeInto(t, postJSON(t, base+"/v1/run", RunRequest{ID: "mk-sync", Src: sloppySrc}), &sync)
-	if !sync.Cached {
-		t.Fatal("sync run of the original program missed the memo cache")
-	}
-	if sync.Regs != fin.Result.Regs || sync.Output != fin.Result.Output || sync.Insts != fin.Result.Insts {
-		t.Fatalf("cached sync result diverged from the async job: %+v vs %+v", sync, fin.Result)
+	for _, tc := range []struct {
+		name    string
+		memoCap int
+	}{{"memo-on", 0}, {"memo-off", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, base := startTestServer(t, Config{JobsEphemeral: true, MemoCap: tc.memoCap})
+			for i, src := range srcs {
+				id := fmt.Sprintf("diff-%d", i)
+				resp := postJSON(t, base+"/v1/jobs", JobRequest{RunRequest: RunRequest{ID: id, Src: src, Ways: farmtest.Ways}})
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit %d: %d", i, resp.StatusCode)
+				}
+				resp.Body.Close()
+			}
+			for i := range srcs {
+				id := fmt.Sprintf("diff-%d", i)
+				fin := waitJobHTTP(t, base, id)
+				if fin.State != string(jobs.StateCompleted) {
+					t.Fatalf("job %d ended %s: %s", i, fin.State, fin.Reason)
+				}
+				d := direct[i]
+				if fin.Result.Regs != d.Regs || fin.Result.Output != d.Output || fin.Result.Insts != d.Insts {
+					t.Fatalf("program %d diverged async vs direct:\nasync:  regs=%v output=%q insts=%d\ndirect: regs=%v output=%q insts=%d\n%s",
+						i, fin.Result.Regs, fin.Result.Output, fin.Result.Insts, d.Regs, d.Output, d.Insts, srcs[i])
+				}
+				// The acceptance criterion proper: a synchronous /v1/run of
+				// the same program returns the byte-identical document.
+				var sync RunResult
+				decodeInto(t, postJSON(t, base+"/v1/run", RunRequest{ID: id + "-sync", Src: srcs[i], Ways: farmtest.Ways}), &sync)
+				if sync.Regs != fin.Result.Regs || sync.Output != fin.Result.Output || sync.Insts != fin.Result.Insts {
+					t.Fatalf("program %d: sync run diverged from its async job: %+v vs %+v", i, sync, fin.Result)
+				}
+				if want := tc.memoCap >= 0; sync.Cached != want {
+					t.Fatalf("program %d: sync run cached=%v, want %v", i, sync.Cached, want)
+				}
+			}
+		})
 	}
 }

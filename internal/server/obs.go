@@ -57,17 +57,6 @@ type serverObs struct {
 	rejected429 *obs.Counter // admissions refused for a full queue
 	lintRejects *obs.Counter // programs refused by strict lint before admission
 
-	optRequests   *obs.Counter // /v1/assemble requests that asked for optimize
-	optApplied    *obs.Counter // optimize requests that produced a rewrite
-	optRefused    *obs.Counter // optimize requests refused (unproven or lint errors)
-	optWordsSaved *obs.Counter // total words removed by applied rewrites
-	optInstsSaved *obs.Counter // total instructions removed by applied rewrites
-
-	// optAdmission counts async jobs whose program was rewritten by the
-	// optimize-at-first-admission path (memo miss, recompiler applied
-	// cleanly, shrunk image executed under the original memo key).
-	optAdmission *obs.Counter
-
 	// autoPlanned counts "auto" requests the static planner resolved to a
 	// concrete backend; unservable those it refused with 422 because the
 	// requested width exceeds every backend.
@@ -99,18 +88,6 @@ func newServerObs(r *obs.Registry) *serverObs {
 			"requests refused with 429 because the queue was full"),
 		lintRejects: r.Counter("server_lint_rejects_total",
 			"programs refused with 422 by strict lint before admission"),
-		optRequests: r.Counter("server_opt_requests_total",
-			"/v1/assemble requests that asked for the optimizing recompiler"),
-		optApplied: r.Counter("server_opt_applied_total",
-			"optimize requests where the recompiler rewrote the program"),
-		optRefused: r.Counter("server_opt_refused_total",
-			"optimize requests the recompiler refused (program returned unchanged)"),
-		optWordsSaved: r.Counter("server_opt_words_saved_total",
-			"program words removed by applied rewrites, summed over requests"),
-		optInstsSaved: r.Counter("server_opt_insts_saved_total",
-			"instructions removed by applied rewrites, summed over requests"),
-		optAdmission: r.Counter("server_opt_admission_applied_total",
-			"async jobs executed through an optimize-at-admission rewrite"),
 		autoPlanned: r.Counter("server_backend_auto_planned_total",
 			"\"auto\" requests the static planner resolved to a concrete backend"),
 		unservable: r.Counter("server_backend_unservable_total",

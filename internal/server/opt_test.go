@@ -1,146 +1,25 @@
 package server
 
-// Tests of the opt-in optimizing recompiler on POST /v1/assemble: the
-// delta report and rewritten image must ride the response, error-level
-// findings must suppress rewriting (reason "lint-errors") without turning
-// the lenient endpoint into a transport failure, the server_opt_* counters
-// must account every decision — and, the serving-path differential proof,
-// every accepted corpus rewrite must behave byte-identically to its
-// original when both are executed through /v1/run.
+// The optimizing recompiler (internal/opt) is an offline tool behind
+// qatlint -optimize, not part of the serving API: POST /v1/assemble has no
+// optimize field, and the strict decoder refuses a body that still sends
+// one instead of silently returning the unoptimized image.
 
 import (
 	"net/http"
+	"strings"
 	"testing"
-
-	"tangled/internal/farm/farmtest"
-	"tangled/internal/obs"
-	"tangled/internal/opt"
 )
 
-func TestAssembleOptimizeApplied(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, base := startTestServer(t, Config{Registry: reg})
-
-	// sloppySrc carries a dead store; the rewrite must shrink the image.
-	resp := postJSON(t, base+"/v1/assemble", AssembleRequest{Src: sloppySrc, Optimize: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var ar AssembleResponse
-	decodeInto(t, resp, &ar)
-	if ar.Opt == nil || !ar.Opt.Applied {
-		t.Fatalf("optimizer did not apply: %+v", ar.Opt)
-	}
-	if len(ar.OptimizedWords) != ar.Opt.WordsAfter || len(ar.OptimizedWords) >= len(ar.Words) {
-		t.Fatalf("optimized image inconsistent: %d words vs %d reported, original %d",
-			len(ar.OptimizedWords), ar.Opt.WordsAfter, len(ar.Words))
-	}
-	if got := s.obs.optRequests.Value(); got != 1 {
-		t.Errorf("server_opt_requests_total = %d, want 1", got)
-	}
-	if got := s.obs.optApplied.Value(); got != 1 {
-		t.Errorf("server_opt_applied_total = %d, want 1", got)
-	}
-	if got := s.obs.optWordsSaved.Value(); got == 0 {
-		t.Error("server_opt_words_saved_total = 0 after an applied shrink")
-	}
-}
-
-func TestAssembleOptimizeLintErrorsRefused(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, base := startTestServer(t, Config{Registry: reg})
-
-	resp := postJSON(t, base+"/v1/assemble", AssembleRequest{Src: brokenSrc, Optimize: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200 (lenient endpoint)", resp.StatusCode)
-	}
-	var ar AssembleResponse
-	decodeInto(t, resp, &ar)
-	if ar.Opt == nil || ar.Opt.Applied {
-		t.Fatalf("broken program was rewritten: %+v", ar.Opt)
-	}
-	if ar.Opt.Reason != opt.ReasonLintErrors {
-		t.Fatalf("refusal reason %q, want %q", ar.Opt.Reason, opt.ReasonLintErrors)
-	}
-	if len(ar.OptimizedWords) != 0 {
-		t.Fatalf("refused response carries %d optimized words", len(ar.OptimizedWords))
-	}
-	if got := s.obs.optRefused.Value(); got != 1 {
-		t.Errorf("server_opt_refused_total = %d, want 1", got)
-	}
-	if got := s.obs.optApplied.Value(); got != 0 {
-		t.Errorf("server_opt_applied_total = %d, want 0", got)
-	}
-}
-
-func TestAssembleOptimizeOffByDefault(t *testing.T) {
+func TestAssembleOptimizeFieldRejected(t *testing.T) {
 	_, base := startTestServer(t, Config{})
-	var ar AssembleResponse
-	decodeInto(t, postJSON(t, base+"/v1/assemble", AssembleRequest{Src: sloppySrc}), &ar)
-	if ar.Opt != nil || len(ar.OptimizedWords) != 0 {
-		t.Fatalf("optimizer output present without opt-in: %+v", ar)
+	resp := postJSON(t, base+"/v1/assemble", map[string]any{"src": sloppySrc, "optimize": true})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 for the retired optimize field", resp.StatusCode)
 	}
-}
-
-// TestHTTPCorpusDifferential is the serving-path leg of the optimizer's
-// differential proof: every farmtest program is assembled with
-// optimize=true, and wherever the recompiler applied, the original source
-// and the rewritten word image are both executed through /v1/run — final
-// registers and sys output must match exactly.
-func TestHTTPCorpusDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("corpus differential is not a -short test")
+	var er ErrorResponse
+	decodeInto(t, resp, &er)
+	if !strings.Contains(er.Error, "optimize") {
+		t.Fatalf("error %q does not name the unknown field", er.Error)
 	}
-	_, base := startTestServer(t, Config{})
-
-	applied, refused := 0, 0
-	for i := 0; i < farmtest.Programs; i++ {
-		src := farmtest.Generate(farmtest.Seed(i))
-
-		resp := postJSON(t, base+"/v1/assemble",
-			AssembleRequest{Src: src, Optimize: true, Ways: farmtest.Ways})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("program %d: assemble status %d", i, resp.StatusCode)
-		}
-		var ar AssembleResponse
-		decodeInto(t, resp, &ar)
-		if ar.Opt == nil {
-			t.Fatalf("program %d: no opt report", i)
-		}
-		if !ar.Opt.Applied {
-			refused++
-			if len(ar.OptimizedWords) != 0 {
-				t.Fatalf("program %d: refused but carries optimized words", i)
-			}
-			continue
-		}
-		applied++
-		if len(ar.OptimizedWords) > len(ar.Words) {
-			t.Fatalf("program %d: optimized image grew: %d -> %d words",
-				i, len(ar.Words), len(ar.OptimizedWords))
-		}
-
-		var orig, rec RunResult
-		decodeInto(t, postJSON(t, base+"/v1/run",
-			RunRequest{Src: src, Ways: farmtest.Ways, MaxSteps: farmtest.Budget}), &orig)
-		decodeInto(t, postJSON(t, base+"/v1/run",
-			RunRequest{Words: ar.OptimizedWords, Ways: farmtest.Ways, MaxSteps: farmtest.Budget}), &rec)
-		if orig.Error != "" || rec.Error != "" {
-			t.Fatalf("program %d: run errors: original=%q optimized=%q", i, orig.Error, rec.Error)
-		}
-		if orig.Regs != rec.Regs {
-			t.Fatalf("program %d: registers diverged over HTTP:\n%v\n%v", i, orig.Regs, rec.Regs)
-		}
-		if orig.Output != rec.Output {
-			t.Fatalf("program %d: output diverged over HTTP:\n%q\n%q", i, orig.Output, rec.Output)
-		}
-		if rec.Insts > orig.Insts {
-			t.Fatalf("program %d: optimized program retired more instructions: %d > %d",
-				i, rec.Insts, orig.Insts)
-		}
-	}
-	if applied == 0 {
-		t.Fatal("optimizer applied to no corpus program over HTTP: differential is vacuous")
-	}
-	t.Logf("HTTP corpus: %d applied, %d refused", applied, refused)
 }

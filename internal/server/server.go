@@ -54,7 +54,6 @@ import (
 	"tangled/internal/lint"
 	"tangled/internal/memo"
 	"tangled/internal/obs"
-	"tangled/internal/opt"
 	"tangled/internal/qasm"
 	"tangled/internal/qat"
 )
@@ -109,12 +108,6 @@ type Config struct {
 	JobWorkers int
 	// JobRetention bounds retained terminal job records; <= 0 means 4096.
 	JobRetention int
-	// OptAdmission runs the optimizing recompiler on async jobs that miss
-	// the memo cache: when it applies cleanly the shrunk image executes
-	// (byte-identical results, proven by the opt differential suite) and
-	// the memo entry is stored under the *original* program's key, so the
-	// rewrite happens once per distinct program, at first admission.
-	OptAdmission bool
 
 	// StrictLint runs the static analyzer over every submitted program and
 	// refuses those with error-severity findings (cannot halt, illegal
@@ -654,24 +647,6 @@ func (s *Server) handleAssemble(w http.ResponseWriter, r *http.Request) {
 	if req.Lint {
 		resp.Lint = lint.Analyze(prog, lint.Options{Ways: req.Ways})
 	}
-	if req.Optimize {
-		s.obs.optRequests.Inc()
-		// The optimizer re-lints internally and refuses programs with
-		// error-level findings (reason "lint-errors"), so the lenient
-		// assemble endpoint stays a 200 either way: callers read
-		// Opt.Applied, mirroring the qatlint -optimize contract without
-		// turning a diagnostic into a transport failure.
-		optProg, orep := opt.Optimize(prog, opt.Options{Ways: req.Ways})
-		resp.Opt = orep
-		if orep.Applied {
-			resp.OptimizedWords = optProg.Words
-			s.obs.optApplied.Inc()
-			s.obs.optWordsSaved.Add(uint64(orep.WordsBefore - orep.WordsAfter))
-			s.obs.optInstsSaved.Add(uint64(orep.InstsBefore - orep.InstsAfter))
-		} else {
-			s.obs.optRefused.Inc()
-		}
-	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -713,7 +688,7 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
 		TraceSchema:   obs.TraceSchema,
 		TraceVer:      obs.TraceSchemaVersion,
 	}
-	info.Capabilities = []string{"opt", "backend:re", "backend:auto"}
+	info.Capabilities = []string{"backend:re", "backend:auto"}
 	info.Backends = backend.Names()
 	if s.cfg.MemoCap > 0 {
 		info.Capabilities = append(info.Capabilities, "memo")
@@ -722,9 +697,6 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
 		info.Capabilities = append(info.Capabilities, "jobs", "events")
 		info.EventsSchema = jobs.EventsSchema
 		info.EventsVer = jobs.EventsSchemaVersion
-		if s.cfg.OptAdmission {
-			info.Capabilities = append(info.Capabilities, "opt-admission")
-		}
 	}
 	sort.Strings(info.Capabilities)
 	if bi, ok := debug.ReadBuildInfo(); ok {
