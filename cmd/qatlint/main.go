@@ -15,8 +15,8 @@
 //
 // With -profile it additionally runs the static entanglement/cost profiler
 // (internal/profile) over each assemblable input: per-register degree
-// bounds, entangled channel groups, run-length compressibility, energy
-// bounds, and the backend auto-planner's decision for the requested width
+// bounds, entangled channel groups, Qat write counts, energy bounds, and
+// the backend auto-planner's decision for the requested width
 // are reported per file (and embedded in the -json output as "profile" and
 // "plan").
 //
@@ -243,16 +243,16 @@ func printProfile(w io.Writer, name string, p *lint.Profile, plan string) {
 	}
 	fmt.Fprintf(w, "%s: profile: ways %d, degree bound %d, required ways %d (%s)\n",
 		name, p.Ways, p.DegreeBound, p.RequiredWays, mode)
-	fmt.Fprintf(w, "%s: profile: insts %d, qat ops %d, writes %d (structured %d), compressibility %.2f\n",
-		name, p.Insts, p.QatOps, p.QatWrites, p.StructuredWrites, p.Compressibility)
+	fmt.Fprintf(w, "%s: profile: insts %d, qat ops %d, writes %d\n",
+		name, p.Insts, p.QatOps, p.QatWrites)
 	fmt.Fprintf(w, "%s: profile: energy bound: switched %d, erased %d, loop blocks %d\n",
 		name, p.SwitchedBound, p.ErasedBound, p.LoopBlocks)
 	for _, g := range p.Groups {
 		fmt.Fprintf(w, "%s: profile:   entangled channels %v\n", name, g)
 	}
 	for _, b := range p.Blocks {
-		fmt.Fprintf(w, "%s: profile:   block %d [%#04x,%#04x): degree %d, writes %d/%d, switched %d, erased %d\n",
-			name, b.ID, b.Start, b.End, b.MaxDegree, b.StructuredWrites, b.QatWrites, b.SwitchedBits, b.ErasedBits)
+		fmt.Fprintf(w, "%s: profile:   block %d [%#04x,%#04x): degree %d, writes %d, switched %d, erased %d\n",
+			name, b.ID, b.Start, b.End, b.MaxDegree, b.QatWrites, b.SwitchedBits, b.ErasedBits)
 	}
 	fmt.Fprintf(w, "%s: profile: plan: %s\n", name, plan)
 }

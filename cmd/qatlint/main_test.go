@@ -152,6 +152,9 @@ func TestProfileText(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "compressibility") || strings.Contains(out, "structured") {
+		t.Errorf("retired compressibility estimate printed:\n%s", out)
+	}
 }
 
 func TestProfileJSON(t *testing.T) {

@@ -167,11 +167,10 @@ func main() {
 			fatal(err)
 		}
 		qcfg = plan.Config
-		// With no memo to probe, a plan without a profile was decided by
-		// the width alone.
-		why := "(width-forced)"
-		if p := plan.Profile; p != nil {
-			why = fmt.Sprintf("(degree bound %d, compressibility %.2f)", p.DegreeBound, p.Compressibility)
+		// With no memo to probe, the width alone decides.
+		why := "(dense: fits the 16-way hardware)"
+		if qcfg.Backend != qat.BackendDense {
+			why = "(width-forced)"
 		}
 		fmt.Fprintf(os.Stderr, "tangled-run: auto backend: %s %s\n", qcfg.Backend, why)
 	}

@@ -118,17 +118,13 @@ func TestPlanAutoForcedREOverDenseWidth(t *testing.T) {
 	if plan.Config.ChunkWays != aob.MaxWays || plan.Config.SpillRuns != -1 {
 		t.Fatalf("planned geometry %+v not the canonical RE default", plan.Config)
 	}
-	// The width alone decides, so the planner skips lint and profile.
-	if plan.Profile != nil {
-		t.Fatalf("width-forced plan computed a profile: %+v", plan.Profile)
-	}
 	// The profiler itself still profiles at the requested width.
 	if p := profileAt(t, mustProg(t, wideProg), 20, false); p.Ways != 20 {
 		t.Fatalf("profile at wrong width: %+v", p)
 	}
 }
 
-// profileAt is the eager profile PlanAuto computes when a rule needs one.
+// profileAt is the eager profile PlanAuto computes for an unservable width.
 func profileAt(t *testing.T, prog *asm.Program, ways int, constRegs bool) *lint.Profile {
 	t.Helper()
 	_, f := lint.AnalyzeWithFacts(prog, lint.Options{Ways: min(ways, aob.MaxWays)})
@@ -143,34 +139,6 @@ func TestPlanAutoDenseForSmallPrograms(t *testing.T) {
 	if plan.Config.Backend != qat.BackendDense {
 		t.Fatalf("backend=%q, want dense for a small low-degree program", plan.Config.Backend)
 	}
-}
-
-func TestPlanAutoCompressibilityRoute(t *testing.T) {
-	// >= 16 Qat writes, all structured (inits and folds over known states):
-	// compressibility 1.0 routes to RE even at a dense-servable width.
-	plan, err := PlanAuto(mustProg(t, zeroProg()), qat.Config{Ways: 8, Backend: Auto}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Profile.Compressibility < CompressibilityFloor || plan.Profile.QatWrites < MinWritesForRE {
-		t.Fatalf("test program does not trip the route: %+v", plan.Profile)
-	}
-	if plan.Config.Backend != qat.BackendRE {
-		t.Fatalf("backend=%q, want re on compressibility", plan.Config.Backend)
-	}
-}
-
-// zeroProg makes 17 structured Qat writes (inits and folds over known
-// states): compressible enough for rule 4 to pick RE.
-func zeroProg() string {
-	var b strings.Builder
-	for i := 1; i <= 17; i++ {
-		b.WriteString("\tzero\t@")
-		b.WriteString(string(rune('0' + i%10)))
-		b.WriteString("\n")
-	}
-	b.WriteString("\tlex\t$0, 0\n\tsys\n")
-	return b.String()
 }
 
 func TestPlanAutoUnservable(t *testing.T) {
@@ -215,7 +183,7 @@ func TestDecidePassThroughNonAuto(t *testing.T) {
 
 // TestPlanAutoMatchesEagerDecide is the differential proof that planning
 // lazily decides exactly as the eager pipeline — lint, profile, then
-// Decide — over the corpus, a wide program and a compressible one, across
+// Decide — over the corpus and a wide program, across
 // widths on both sides of the dense wall and past every backend, both Qat
 // variants, and every memo state.
 func TestPlanAutoMatchesEagerDecide(t *testing.T) {
@@ -223,7 +191,7 @@ func TestPlanAutoMatchesEagerDecide(t *testing.T) {
 	for i := 0; i < farmtest.Programs; i++ {
 		progs = append(progs, mustProg(t, farmtest.Generate(farmtest.Seed(i))))
 	}
-	progs = append(progs, wideSubsetSum(t), mustProg(t, zeroProg()))
+	progs = append(progs, wideSubsetSum(t))
 
 	probes := []struct {
 		name  string
@@ -235,7 +203,7 @@ func TestPlanAutoMatchesEagerDecide(t *testing.T) {
 		{"re", func(c qat.Config) bool { return c.Backend == qat.BackendRE }},
 		{"both", func(qat.Config) bool { return true }},
 	}
-	cases, rule4RE := 0, 0
+	cases := 0
 	for pi, prog := range progs {
 		for _, ways := range []int{0, 1, 6, 16, 17, 20, 24, 25} {
 			for _, constRegs := range []bool{false, true} {
@@ -257,17 +225,11 @@ func TestPlanAutoMatchesEagerDecide(t *testing.T) {
 						t.Fatalf("program %d ways %d const %v probe %s: lazy %+v (%v), eager %+v (%v)",
 							pi, ways, constRegs, pr.name, got.Config, gotErr, want.Config, wantErr)
 					}
-					if got.Profile != nil && ways <= aob.MaxWays && got.Config.Backend == qat.BackendRE {
-						rule4RE++
-					}
 				}
 			}
 		}
 	}
-	if rule4RE == 0 {
-		t.Fatal("rule 4 never picked RE: the compressibility route is untested")
-	}
-	t.Logf("%d cases agree; rule 4 picked RE in %d", cases, rule4RE)
+	t.Logf("%d cases agree", cases)
 }
 
 // errClass names an error's kind for comparison: nil, unservable, other.

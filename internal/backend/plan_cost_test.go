@@ -1,12 +1,13 @@
 package backend
 
-// The planner's cost budget. An auto job that reaches rule 4 pays for one
-// lint analysis and one profile before it runs, so PlanAuto's allocation
-// count on that path is gated here; the cheap rules (a memo hit, a
-// width-forced RE plan) must not analyze at all. BenchmarkPlanAuto times
-// both paths for pprof work.
+// The planner's cost budget. Only an unservable width pays for a lint
+// analysis and a profile (the error carries it), so PlanAuto's allocation
+// count on that path is gated here; every servable plan (a memo hit, a
+// width-forced RE plan, the dense default) must not analyze at all.
+// BenchmarkPlanAuto times each path for pprof work.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 )
 
 // planAutoAllocBudget bounds PlanAuto's allocations on wideSubsetSum at
-// 16 ways with no probe, which lints and profiles and takes about 120: a
+// the unservable width 25, which lints and profiles and takes about 120: a
 // budget, not a pin, so unrelated small changes pass.
 const planAutoAllocBudget = 400
 
@@ -38,13 +39,13 @@ func wideSubsetSum(tb testing.TB) *asm.Program {
 
 func TestPlanAutoAllocs(t *testing.T) {
 	prog := wideSubsetSum(t)
-	cfg := qat.Config{Ways: 16, Backend: Auto}
-	plan, err := PlanAuto(prog, cfg, nil)
-	if err != nil || plan.Profile == nil {
-		t.Fatalf("plan %+v, err %v: want a rule-4 plan with a profile", plan, err)
+	cfg := qat.Config{Ways: qat.MaxREWays + 1, Backend: Auto}
+	var ue *UnservableError
+	if _, err := PlanAuto(prog, cfg, nil); !errors.As(err, &ue) || ue.Profile == nil {
+		t.Fatalf("err %v: want an UnservableError with a profile", err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := PlanAuto(prog, cfg, nil); err != nil {
+		if _, err := PlanAuto(prog, cfg, nil); !errors.As(err, &ue) {
 			t.Fatal(err)
 		}
 	})
@@ -53,8 +54,8 @@ func TestPlanAutoAllocs(t *testing.T) {
 	}
 }
 
-// TestPlanAutoSkipsAnalysis: a plan decided by the width or by the memo
-// reads no profile, so it neither lints nor profiles.
+// TestPlanAutoSkipsAnalysis: a servable plan, decided by the memo or the
+// width, reads no profile, so it neither lints nor profiles.
 func TestPlanAutoSkipsAnalysis(t *testing.T) {
 	prog := wideSubsetSum(t)
 	hit := func(c qat.Config) bool { return c.Backend == qat.BackendDense }
@@ -66,10 +67,11 @@ func TestPlanAutoSkipsAnalysis(t *testing.T) {
 	}{
 		{"width-forced", qat.Config{Ways: 20, Backend: Auto}, nil, qat.BackendRE},
 		{"memo-hit", qat.Config{Ways: 16, Backend: Auto}, hit, qat.BackendDense},
+		{"dense default", qat.Config{Ways: 16, Backend: Auto}, nil, qat.BackendDense},
 	} {
 		plan, err := PlanAuto(prog, tc.cfg, tc.probe)
-		if err != nil || plan.Config.Backend != tc.want || plan.Profile != nil {
-			t.Fatalf("%s: plan %+v, err %v: want %s with no profile", tc.name, plan, err, tc.want)
+		if err != nil || plan.Config.Backend != tc.want {
+			t.Fatalf("%s: plan %+v, err %v: want %s", tc.name, plan, err, tc.want)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := PlanAuto(prog, tc.cfg, tc.probe); err != nil {
@@ -82,16 +84,17 @@ func TestPlanAutoSkipsAnalysis(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanAuto times the analyzing path (16 ways, rule 4) and the
-// width-forced path (20 ways).
+// BenchmarkPlanAuto times the dense default (16 ways), the width-forced
+// path (20 ways) and the one analyzing path, an unservable width (25 ways).
 func BenchmarkPlanAuto(b *testing.B) {
 	prog := wideSubsetSum(b)
-	for _, ways := range []int{16, 20} {
+	for _, ways := range []int{16, 20, qat.MaxREWays + 1} {
 		b.Run(fmt.Sprintf("ways=%d", ways), func(b *testing.B) {
 			cfg := qat.Config{Ways: ways, Backend: Auto}
+			var ue *UnservableError
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := PlanAuto(prog, cfg, nil); err != nil {
+				if _, err := PlanAuto(prog, cfg, nil); err != nil && !errors.As(err, &ue) {
 					b.Fatal(err)
 				}
 			}

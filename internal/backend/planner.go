@@ -11,14 +11,14 @@ package backend
 //  2. a memoized result exists (dense, then planned RE) -> that backend
 //     (replaying bytes from the memo beats any static prediction)
 //  3. width > dense hardware (aob.MaxWays)           -> RE, forced
-//  4. highly compressible (>= 0.9) AND enough writes
-//     to matter (>= 16)                              -> RE
-//  5. otherwise                                      -> dense
+//  4. otherwise                                      -> dense
 //
-// Only rules 1, 4 and 5 read the program's static profile
-// (internal/profile), so PlanAuto lints and profiles only when the cheap
-// rules 2 and 3 did not decide: a memoized or width-forced plan costs two
-// config canonicalizations and at most one probe per backend.
+// Only rule 1 reads the program's static profile (internal/profile), so
+// PlanAuto lints and profiles only to fill an UnservableError: every
+// servable plan costs two config canonicalizations and at most one probe
+// per backend. RE serves only past the dense wall: at 16 ways or fewer
+// its default geometry is one chunk per register, so it does dense's work
+// plus run interning.
 //
 // The planner never changes the requested width — it only picks the file
 // the width runs on. The RE plan uses the driver's default geometry
@@ -36,14 +36,6 @@ import (
 	"tangled/internal/qat"
 )
 
-// CompressibilityFloor is the static compressibility at or above which the
-// planner prefers the RE backend even when dense could serve the width.
-const CompressibilityFloor = 0.9
-
-// MinWritesForRE is the Qat write count below which a program is too small
-// for the compressibility signal to outweigh dense's lower fixed cost.
-const MinWritesForRE = 16
-
 // UnservableError reports a width no registered backend can execute. The
 // profile documents why, for error surfaces that attach it (HTTP 422).
 type UnservableError struct {
@@ -55,53 +47,41 @@ func (e *UnservableError) Error() string {
 	return fmt.Sprintf("backend: ways %d exceeds every backend (max %d)", e.Ways, qat.MaxREWays)
 }
 
-// Plan is a resolved auto decision: the chosen canonical config and the
-// profile that drove it.
+// Plan is a resolved auto decision: the chosen canonical config.
 type Plan struct {
-	Config  qat.Config
-	Profile *lint.Profile
+	Config qat.Config
 }
 
 // Decide resolves Auto for a program already profiled at the requested
-// width. probe, when non-nil, reports whether a memoized result exists for
-// a canonical config; it is consulted before the static rules. cfg.Backend
-// must be Auto (or empty/dense/re, which pass through canonicalization
-// untouched — callers can funnel every job through Decide).
+// width; p reaches only an UnservableError. probe, when non-nil, reports
+// whether a memoized result exists for a canonical config; it is consulted
+// before the width rules. cfg.Backend must be Auto (or empty/dense/re,
+// which pass through canonicalization untouched — callers can funnel every
+// job through Decide).
 func Decide(p *lint.Profile, cfg qat.Config, probe func(qat.Config) bool) (Plan, error) {
-	plan, err := decide(func() *lint.Profile { return p }, cfg, probe)
-	if err == nil {
-		plan.Profile = p
-	}
-	return plan, err
+	return decide(func() *lint.Profile { return p }, cfg, probe)
 }
 
 // PlanAuto resolves Auto for prog at cfg's width. It profiles prog only for
-// the rules that read the profile — the unservable-width error (1) and the
-// compressibility route (4) — so a width-forced or memoized plan does no
-// analysis and returns a nil Plan.Profile. The lint analysis runs in
-// facts-only mode: diagnostics are not gated here — admission checks
-// belong to the caller's lint policy, the planner only reads the profile.
+// an unservable width (rule 1), whose error carries the profile; every
+// other plan does no analysis. The lint analysis runs in facts-only mode:
+// diagnostics are not gated here — admission checks belong to the caller's
+// lint policy, the planner only reads the profile.
 func PlanAuto(prog *asm.Program, cfg qat.Config, probe func(qat.Config) bool) (Plan, error) {
-	var p *lint.Profile
-	prof := func() *lint.Profile {
-		if p == nil && prog != nil {
-			ways := cfg.Ways
-			if ways == 0 {
-				ways = aob.MaxWays
-			}
-			// lint's cost model is dense-clamped; the profile is not.
-			_, f := lint.AnalyzeWithFacts(prog, lint.Options{Ways: min(ways, aob.MaxWays)})
-			p = profile.Compute(f, profile.Options{Ways: ways, ConstantRegs: cfg.ConstantRegs})
+	return decide(func() *lint.Profile {
+		if prog == nil {
+			return nil
 		}
-		return p
-	}
-	return decide(prof, cfg, probe)
+		// An unservable width is never 0. lint's cost model is
+		// dense-clamped; the profile is not.
+		_, f := lint.AnalyzeWithFacts(prog, lint.Options{Ways: min(cfg.Ways, aob.MaxWays)})
+		return profile.Compute(f, profile.Options{Ways: cfg.Ways, ConstantRegs: cfg.ConstantRegs})
+	}, cfg, probe)
 }
 
 // decide is the one rule table behind Decide and PlanAuto (see the order
 // at the top of this file). prof yields the program's profile and is
-// called only by the rules that read it; each probe runs at most once. The
-// returned Plan carries the profile when a rule read it.
+// called only for an unservable width; each probe runs at most once.
 func decide(prof func() *lint.Profile, cfg qat.Config, probe func(qat.Config) bool) (Plan, error) {
 	if cfg.Backend != Auto {
 		c, err := Canonicalize(cfg)
@@ -130,11 +110,7 @@ func decide(prof func() *lint.Profile, cfg qat.Config, probe func(qat.Config) bo
 	if ways > aob.MaxWays {
 		return Plan{Config: reC}, reErr // dense hardware cannot hold the width
 	}
-	p := prof()
-	if p != nil && p.Compressibility >= CompressibilityFloor && p.QatWrites >= MinWritesForRE {
-		return Plan{Config: reC, Profile: p}, reErr // structured enough for run-length compression to win
-	}
-	return Plan{Config: denseC, Profile: p}, denseErr
+	return Plan{Config: denseC}, denseErr
 }
 
 // defaultGeometry is cfg on the named backend with the driver's default

@@ -12,23 +12,22 @@ package farm
 import (
 	"tangled/internal/asm"
 	"tangled/internal/backend"
-	"tangled/internal/lint"
 	"tangled/internal/qat"
 )
 
-// resolveAuto resolves the backend.Auto pseudo-backend in place on j,
-// returning the static profile that drove the decision (nil when j did not
-// ask for auto, or when the memo or the width decided without one). Pipelined jobs resolve to dense — the pipeline models the
-// paper's dense hardware, so auto has exactly one answer there. The
-// planner may fail with backend.UnservableError when the requested width
-// exceeds every backend; the profile rides on that error.
-func (e *Engine) resolveAuto(j *Job, prog *asm.Program, maxSteps uint64, o *Obs) (*lint.Profile, error) {
+// resolveAuto resolves the backend.Auto pseudo-backend in place on j; a
+// job that did not ask for auto is left as it is. Pipelined jobs resolve
+// to dense — the pipeline models the paper's dense hardware, so auto has
+// exactly one answer there. The planner may fail with
+// backend.UnservableError when the requested width exceeds every backend;
+// the static profile rides on that error.
+func (e *Engine) resolveAuto(j *Job, prog *asm.Program, maxSteps uint64, o *Obs) error {
 	if j.Backend != backend.Auto {
-		return nil, nil
+		return nil
 	}
 	if j.Mode == Pipelined {
 		j.Backend = qat.BackendDense
-		return nil, nil
+		return nil
 	}
 	cache := e.jobCache(j, o)
 	probe := func(cfg qat.Config) bool {
@@ -44,12 +43,12 @@ func (e *Engine) resolveAuto(j *Job, prog *asm.Program, maxSteps uint64, o *Obs)
 	plan, err := backend.PlanAuto(prog,
 		qat.Config{Ways: j.Ways, ConstantRegs: j.ConstantRegs, Backend: backend.Auto}, probe)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// The plan is canonical; width is untouched by design (the planner only
 	// picks the file the requested width runs on).
 	j.Backend = plan.Config.Backend
 	j.REChunkWays = plan.Config.ChunkWays
 	j.RESpillRuns = plan.Config.SpillRuns
-	return plan.Profile, nil
+	return nil
 }

@@ -36,7 +36,6 @@ import (
 	"tangled/internal/asm"
 	"tangled/internal/backend"
 	"tangled/internal/cpu"
-	"tangled/internal/lint"
 	"tangled/internal/memo"
 	"tangled/internal/obs"
 	"tangled/internal/pipeline"
@@ -159,11 +158,6 @@ type Result struct {
 	// Functional job ("dense"/"re"), after any auto-planning; empty for
 	// Pipelined jobs and for jobs whose configuration failed validation.
 	Backend string
-	// Profile is the static profile the auto-planner derived when the job
-	// requested backend.Auto and a planner rule read it (the compressibility
-	// route); nil otherwise — in particular for memoized and width-forced
-	// plans, which do no analysis.
-	Profile *lint.Profile
 }
 
 // Engine is a reusable batch executor with a bounded worker pool and pooled
@@ -335,12 +329,10 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	prof, err := e.resolveAuto(j, prog, maxSteps, o)
-	if err != nil {
+	if err := e.resolveAuto(j, prog, maxSteps, o); err != nil {
 		res.Err = err
 		return res
 	}
-	res.Profile = prof
 	if j.Mode != Pipelined {
 		if cfg, cerr := j.qatConfig(); cerr == nil {
 			res.Backend = cfg.Backend

@@ -104,7 +104,7 @@ func (e *Engine) MemoProbe(j *Job) (Result, bool) {
 	// resolution is sticky (written back into j) so a subsequent real run
 	// executes exactly the identity probed here. Planner failures
 	// (unservable width) report as a miss and surface on the run path.
-	if _, err := e.resolveAuto(j, j.Prog, maxSteps, e.currentObs()); err != nil {
+	if err := e.resolveAuto(j, j.Prog, maxSteps, e.currentObs()); err != nil {
 		return Result{}, false
 	}
 	ent, ok := c.Get(jobKey(j, j.Prog, maxSteps))

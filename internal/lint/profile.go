@@ -3,13 +3,14 @@ package lint
 // The static profile fact: the entanglement/cost summary the profiler
 // (internal/profile) derives from a Facts projection and attaches back as
 // Facts.Profile. The data types live here, next to the facts they annotate,
-// so consumers (the backend auto-planner, qatlint -profile, the server's 422
-// responses) need only the lint surface; the abstract interpretation that
-// fills them lives in internal/profile, which builds on these facts without
-// creating an import cycle.
+// so consumers (qatlint -profile, the backend auto-planner's unservable
+// error and the server's 422 response built from it) need only the lint
+// surface; the abstract interpretation that fills them lives in
+// internal/profile, which builds on these facts without creating an import
+// cycle.
 //
 // docs/LINT.md ("Profile facts") documents the JSON schema and the planner
-// decision table driven by these numbers.
+// decision table.
 
 // RegEntanglement is the per-register entanglement summary: the largest
 // channel-dependence set register Reg is proven to carry at any reachable
@@ -35,11 +36,8 @@ type BlockProfile struct {
 	// MaxDegree is the largest per-register degree bound reached inside the
 	// block.
 	MaxDegree int `json:"max_degree"`
-	// QatWrites counts Qat-register-writing instructions; StructuredWrites
-	// those whose written value the pbit state lattice proves structured
-	// (constant or Hadamard-derived), i.e. run-length compressible.
-	QatWrites        int `json:"qat_writes"`
-	StructuredWrites int `json:"structured_writes"`
+	// QatWrites counts Qat-register-writing instructions.
+	QatWrites int `json:"qat_writes"`
 	// SwitchedBits/ErasedBits bound the energy proxies of one pass through
 	// the block (energy.StaticCost); loop blocks repeat them per iteration.
 	SwitchedBits uint64 `json:"switched_bits"`
@@ -49,8 +47,8 @@ type BlockProfile struct {
 }
 
 // Profile is the whole-program static profile: a sound entanglement-degree
-// bound, a compressibility estimate, and cycle/energy bounds — the signals
-// the backend planner resolves "auto" requests from.
+// bound, the entangled channel groups, and energy bounds — the explanation
+// qatlint -profile prints and an unservable "auto" request returns.
 type Profile struct {
 	// Ways is the channel width the analysis assumed. It is the requested
 	// execution width, which may exceed the dense-hardware clamp Facts.Ways
@@ -77,12 +75,6 @@ type Profile struct {
 	Insts     int `json:"insts"`
 	QatOps    int `json:"qat_ops"`
 	QatWrites int `json:"qat_writes"`
-	// StructuredWrites counts Qat writes whose value the pbit state lattice
-	// proves structured; Compressibility is StructuredWrites/QatWrites
-	// (1 when the program performs no Qat writes) — the static estimate of
-	// how well the RE backend's run-length compression will hold up.
-	StructuredWrites int     `json:"structured_writes"`
-	Compressibility  float64 `json:"compressibility"`
 	// SwitchedBound/ErasedBound sum the per-block energy bounds over every
 	// reachable block, one pass each; LoopBlocks counts blocks whose cost
 	// repeats per iteration (the bounds are per-visit, not per-execution).

@@ -1,13 +1,11 @@
 package opt
 
-// The abstract Qat register lattice shared by the energy rewrite pass and
-// the static profiler (internal/profile). A register's abstract value is one
-// of the channel functions the init instructions can produce — the constant
-// fills Zero/One and the Hadamard pattern Had(k) on channel bit k with its
-// complement NHad(k) — or Unknown. The transfer functions fold the bitwise
-// gates over these states exactly, so both consumers prove the same facts:
-// the energy pass that a write is redundant (or reversible), the profiler
-// that a written value is structured and therefore run-length compressible.
+// The abstract Qat register lattice of the energy rewrite pass. A
+// register's abstract value is one of the channel functions the init
+// instructions can produce — the constant fills Zero/One and the Hadamard
+// pattern Had(k) on channel bit k with its complement NHad(k) — or Unknown.
+// The transfer functions fold the bitwise gates over these states exactly,
+// so the energy pass can prove that a write is redundant (or reversible).
 
 // QKind enumerates the abstract states.
 type QKind uint8

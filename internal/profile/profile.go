@@ -1,8 +1,7 @@
 // Package profile is the static entanglement and cost profiler: an abstract
 // interpretation over the lint CFG (lint.AnalyzeWithFacts) that computes,
 // per program, a sound upper bound on the entanglement degree every Qat
-// register can reach, a run-length-compressibility estimate from the pbit
-// state lattice shared with the optimizer (opt.QState), and static
+// register can reach, the entangled channel groups, and static
 // switched/erased-bit energy bounds via energy.StaticCost.
 //
 // The degree analysis tracks, for each Qat register, the set of channel
@@ -18,9 +17,10 @@
 // varies over, see oracle.MaxEntanglementDegree) never exceeds it — the
 // differential suite proves this over the whole farmtest corpus.
 //
-// The profile is attached to the originating lint.Facts as Facts.Profile
-// and drives the backend auto-planner (internal/backend): degree and
-// compressibility decide dense vs RE execution before a machine is built.
+// The profile is attached to the originating lint.Facts as Facts.Profile.
+// It explains: qatlint -profile prints it, and the backend auto-planner
+// (internal/backend) attaches it to the error for a width no backend can
+// serve (the HTTP 422 body).
 package profile
 
 import (
@@ -29,7 +29,6 @@ import (
 	"tangled/internal/energy"
 	"tangled/internal/isa"
 	"tangled/internal/lint"
-	"tangled/internal/opt"
 	"tangled/internal/qat"
 )
 
@@ -288,13 +287,9 @@ func (c *computer) widenAll() {
 }
 
 // walkBlocks produces the per-block profile rows — degree maxima on the
-// precise path, compressibility from the opt pbit lattice, and the
-// energy.StaticCost bounds — and accumulates the program totals.
+// precise path, Qat write counts and the energy.StaticCost bounds — and
+// accumulates the program totals.
 func (c *computer) walkBlocks() {
-	entry := -1
-	if e := c.entryBlock(); e >= 0 && len(c.f.Blocks) > e && len(c.f.Blocks[e].Preds) == 0 {
-		entry = e // only a pred-less entry block may assume the loader seed
-	}
 	for b := range c.f.Blocks {
 		bf := &c.f.Blocks[b]
 		bp := lint.BlockProfile{ID: b, InLoop: bf.InLoop}
@@ -321,22 +316,6 @@ func (c *computer) walkBlocks() {
 			bp.MaxDegree = c.ways
 		}
 
-		// Compressibility walk: the opt pbit lattice, seeded with the
-		// loader's all-zero state in the entry block, unknown elsewhere
-		// (block-local, exactly as the optimizer's energy pass seeds it).
-		var qs [isa.NumQRegs]opt.QState
-		if b == entry && !c.f.Imprecise {
-			for q := range qs {
-				qs[q] = opt.QState{Kind: opt.QZero}
-			}
-			if c.opts.ConstantRegs {
-				qs[1] = opt.QState{Kind: opt.QOne}
-				for k := 0; k < c.ways && 2+k < isa.NumQRegs; k++ {
-					qs[2+k] = opt.QState{Kind: opt.QHad, K: uint8(k)}
-				}
-			}
-		}
-
 		for _, ii := range bf.Insts {
 			fi := &c.f.Insts[ii]
 			in := fi.Inst
@@ -351,15 +330,11 @@ func (c *computer) walkBlocks() {
 				bp.SwitchedBits += sw
 				bp.ErasedBits += er
 			}
-			if written, structured := qTransfer(&qs, in); written {
+			if fi.Eff.NQWrites > 0 {
 				bp.QatWrites++
-				if structured {
-					bp.StructuredWrites++
-				}
 			}
 		}
 		c.p.QatWrites += bp.QatWrites
-		c.p.StructuredWrites += bp.StructuredWrites
 		c.p.SwitchedBound += bp.SwitchedBits
 		c.p.ErasedBound += bp.ErasedBits
 		c.p.Blocks = append(c.p.Blocks, bp)
@@ -406,59 +381,8 @@ func channels(d depset) []int {
 	return out
 }
 
-// qTransfer applies one instruction to the pbit state lattice, reporting
-// whether it writes Qat registers and whether every written value is proven
-// structured (non-unknown). Mirrors the optimizer's energy-pass semantics.
-func qTransfer(st *[isa.NumQRegs]opt.QState, in isa.Inst) (written, structured bool) {
-	a, b, c := in.QA, in.QB, in.QC
-	known := func(s opt.QState) bool { return s.Kind != opt.QUnknown }
-	switch in.Op {
-	case isa.OpQZero:
-		st[a] = opt.QState{Kind: opt.QZero}
-		return true, true
-	case isa.OpQOne:
-		st[a] = opt.QState{Kind: opt.QOne}
-		return true, true
-	case isa.OpQHad:
-		st[a] = opt.QState{Kind: opt.QHad, K: in.K}
-		return true, true
-	case isa.OpQNot:
-		st[a] = opt.QInvert(st[a])
-		return true, known(st[a])
-	case isa.OpQAnd:
-		st[a] = opt.QAnd(st[b], st[c])
-		return true, known(st[a])
-	case isa.OpQOr:
-		st[a] = opt.QOr(st[b], st[c])
-		return true, known(st[a])
-	case isa.OpQXor:
-		st[a] = opt.QXor(st[b], st[c])
-		return true, known(st[a])
-	case isa.OpQCnot:
-		st[a] = opt.QXor(st[a], st[b])
-		return true, known(st[a])
-	case isa.OpQCcnot:
-		st[a] = opt.QXor(st[a], opt.QAnd(st[b], st[c]))
-		return true, known(st[a])
-	case isa.OpQSwap:
-		st[a], st[b] = st[b], st[a]
-		return true, known(st[a]) && known(st[b])
-	case isa.OpQCswap:
-		switch {
-		case st[c].Kind == opt.QZero:
-			// control never set: no-op
-		case st[c].Kind == opt.QOne:
-			st[a], st[b] = st[b], st[a]
-		default:
-			st[a], st[b] = opt.QState{}, opt.QState{}
-		}
-		return true, known(st[a]) && known(st[b])
-	}
-	return false, false
-}
-
-// finish assembles the register list, the channel groups, the degree bound
-// and the compressibility ratio.
+// finish assembles the register list, the channel groups and the degree
+// bound.
 func (c *computer) finish() {
 	for q, deg := range c.regMax {
 		if deg == 0 {
@@ -479,10 +403,5 @@ func (c *computer) finish() {
 				c.p.Groups = append(c.p.Groups, channels(g))
 			}
 		}
-	}
-	if c.p.QatWrites == 0 {
-		c.p.Compressibility = 1
-	} else {
-		c.p.Compressibility = float64(c.p.StructuredWrites) / float64(c.p.QatWrites)
 	}
 }

@@ -2,7 +2,7 @@ package profile
 
 // Unit tests for the static profiler: dependence-set transfer rules,
 // CFG joins, re-initialization splits, imprecise-mode widening, channel
-// groups, compressibility, and the energy bounds.
+// groups, Qat write counts, and the energy bounds.
 
 import (
 	"encoding/json"
@@ -148,27 +148,29 @@ L:	had	@1, 0
 	}
 }
 
-func TestCompressibilityAndCosts(t *testing.T) {
-	// All writes derivable from the lattice: compressibility 1.
+func TestWritesAndCosts(t *testing.T) {
+	// Every Qat op but the reductions (meas, next, pop) writes a register;
+	// swap and cswap write two but count once.
 	p := profileFor(t, `
 	zero	@1
 	one	@2
 	had	@3, 1
 	xor	@4, @1, @2
+	swap	@1, @2
+	cswap	@1, @2, @3
+	meas	$1, @4
+	pop	$2, @4
 	lex	$0, 0
 	sys
 `, 4)
-	if p.QatWrites != 4 || p.StructuredWrites != 4 {
-		t.Fatalf("writes=%d structured=%d, want 4/4", p.QatWrites, p.StructuredWrites)
-	}
-	if p.Compressibility != 1 {
-		t.Fatalf("Compressibility=%v, want 1", p.Compressibility)
+	if p.QatWrites != 6 {
+		t.Fatalf("writes=%d, want 6", p.QatWrites)
 	}
 	if p.SwitchedBound == 0 {
 		t.Fatal("SwitchedBound=0 despite Qat writes")
 	}
-	if p.QatOps != 4 || p.Insts != 6 {
-		t.Fatalf("QatOps=%d Insts=%d, want 4/6", p.QatOps, p.Insts)
+	if p.QatOps != 8 || p.Insts != 10 {
+		t.Fatalf("QatOps=%d Insts=%d, want 8/10", p.QatOps, p.Insts)
 	}
 }
 

@@ -62,6 +62,7 @@ type Space struct {
 	chunkWays int // each symbol covers 2^chunkWays channels
 
 	symbols   map[string]*aob.Vector
+	keyBuf    []byte // scratch for symbol keys: a lookup allocates nothing
 	memo      map[memoKey]*aob.Vector
 	symbolCap int // intern entries before reset; <= 0 means unbounded
 	resets    uint64
@@ -146,14 +147,15 @@ func (s *Space) Resets() uint64 { return s.resets }
 // table past the cap, the table (and the op memo, whose keys are symbol
 // pointers) is reset first and rebuilt lazily.
 func (s *Space) intern(sym *aob.Vector) *aob.Vector {
-	key := symKey(sym)
-	if got, ok := s.symbols[key]; ok {
+	key := s.symKey(sym)
+	if got, ok := s.symbols[string(key)]; ok {
 		return got
 	}
 	if s.symbolCap > 0 && len(s.symbols) >= s.symbolCap {
 		s.resetSymbols()
+		key = s.symKey(sym) // the reset reused the buffer
 	}
-	s.symbols[key] = sym
+	s.symbols[string(key)] = sym
 	return sym
 }
 
@@ -165,19 +167,22 @@ func (s *Space) resetSymbols() {
 	s.memo = make(map[memoKey]*aob.Vector)
 	s.resets++
 	if s.zeroSym != nil {
-		s.symbols[symKey(s.zeroSym)] = s.zeroSym
+		s.symbols[string(s.symKey(s.zeroSym))] = s.zeroSym
 	}
 	if s.oneSym != nil {
-		s.symbols[symKey(s.oneSym)] = s.oneSym
+		s.symbols[string(s.symKey(s.oneSym))] = s.oneSym
 	}
 }
 
-func symKey(v *aob.Vector) string {
-	buf := make([]byte, 8*v.NumWords())
+// symKey encodes v's words into s.keyBuf and returns it; the bytes are
+// valid until the next call. Index the table with string(s.symKey(v)):
+// the conversion allocates only when it stores a new key.
+func (s *Space) symKey(v *aob.Vector) []byte {
+	s.keyBuf = s.keyBuf[:0]
 	for i := 0; i < v.NumWords(); i++ {
-		binary.LittleEndian.PutUint64(buf[8*i:], v.Word(i))
+		s.keyBuf = binary.LittleEndian.AppendUint64(s.keyBuf, v.Word(i))
 	}
-	return string(buf)
+	return s.keyBuf
 }
 
 // run is one maximal repetition: count copies of sym.

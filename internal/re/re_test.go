@@ -344,3 +344,22 @@ func BenchmarkPatternNext(b *testing.B) {
 		_ = p.Next(uint64(i))
 	}
 }
+
+// TestInternHitAllocatesNothing: interning a symbol equal to one already
+// in the table builds its key in the Space's scratch buffer, so a hit
+// allocates nothing; a miss copies the key, so later lookups reusing the
+// buffer still find it.
+func TestInternHitAllocatesNothing(t *testing.T) {
+	s := MustSpace(20, 16)
+	canon := s.intern(aob.HadVector(16, 3))
+	if s.intern(aob.HadVector(16, 5)) == canon {
+		t.Fatal("distinct symbols interned to one")
+	}
+	again := aob.HadVector(16, 3)
+	if got := s.intern(again); got != canon {
+		t.Fatal("equal symbol did not intern to the canonical copy")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.intern(again) }); allocs != 0 {
+		t.Fatalf("interning a known symbol allocates %.0f times, want 0", allocs)
+	}
+}

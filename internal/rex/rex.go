@@ -61,6 +61,7 @@ type Space struct {
 	chunkWays int
 
 	symbols map[string]*aob.Vector
+	keyBuf  []byte // scratch for symbol keys: a lookup allocates nothing
 	leaves  map[*aob.Vector]*node
 	pairs   map[[2]uint64]*node
 	opMemo  map[opKey]*node
@@ -150,20 +151,23 @@ func (s *Space) SymbolCount() int { return len(s.symbols) }
 func (s *Space) NodeCount() int { return len(s.leaves) + len(s.pairs) }
 
 func (s *Space) intern(sym *aob.Vector) *aob.Vector {
-	key := symKey(sym)
-	if got, ok := s.symbols[key]; ok {
+	key := s.symKey(sym)
+	if got, ok := s.symbols[string(key)]; ok {
 		return got
 	}
-	s.symbols[key] = sym
+	s.symbols[string(key)] = sym
 	return sym
 }
 
-func symKey(v *aob.Vector) string {
-	buf := make([]byte, 8*v.NumWords())
+// symKey encodes v's words into s.keyBuf and returns it; the bytes are
+// valid until the next call. Index the table with string(s.symKey(v)):
+// the conversion allocates only when it stores a new key.
+func (s *Space) symKey(v *aob.Vector) []byte {
+	s.keyBuf = s.keyBuf[:0]
 	for i := 0; i < v.NumWords(); i++ {
-		binary.LittleEndian.PutUint64(buf[8*i:], v.Word(i))
+		s.keyBuf = binary.LittleEndian.AppendUint64(s.keyBuf, v.Word(i))
 	}
-	return string(buf)
+	return s.keyBuf
 }
 
 // leaf returns the canonical leaf node for an interned symbol.

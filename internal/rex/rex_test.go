@@ -394,3 +394,20 @@ func BenchmarkRexNext(b *testing.B) {
 		_ = p.Next(uint64(i))
 	}
 }
+
+// TestInternHitAllocatesNothing: as in internal/re, a symbol already in
+// the table is found through the Space's scratch key buffer.
+func TestInternHitAllocatesNothing(t *testing.T) {
+	s := MustSpace(20, 16)
+	canon := s.intern(aob.HadVector(16, 3))
+	if s.intern(aob.HadVector(16, 5)) == canon {
+		t.Fatal("distinct symbols interned to one")
+	}
+	again := aob.HadVector(16, 3)
+	if got := s.intern(again); got != canon {
+		t.Fatal("equal symbol did not intern to the canonical copy")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.intern(again) }); allocs != 0 {
+		t.Fatalf("interning a known symbol allocates %.0f times, want 0", allocs)
+	}
+}

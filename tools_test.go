@@ -118,22 +118,45 @@ func TestToolchainEndToEnd(t *testing.T) {
 // decides on the width alone and computes no profile; the tool must still
 // run the program on RE and say why it chose it.
 func TestTangledRunAutoWide(t *testing.T) {
+	testTangledRunAuto(t, "20", "auto backend: re (width-forced)")
+}
+
+// TestTangledRunAutoNarrow: at a width dense hardware holds, auto runs
+// dense and says so.
+func TestTangledRunAutoNarrow(t *testing.T) {
+	testTangledRunAuto(t, "6", "auto backend: dense (dense: fits the 16-way hardware)")
+}
+
+// testTangledRunAuto runs a small program under tangled-run -backend auto
+// at ways and checks that stderr names the plan and its reason.
+func testTangledRunAuto(t *testing.T, ways, want string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
 	runBin := buildTool(t, dir, "tangled-run")
-	src := filepath.Join(dir, "wide.asm")
+	src := filepath.Join(dir, "prog.asm")
 	if err := os.WriteFile(src, []byte("\thad @1,4\n\tpop $1,@1\n\tlex $0,0\n\tsys\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ ways, want string }{
-		{"20", "auto backend: re (width-forced)"},
-		{"6", "auto backend: dense (degree bound 1,"},
-	} {
-		_, stderr, err := runTool(t, runBin, "", "-backend", "auto", "-ways", tc.ways, src)
-		if err != nil || !strings.Contains(stderr, tc.want) {
-			t.Fatalf("tangled-run -backend auto -ways %s: err %v, stderr %q, want %q", tc.ways, err, stderr, tc.want)
+	_, stderr, err := runTool(t, runBin, "", "-backend", "auto", "-ways", ways, src)
+	if err != nil || !strings.Contains(stderr, want) {
+		t.Fatalf("tangled-run -backend auto -ways %s: err %v, stderr %q, want %q", ways, err, stderr, want)
+	}
+}
+
+// TestServedPathOmitsOptimizer pins the architecture: the optimizer is an
+// offline tool (qatlint -optimize), so neither the server binary nor the
+// auto-planner may link it, directly or through the profiler.
+func TestServedPathOmitsOptimizer(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", "./cmd/qatserver", "./internal/backend").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "tangled/internal/opt" {
+			t.Fatal("cmd/qatserver or internal/backend depends on tangled/internal/opt")
 		}
 	}
 }
