@@ -28,7 +28,6 @@
 package re
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -39,10 +38,12 @@ import (
 // numbers must fit in a uint64 with room for arithmetic.
 const MaxWays = 62
 
-// DefaultSymbolCap bounds the intern table of a new Space. At the hardware
-// chunk size (16 ways, 8 KiB per symbol) the cap holds the table near 32 MiB
-// worst case; adversarial op sequences that mint unbounded distinct chunks
-// hit the cap and trigger a table reset instead of growing without limit.
+// DefaultSymbolCap bounds the intern table of a new Space. A symbol costs
+// its chunk vector (8 KiB at the hardware chunk size of 16 ways) plus one
+// hash-table slot of a few dozen bytes, so the cap holds the table near
+// 32 MiB worst case; adversarial op sequences that mint unbounded distinct
+// chunks hit the cap and trigger a table reset instead of growing without
+// limit.
 const DefaultSymbolCap = 4096
 
 // Space defines the geometry of a family of patterns — total entanglement
@@ -61,14 +62,19 @@ type Space struct {
 	ways      int // total entanglement degree E
 	chunkWays int // each symbol covers 2^chunkWays channels
 
-	symbols   map[string]*aob.Vector
-	keyBuf    []byte // scratch for symbol keys: a lookup allocates nothing
+	symbols   aob.SymbolTable
 	memo      map[memoKey]*aob.Vector
 	symbolCap int // intern entries before reset; <= 0 means unbounded
 	resets    uint64
 
 	zeroSym *aob.Vector
 	oneSym  *aob.Vector
+	// hadSyms[k] is the interned Had(k) chunk for k < chunkWays, minted on
+	// first use and dropped with the table at a reset.
+	hadSyms []*aob.Vector
+	// runBuf is scratch for building a result's runs before copying them
+	// out at their final length.
+	runBuf []run
 }
 
 type memoKey struct {
@@ -92,9 +98,9 @@ func NewSpace(ways, chunkWays int) (*Space, error) {
 	s := &Space{
 		ways:      ways,
 		chunkWays: chunkWays,
-		symbols:   make(map[string]*aob.Vector),
 		memo:      make(map[memoKey]*aob.Vector),
 		symbolCap: DefaultSymbolCap,
+		hadSyms:   make([]*aob.Vector, chunkWays),
 	}
 	s.zeroSym = s.intern(aob.New(chunkWays))
 	s.oneSym = s.intern(aob.OneVector(chunkWays))
@@ -127,7 +133,7 @@ func (s *Space) chunkChannels() uint64 { return uint64(1) << uint(s.chunkWays) }
 
 // SymbolCount reports how many distinct chunk symbols have been interned —
 // a direct measure of how much sharing compression achieves.
-func (s *Space) SymbolCount() int { return len(s.symbols) }
+func (s *Space) SymbolCount() int { return s.symbols.Len() }
 
 // SymbolCap returns the intern-table bound; <= 0 means unbounded.
 func (s *Space) SymbolCap() int { return s.symbolCap }
@@ -147,42 +153,35 @@ func (s *Space) Resets() uint64 { return s.resets }
 // table past the cap, the table (and the op memo, whose keys are symbol
 // pointers) is reset first and rebuilt lazily.
 func (s *Space) intern(sym *aob.Vector) *aob.Vector {
-	key := s.symKey(sym)
-	if got, ok := s.symbols[string(key)]; ok {
+	return s.internHashed(sym.Hash(), sym)
+}
+
+// internHashed is intern with sym's hash already computed; tests pass a
+// forced hash to exercise collision chains.
+func (s *Space) internHashed(h uint64, sym *aob.Vector) *aob.Vector {
+	if got := s.symbols.Lookup(h, sym); got != nil {
 		return got
 	}
-	if s.symbolCap > 0 && len(s.symbols) >= s.symbolCap {
+	if s.symbolCap > 0 && s.symbols.Len() >= s.symbolCap {
 		s.resetSymbols()
-		key = s.symKey(sym) // the reset reused the buffer
 	}
-	s.symbols[string(key)] = sym
+	s.symbols.Insert(h, sym)
 	return sym
 }
 
-// resetSymbols drops the intern table and op memo, keeping the canonical
-// zero/one symbols (when already minted) so Zero()/One() patterns stay
-// pointer-shared with future ones.
+// resetSymbols drops the intern table, the op memo and the Had symbols,
+// keeping the canonical zero/one symbols (when already minted) so
+// Zero()/One() patterns stay pointer-shared with future ones.
 func (s *Space) resetSymbols() {
-	s.symbols = make(map[string]*aob.Vector, 2)
+	s.symbols = aob.SymbolTable{}
 	s.memo = make(map[memoKey]*aob.Vector)
+	clear(s.hadSyms)
 	s.resets++
-	if s.zeroSym != nil {
-		s.symbols[string(s.symKey(s.zeroSym))] = s.zeroSym
+	for _, sym := range []*aob.Vector{s.zeroSym, s.oneSym} {
+		if sym != nil {
+			s.symbols.Insert(sym.Hash(), sym)
+		}
 	}
-	if s.oneSym != nil {
-		s.symbols[string(s.symKey(s.oneSym))] = s.oneSym
-	}
-}
-
-// symKey encodes v's words into s.keyBuf and returns it; the bytes are
-// valid until the next call. Index the table with string(s.symKey(v)):
-// the conversion allocates only when it stores a new key.
-func (s *Space) symKey(v *aob.Vector) []byte {
-	s.keyBuf = s.keyBuf[:0]
-	for i := 0; i < v.NumWords(); i++ {
-		s.keyBuf = binary.LittleEndian.AppendUint64(s.keyBuf, v.Word(i))
-	}
-	return s.keyBuf
 }
 
 // run is one maximal repetition: count copies of sym.
@@ -191,23 +190,50 @@ type run struct {
 	count uint64
 }
 
+// appendRun appends n repetitions of sym to runs, extending the last run
+// when it repeats the same symbol.
+func appendRun(runs []run, sym *aob.Vector, n uint64) []run {
+	if m := len(runs); m > 0 && runs[m-1].sym == sym {
+		runs[m-1].count += n
+		return runs
+	}
+	return append(runs, run{sym, n})
+}
+
 // Pattern is a compressed pbit value of the Space's entanglement degree:
 // the concatenation over runs of count repetitions of each symbol, least
 // significant chunk first, always covering exactly 2^ways channels.
 type Pattern struct {
 	sp   *Space
 	runs []run
+	// single backs runs for a one-run pattern, so building one is a single
+	// allocation.
+	single [1]run
+}
+
+// pattern returns a new Pattern holding a copy of runs.
+func (s *Space) pattern(runs []run) *Pattern {
+	p := &Pattern{sp: s}
+	if len(runs) == 1 {
+		p.single[0] = runs[0]
+		p.runs = p.single[:]
+	} else {
+		p.runs = make([]run, len(runs))
+		copy(p.runs, runs)
+	}
+	return p
+}
+
+// repeat returns the one-run pattern of sym repeated over every chunk.
+func (s *Space) repeat(sym *aob.Vector) *Pattern {
+	return s.pattern([]run{{sym, s.chunks()}})
 }
 
 // Zero returns the all-zeros pattern (one run).
-func (s *Space) Zero() *Pattern {
-	return &Pattern{sp: s, runs: []run{{s.zeroSym, s.chunks()}}}
-}
+func (s *Space) Zero() *Pattern { return s.repeat(s.zeroSym) }
 
 // One returns the all-ones pattern (one run).
-func (s *Space) One() *Pattern {
-	return &Pattern{sp: s, runs: []run{{s.oneSym, s.chunks()}}}
-}
+func (s *Space) One() *Pattern { return s.repeat(s.oneSym) }
 
 // Had returns the k-th standard Hadamard pattern: channel e holds bit k of
 // e. For k below chunkWays this is a single repeated symbol; above, it is
@@ -217,8 +243,12 @@ func (s *Space) Had(k int) *Pattern {
 		panic(fmt.Sprintf("re: had index %d out of range [0,%d)", k, s.ways))
 	}
 	if k < s.chunkWays {
-		sym := s.intern(aob.HadVector(s.chunkWays, k))
-		return &Pattern{sp: s, runs: []run{{sym, s.chunks()}}}
+		sym := s.hadSyms[k]
+		if sym == nil {
+			sym = s.intern(aob.HadVector(s.chunkWays, k))
+			s.hadSyms[k] = sym
+		}
+		return s.repeat(sym)
 	}
 	runLen := uint64(1) << uint(k-s.chunkWays)
 	pairs := s.chunks() / (2 * runLen)
@@ -237,8 +267,7 @@ func (s *Space) FromAoB(v *aob.Vector) (*Pattern, error) {
 	if v.Ways() != s.chunkWays {
 		return nil, fmt.Errorf("re: vector ways %d != chunkWays %d", v.Ways(), s.chunkWays)
 	}
-	sym := s.intern(v.Clone())
-	return &Pattern{sp: s, runs: []run{{sym, s.chunks()}}}, nil
+	return s.repeat(s.intern(v.Clone())), nil
 }
 
 // FromBits builds a pattern from an explicit channel-0-first bit slice of
@@ -248,20 +277,16 @@ func (s *Space) FromBits(bits []bool) (*Pattern, error) {
 		return nil, fmt.Errorf("re: got %d bits, want %d", len(bits), s.Channels())
 	}
 	cc := s.chunkChannels()
-	var runs []run
+	runs := s.runBuf[:0]
 	for ci := uint64(0); ci < s.chunks(); ci++ {
 		v := aob.New(s.chunkWays)
 		for off := uint64(0); off < cc; off++ {
 			v.Set(off, bits[ci*cc+off])
 		}
-		sym := s.intern(v)
-		if n := len(runs); n > 0 && runs[n-1].sym == sym {
-			runs[n-1].count++
-		} else {
-			runs = append(runs, run{sym, 1})
-		}
+		runs = appendRun(runs, s.intern(v), 1)
 	}
-	return &Pattern{sp: s, runs: runs}, nil
+	s.runBuf = runs
+	return s.pattern(runs), nil
 }
 
 // FromDense compresses a full-width AoB vector into a pattern: the vector is
@@ -275,7 +300,7 @@ func (s *Space) FromDense(v *aob.Vector) (*Pattern, error) {
 	}
 	cc := s.chunkChannels()
 	cwords := int((cc + 63) / 64)
-	var runs []run
+	runs := s.runBuf[:0]
 	for ci := uint64(0); ci < s.chunks(); ci++ {
 		c := aob.New(s.chunkWays)
 		if s.chunkWays >= 6 {
@@ -287,14 +312,10 @@ func (s *Space) FromDense(v *aob.Vector) (*Pattern, error) {
 				c.Set(off, v.Get(ci*cc+off))
 			}
 		}
-		sym := s.intern(c)
-		if n := len(runs); n > 0 && runs[n-1].sym == sym {
-			runs[n-1].count++
-		} else {
-			runs = append(runs, run{sym, 1})
-		}
+		runs = appendRun(runs, s.intern(c), 1)
 	}
-	return &Pattern{sp: s, runs: runs}, nil
+	s.runBuf = runs
+	return s.pattern(runs), nil
 }
 
 // ToDense materializes the pattern as a full-width AoB vector — the spill
@@ -364,8 +385,9 @@ func (p *Pattern) mustShareSpace(q *Pattern) {
 }
 
 // combine walks two run lists in lockstep applying the memoized chunk op.
-func (s *Space) combine(op byte, a, b *Pattern, f func(x, y *aob.Vector) *aob.Vector) *Pattern {
-	var out []run
+func (s *Space) combine(op byte, a, b *Pattern) *Pattern {
+	a.mustShareSpace(b)
+	out := s.runBuf[:0]
 	ai, bi := 0, 0
 	aLeft, bLeft := uint64(0), uint64(0)
 	if len(a.runs) > 0 {
@@ -379,12 +401,7 @@ func (s *Space) combine(op byte, a, b *Pattern, f func(x, y *aob.Vector) *aob.Ve
 		if bLeft < n {
 			n = bLeft
 		}
-		sym := s.memoBinary(op, a.runs[ai].sym, b.runs[bi].sym, f)
-		if m := len(out); m > 0 && out[m-1].sym == sym {
-			out[m-1].count += n
-		} else {
-			out = append(out, run{sym, n})
-		}
+		out = appendRun(out, s.memoBinary(op, a.runs[ai].sym, b.runs[bi].sym), n)
 		aLeft -= n
 		bLeft -= n
 		if aLeft == 0 {
@@ -400,15 +417,27 @@ func (s *Space) combine(op byte, a, b *Pattern, f func(x, y *aob.Vector) *aob.Ve
 			}
 		}
 	}
-	return &Pattern{sp: s, runs: out}
+	s.runBuf = out
+	return s.pattern(out)
 }
 
-func (s *Space) memoBinary(op byte, x, y *aob.Vector, f func(x, y *aob.Vector) *aob.Vector) *aob.Vector {
+// memoBinary returns the interned chunk x op y, computing it at most once
+// per symbol pair and table generation.
+func (s *Space) memoBinary(op byte, x, y *aob.Vector) *aob.Vector {
 	k := memoKey{op, x, y}
 	if got, ok := s.memo[k]; ok {
 		return got
 	}
-	sym := s.intern(f(x, y))
+	v := aob.New(s.chunkWays)
+	switch op {
+	case '&':
+		v.And(x, y)
+	case '|':
+		v.Or(x, y)
+	case '^':
+		v.Xor(x, y)
+	}
+	sym := s.intern(v)
 	s.memo[k] = sym
 	// Symmetric ops hit from either operand order.
 	s.memo[memoKey{op, y, x}] = sym
@@ -416,39 +445,18 @@ func (s *Space) memoBinary(op byte, x, y *aob.Vector, f func(x, y *aob.Vector) *
 }
 
 // And returns p AND q channel-wise.
-func (p *Pattern) And(q *Pattern) *Pattern {
-	p.mustShareSpace(q)
-	return p.sp.combine('&', p, q, func(x, y *aob.Vector) *aob.Vector {
-		v := aob.New(p.sp.chunkWays)
-		v.And(x, y)
-		return v
-	})
-}
+func (p *Pattern) And(q *Pattern) *Pattern { return p.sp.combine('&', p, q) }
 
 // Or returns p OR q channel-wise.
-func (p *Pattern) Or(q *Pattern) *Pattern {
-	p.mustShareSpace(q)
-	return p.sp.combine('|', p, q, func(x, y *aob.Vector) *aob.Vector {
-		v := aob.New(p.sp.chunkWays)
-		v.Or(x, y)
-		return v
-	})
-}
+func (p *Pattern) Or(q *Pattern) *Pattern { return p.sp.combine('|', p, q) }
 
 // Xor returns p XOR q channel-wise.
-func (p *Pattern) Xor(q *Pattern) *Pattern {
-	p.mustShareSpace(q)
-	return p.sp.combine('^', p, q, func(x, y *aob.Vector) *aob.Vector {
-		v := aob.New(p.sp.chunkWays)
-		v.Xor(x, y)
-		return v
-	})
-}
+func (p *Pattern) Xor(q *Pattern) *Pattern { return p.sp.combine('^', p, q) }
 
 // Not returns the channel-wise complement of p.
 func (p *Pattern) Not() *Pattern {
 	s := p.sp
-	out := make([]run, 0, len(p.runs))
+	out := s.runBuf[:0]
 	for _, r := range p.runs {
 		k := memoKey{'~', r.sym, nil}
 		sym, ok := s.memo[k]
@@ -458,13 +466,10 @@ func (p *Pattern) Not() *Pattern {
 			sym = s.intern(v)
 			s.memo[k] = sym
 		}
-		if m := len(out); m > 0 && out[m-1].sym == sym {
-			out[m-1].count += r.count
-		} else {
-			out = append(out, run{sym, r.count})
-		}
+		out = appendRun(out, sym, r.count)
 	}
-	return &Pattern{sp: s, runs: out}
+	s.runBuf = out
+	return s.pattern(out)
 }
 
 // Get returns the bit at channel ch (modulo the channel count).

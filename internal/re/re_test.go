@@ -345,10 +345,12 @@ func BenchmarkPatternNext(b *testing.B) {
 	}
 }
 
+var sinkPat *Pattern
+
 // TestInternHitAllocatesNothing: interning a symbol equal to one already
-// in the table builds its key in the Space's scratch buffer, so a hit
-// allocates nothing; a miss copies the key, so later lookups reusing the
-// buffer still find it.
+// in the table allocates nothing, a warm Had(k) below the chunk width reuses
+// the Space's cached symbol, and a gate whose result is a single run
+// allocates only the result Pattern.
 func TestInternHitAllocatesNothing(t *testing.T) {
 	s := MustSpace(20, 16)
 	canon := s.intern(aob.HadVector(16, 3))
@@ -361,5 +363,96 @@ func TestInternHitAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.intern(again) }); allocs != 0 {
 		t.Fatalf("interning a known symbol allocates %.0f times, want 0", allocs)
+	}
+
+	p := s.Had(3)
+	if p.runs[0].sym != canon {
+		t.Fatal("Had(3) did not intern to the canonical symbol")
+	}
+	syms := s.SymbolCount()
+	if allocs := testing.AllocsPerRun(100, func() { sinkPat = s.Had(3) }); allocs != 1 {
+		t.Fatalf("warm Had(3) allocates %.0f times, want 1 (the Pattern)", allocs)
+	}
+	if sinkPat.runs[0].sym != canon || s.SymbolCount() != syms {
+		t.Fatal("warm Had(3) built a new symbol")
+	}
+
+	q := s.Had(5)
+	p.And(q) // fills the memo
+	if allocs := testing.AllocsPerRun(100, func() { sinkPat = p.And(q) }); allocs != 1 {
+		t.Fatalf("memo-hit And allocates %.0f times, want 1 (the Pattern)", allocs)
+	}
+	if sinkPat.NumRuns() != 1 || sinkPat.Pop() != s.Channels()/4 {
+		t.Fatalf("Had(3) AND Had(5) = %d runs, pop %d", sinkPat.NumRuns(), sinkPat.Pop())
+	}
+}
+
+// TestInternCollisionChains forces two distinct symbols under one hash:
+// both must be adopted as distinct canonical copies and each found again
+// by content.
+func TestInternCollisionChains(t *testing.T) {
+	s := MustSpace(8, 4)
+	const h = 42
+	a, b, c := aob.HadVector(4, 1), aob.HadVector(4, 2), aob.HadVector(4, 3)
+	n := s.SymbolCount()
+	if got := s.internHashed(h, a); got != a {
+		t.Fatal("first symbol under the hash was not adopted")
+	}
+	if got := s.internHashed(h, b); got != b {
+		t.Fatal("colliding distinct symbol was not adopted as its own copy")
+	}
+	if got := s.internHashed(h, c); got != c {
+		t.Fatal("second colliding symbol was not adopted as its own copy")
+	}
+	if got := s.SymbolCount(); got != n+3 {
+		t.Fatalf("SymbolCount = %d, want %d", got, n+3)
+	}
+	for _, want := range []*aob.Vector{a, b, c} {
+		if got := s.internHashed(h, want.Clone()); got != want {
+			t.Fatalf("equal copy of %s found %s", want, got)
+		}
+	}
+	if got := s.SymbolCount(); got != n+3 {
+		t.Fatalf("re-interning grew SymbolCount to %d, want %d", got, n+3)
+	}
+}
+
+// TestHadAcrossResets: the cached Had symbols are dropped with the table,
+// so after a cap reset Had(k) equals its earlier value and its symbol is
+// the one the new table holds, which runs built afterwards merge against.
+func TestHadAcrossResets(t *testing.T) {
+	s := MustSpace(8, 4)
+	before := s.Had(2)
+	s.SetSymbolCap(4)
+	r := rand.New(rand.NewSource(11))
+	for i := 0; s.Resets() == 0; i++ {
+		if _, err := s.FromBits(randBits(r, s.Channels(), 0.5)); err != nil {
+			t.Fatal(err)
+		}
+		if i > 10000 {
+			t.Fatal("cap never triggered")
+		}
+	}
+	s.SetSymbolCap(0)
+	after := s.Had(2)
+	if !after.Equal(before) || !before.Equal(after) {
+		t.Fatal("Had(2) differs across a reset")
+	}
+	sym := after.runs[0].sym
+	if sym == before.runs[0].sym {
+		t.Fatal("Had(2) still returns the symbol of the dropped table")
+	}
+	if got := s.symbols.Lookup(sym.Hash(), sym); got != sym {
+		t.Fatal("Had(2)'s symbol is not the new table's canonical copy")
+	}
+	rebuilt, err := s.FromBits(refBits(before))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rebuilt.NumRuns() != 1 || rebuilt.runs[0].sym != sym {
+		t.Fatalf("rebuilt Had(2) has %d runs, want one run of the cached symbol", rebuilt.NumRuns())
+	}
+	if and := after.And(s.One()); and.NumRuns() != 1 || and.runs[0].sym != sym {
+		t.Fatal("Had(2) AND One did not merge to the cached symbol")
 	}
 }

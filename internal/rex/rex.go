@@ -35,7 +35,6 @@
 package rex
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"tangled/internal/aob"
@@ -60,8 +59,7 @@ type Space struct {
 	ways      int
 	chunkWays int
 
-	symbols map[string]*aob.Vector
-	keyBuf  []byte // scratch for symbol keys: a lookup allocates nothing
+	symbols aob.SymbolTable
 	leaves  map[*aob.Vector]*node
 	pairs   map[[2]uint64]*node
 	opMemo  map[opKey]*node
@@ -100,7 +98,6 @@ func NewSpace(ways, chunkWays int) (*Space, error) {
 	s := &Space{
 		ways:      ways,
 		chunkWays: chunkWays,
-		symbols:   make(map[string]*aob.Vector),
 		leaves:    make(map[*aob.Vector]*node),
 		pairs:     make(map[[2]uint64]*node),
 		opMemo:    make(map[opKey]*node),
@@ -145,30 +142,13 @@ func (s *Space) height() int { return s.ways - s.chunkWays }
 func (s *Space) chunkChannels() uint64 { return uint64(1) << uint(s.chunkWays) }
 
 // SymbolCount reports distinct interned chunk symbols.
-func (s *Space) SymbolCount() int { return len(s.symbols) }
+func (s *Space) SymbolCount() int { return s.symbols.Len() }
 
 // NodeCount reports the total hash-consed node pool size.
 func (s *Space) NodeCount() int { return len(s.leaves) + len(s.pairs) }
 
-func (s *Space) intern(sym *aob.Vector) *aob.Vector {
-	key := s.symKey(sym)
-	if got, ok := s.symbols[string(key)]; ok {
-		return got
-	}
-	s.symbols[string(key)] = sym
-	return sym
-}
-
-// symKey encodes v's words into s.keyBuf and returns it; the bytes are
-// valid until the next call. Index the table with string(s.symKey(v)):
-// the conversion allocates only when it stores a new key.
-func (s *Space) symKey(v *aob.Vector) []byte {
-	s.keyBuf = s.keyBuf[:0]
-	for i := 0; i < v.NumWords(); i++ {
-		s.keyBuf = binary.LittleEndian.AppendUint64(s.keyBuf, v.Word(i))
-	}
-	return s.keyBuf
-}
+// intern returns the canonical copy of sym, adopting it if unseen.
+func (s *Space) intern(sym *aob.Vector) *aob.Vector { return s.symbols.Intern(sym) }
 
 // leaf returns the canonical leaf node for an interned symbol.
 func (s *Space) leaf(sym *aob.Vector) *node {

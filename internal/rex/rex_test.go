@@ -396,7 +396,7 @@ func BenchmarkRexNext(b *testing.B) {
 }
 
 // TestInternHitAllocatesNothing: as in internal/re, a symbol already in
-// the table is found through the Space's scratch key buffer.
+// the table is found by its content hash without allocating.
 func TestInternHitAllocatesNothing(t *testing.T) {
 	s := MustSpace(20, 16)
 	canon := s.intern(aob.HadVector(16, 3))
