@@ -117,13 +117,11 @@ type Meter struct {
 	ReversibleOps   uint64
 	IrreversibleOps uint64
 	ReadOps         uint64
-	// PerOp breaks SwitchedBits down by opcode.
-	PerOp map[isa.Op]uint64
 }
 
 // NewMeter returns an empty meter.
 func NewMeter() *Meter {
-	return &Meter{PerOp: make(map[isa.Op]uint64)}
+	return &Meter{}
 }
 
 // Record accounts one executed operation given before/after snapshots of
@@ -135,7 +133,6 @@ func (m *Meter) Record(op isa.Op, pairs ...[2]*aob.Vector) {
 		t += Toggles(p[0], p[1])
 	}
 	m.SwitchedBits += t
-	m.PerOp[op] += t
 	switch Classify(op) {
 	case Reversible:
 		m.ReversibleOps++
@@ -155,5 +152,5 @@ func (m *Meter) AdiabaticRecoverable() uint64 {
 
 // Reset clears the meter.
 func (m *Meter) Reset() {
-	*m = Meter{PerOp: make(map[isa.Op]uint64)}
+	*m = Meter{}
 }

@@ -72,12 +72,9 @@ func TestMeterAccounting(t *testing.T) {
 	if m.ReversibleOps != 1 || m.IrreversibleOps != 1 || m.ReadOps != 1 {
 		t.Errorf("op classes: %+v", m)
 	}
-	if m.PerOp[isa.OpQOne] != 16 {
-		t.Errorf("per-op: %v", m.PerOp)
-	}
 	m.Reset()
-	if m.SwitchedBits != 0 || len(m.PerOp) != 0 {
-		t.Error("reset incomplete")
+	if *m != (energy.Meter{}) {
+		t.Errorf("reset incomplete: %+v", m)
 	}
 }
 

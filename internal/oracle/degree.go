@@ -37,18 +37,6 @@ func VectorDegree(v *aob.Vector, ways int) int {
 	return deg
 }
 
-// qatWrittenRegs returns the Qat registers inst writes (at most two).
-func qatWrittenRegs(inst isa.Inst) []uint8 {
-	switch inst.Op {
-	case isa.OpQZero, isa.OpQOne, isa.OpQHad, isa.OpQNot,
-		isa.OpQAnd, isa.OpQOr, isa.OpQXor, isa.OpQCnot, isa.OpQCcnot:
-		return []uint8{inst.QA}
-	case isa.OpQSwap, isa.OpQCswap:
-		return []uint8{inst.QA, inst.QB}
-	}
-	return nil
-}
-
 // MaxEntanglementDegree executes prog on the dense backend at the given
 // width and returns, per Qat register, the maximum dynamic degree observed
 // after any write to it. The run's own failure (budget exhaustion, a
@@ -78,7 +66,8 @@ func MaxEntanglementDegree(prog *asm.Program, ways int, maxSteps uint64) ([isa.N
 	}
 	m.Trace = func(pc uint16, inst isa.Inst) {
 		measure()
-		pending = append(pending, qatWrittenRegs(inst)...)
+		eff := isa.InstEffects(inst)
+		pending = append(pending, eff.QWrites[:eff.NQWrites]...)
 	}
 	runErr := m.Run(maxSteps)
 	measure()

@@ -27,8 +27,8 @@ func qatOpNames() []string {
 
 // Metrics is the coprocessor counter set; nil disables instrumentation.
 type Metrics struct {
-	// Ops counts executed Qat instructions by opcode (the shared-handle,
-	// cross-machine counterpart of Coprocessor.Ops).
+	// Ops counts Qat instruction attempts by opcode, refused ones included
+	// (Exec counts before its register-file checks).
 	Ops *obs.CounterVec
 	// WordOps counts 64-bit AoB words processed: the SIMD work a gate-level
 	// Qat implementation performs, NumWords per written register (two for

@@ -31,9 +31,6 @@ type Coprocessor struct {
 	// Section 5 simplification); writes to them report an error.
 	reserved [isa.NumQRegs]bool
 
-	// Ops counts executed Qat operations, by opcode.
-	Ops map[isa.Op]uint64
-
 	// Meter, when non-nil, accumulates switching/erasure energy proxies
 	// for every executed operation (see package energy).
 	Meter *energy.Meter
@@ -48,7 +45,7 @@ type Coprocessor struct {
 // New returns a Qat coprocessor with ways-way entanglement and all
 // registers cleared.
 func New(ways int) *Coprocessor {
-	q := &Coprocessor{ways: ways, Ops: make(map[isa.Op]uint64)}
+	q := &Coprocessor{ways: ways}
 	for i := range q.regs {
 		q.regs[i] = aob.New(ways)
 	}
@@ -136,12 +133,11 @@ func (q *Coprocessor) SetReg(qa uint8, v *aob.Vector) {
 	q.regs[qa] = v.Clone()
 }
 
-// Reset clears all non-reserved registers and the per-opcode counters. It
-// reuses every allocation — register vectors are zeroed in place and the Ops
-// map is emptied rather than replaced — so a pooled coprocessor can be reset
-// between runs without touching the heap. An attached Meter is deliberately
-// left accumulating (metering spans runs by design); detach or reset it
-// separately when a machine changes tenants.
+// Reset clears all non-reserved registers. It reuses every allocation —
+// register vectors are zeroed in place — so a pooled coprocessor can be
+// reset between runs without touching the heap. An attached Meter is
+// deliberately left accumulating (metering spans runs by design); detach or
+// reset it separately when a machine changes tenants.
 func (q *Coprocessor) Reset() {
 	if q.re != nil {
 		zero := q.re.sp.Zero()
@@ -160,36 +156,44 @@ func (q *Coprocessor) Reset() {
 			}
 		}
 	}
-	for k := range q.Ops {
-		delete(q.Ops, k)
-	}
-}
-
-func (q *Coprocessor) checkWrite(qa uint8) error {
-	if q.reserved[qa] {
-		return fmt.Errorf("qat: write to reserved constant register @%d", qa)
-	}
-	return nil
 }
 
 // Exec executes one Qat instruction. rd carries the Tangled register value
 // consumed by meas/next/pop; the returned value and flag report a Tangled
 // register write-back (only those three ops produce one).
+//
+// The checks are shared by both register files and run before either
+// kernel switch: a non-Qat op is refused, the attempt is counted, and a
+// write to a reserved register (the write set comes from isa.InstEffects)
+// or a had pattern beyond the hardware width faults with no register
+// changed.
 func (q *Coprocessor) Exec(inst isa.Inst, rd uint16) (out uint16, writes bool, err error) {
+	if !inst.Op.IsQat() {
+		return 0, false, fmt.Errorf("qat: not a Qat op: %s", inst.Op.Name())
+	}
+	if q.Metrics != nil {
+		q.Metrics.Ops.At(int(inst.Op) - int(isa.OpQZero)).Inc()
+	}
+	eff := isa.InstEffects(inst)
+	for _, r := range eff.QWrites[:eff.NQWrites] {
+		if q.reserved[r] {
+			return 0, false, fmt.Errorf("qat: write to reserved constant register @%d", r)
+		}
+	}
+	if inst.Op == isa.OpQHad && int(inst.K) >= q.ways {
+		return 0, false, fmt.Errorf("qat: had pattern %d exceeds %d-way hardware", inst.K, q.ways)
+	}
 	if q.re != nil {
 		return q.execRE(inst, rd)
 	}
-	q.Ops[inst.Op]++
+	return q.execDense(inst, rd)
+}
+
+// execDense is the kernel switch of the dense AoB register file.
+func (q *Coprocessor) execDense(inst isa.Inst, rd uint16) (out uint16, writes bool, err error) {
 	a := q.regs[inst.QA]
 	if q.Metrics != nil {
-		// The op counter mirrors Ops (attempts); the word-op counter is
-		// charged on success only, in the deferred hook below.
-		q.Metrics.Ops.At(int(inst.Op) - int(isa.OpQZero)).Inc()
-		defer func() {
-			if err == nil {
-				q.Metrics.WordOps.Add(wordOpsFor(inst.Op, a.NumWords()))
-			}
-		}()
+		q.Metrics.WordOps.Add(wordOpsFor(inst.Op, a.NumWords()))
 	}
 	var snapA, snapB *aob.Vector
 	if q.Meter != nil {
@@ -203,81 +207,28 @@ func (q *Coprocessor) Exec(inst isa.Inst, rd uint16) (out uint16, writes bool, e
 			snapA = a.Clone()
 		}
 	}
-	defer func() {
-		if q.Meter == nil || err != nil || snapA == nil {
-			return
-		}
-		if snapB != nil {
-			q.Meter.Record(inst.Op, [2]*aob.Vector{snapA, q.regs[inst.QA]},
-				[2]*aob.Vector{snapB, q.regs[inst.QB]})
-			return
-		}
-		q.Meter.Record(inst.Op, [2]*aob.Vector{snapA, q.regs[inst.QA]})
-	}()
 	switch inst.Op {
 	case isa.OpQZero:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.Zero()
 	case isa.OpQOne:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.One()
 	case isa.OpQNot:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.Not()
 	case isa.OpQHad:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
-		if int(inst.K) >= q.ways {
-			return 0, false, fmt.Errorf("qat: had pattern %d exceeds %d-way hardware", inst.K, q.ways)
-		}
 		a.Had(int(inst.K))
 	case isa.OpQAnd:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.And(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQOr:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.Or(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQXor:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.Xor(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQCnot:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.CNot(q.regs[inst.QB])
 	case isa.OpQCcnot:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		a.CCNot(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQSwap:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
-		if err := q.checkWrite(inst.QB); err != nil {
-			return 0, false, err
-		}
 		a.Swap(q.regs[inst.QB])
 	case isa.OpQCswap:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
-		if err := q.checkWrite(inst.QB); err != nil {
-			return 0, false, err
-		}
 		a.CSwap(q.regs[inst.QB], q.regs[inst.QC])
 	case isa.OpQMeas:
 		return uint16(a.Meas(uint64(rd))), true, nil
@@ -287,8 +238,11 @@ func (q *Coprocessor) Exec(inst isa.Inst, rd uint16) (out uint16, writes bool, e
 		// pop counts 1s strictly after the given channel; with 16-way
 		// hardware the count past channel 0 fits 16 bits (max 65535).
 		return uint16(a.PopAfter(uint64(rd))), true, nil
-	default:
-		return 0, false, fmt.Errorf("qat: not a Qat op: %s", inst.Op.Name())
+	}
+	if snapB != nil {
+		q.Meter.Record(inst.Op, [2]*aob.Vector{snapA, a}, [2]*aob.Vector{snapB, q.regs[inst.QB]})
+	} else if snapA != nil {
+		q.Meter.Record(inst.Op, [2]*aob.Vector{snapA, a})
 	}
 	return 0, false, nil
 }

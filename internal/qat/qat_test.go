@@ -6,6 +6,7 @@ import (
 
 	"tangled/internal/aob"
 	"tangled/internal/isa"
+	"tangled/internal/obs"
 )
 
 func exec(t *testing.T, q *Coprocessor, inst isa.Inst, rd uint16) uint16 {
@@ -135,12 +136,15 @@ func TestExecRejectsTangledOps(t *testing.T) {
 
 func TestOpsCounting(t *testing.T) {
 	q := New(4)
+	q.Metrics = NewMetrics(obs.NewRegistry())
 	for i := 0; i < 5; i++ {
 		exec(t, q, isa.Inst{Op: isa.OpQZero, QA: 1}, 0)
 	}
 	exec(t, q, isa.Inst{Op: isa.OpQOne, QA: 2}, 0)
-	if q.Ops[isa.OpQZero] != 5 || q.Ops[isa.OpQOne] != 1 {
-		t.Errorf("op counts: %v", q.Ops)
+	count := func(op isa.Op) uint64 { return q.Metrics.Ops.At(int(op) - int(isa.OpQZero)).Value() }
+	if count(isa.OpQZero) != 5 || count(isa.OpQOne) != 1 || q.Metrics.Ops.Total() != 6 {
+		t.Errorf("op counts: zero %d, one %d, total %d",
+			count(isa.OpQZero), count(isa.OpQOne), q.Metrics.Ops.Total())
 	}
 }
 
@@ -188,9 +192,6 @@ func TestReset(t *testing.T) {
 	}
 	if q.Reg(ConstOneReg()).Pop() != 256 {
 		t.Error("reset clobbered the constant bank")
-	}
-	if len(q.Ops) != 0 {
-		t.Error("reset kept op counts")
 	}
 }
 

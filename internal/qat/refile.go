@@ -121,7 +121,7 @@ func NewFromConfig(cfg Config) (*Coprocessor, error) {
 	if ways > aob.MaxWays {
 		spill = -1 // no dense form exists to spill into
 	}
-	q := &Coprocessor{ways: ways, Ops: make(map[isa.Op]uint64)}
+	q := &Coprocessor{ways: ways}
 	q.re = &reFile{sp: sp, spillRuns: spill}
 	for i := range q.re.pats {
 		q.re.pats[i] = sp.Zero()
@@ -214,18 +214,15 @@ func (f *reFile) chunkWords() uint64 {
 	return uint64(1) << uint(cw-6)
 }
 
-// execRE is Exec for the compressed register file. Semantics match the
-// dense switch case for case; only the representation differs. The energy
-// meter is charged per op class with no toggle pairs (toggle counting is a
-// dense-representation proxy; BACKENDS.md records the difference), and the
-// word-op counter is charged with compressed work: chunk words times the
-// runs the operation actually processed.
+// execRE is the kernel switch of the compressed register file: the same
+// Table 3 semantics as execDense, past the same checks in Exec, on a
+// different representation. The energy meter is charged per op class with
+// no toggle pairs (toggle counting is a dense-representation proxy;
+// BACKENDS.md records the difference), and the word-op counter is charged
+// with compressed work: chunk words times the runs the operation actually
+// processed.
 func (q *Coprocessor) execRE(inst isa.Inst, rd uint16) (out uint16, writes bool, err error) {
 	f := q.re
-	q.Ops[inst.Op]++
-	if q.Metrics != nil {
-		q.Metrics.Ops.At(int(inst.Op) - int(isa.OpQZero)).Inc()
-	}
 	if q.Meter != nil {
 		q.Meter.Record(inst.Op)
 	}
@@ -245,72 +242,30 @@ func (q *Coprocessor) execRE(inst isa.Inst, rd uint16) (out uint16, writes bool,
 
 	switch inst.Op {
 	case isa.OpQZero:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		return 0, false, writeTo(inst.QA, f.sp.Zero())
 	case isa.OpQOne:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		return 0, false, writeTo(inst.QA, f.sp.One())
 	case isa.OpQHad:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
-		if int(inst.K) >= q.ways {
-			return 0, false, fmt.Errorf("qat: had pattern %d exceeds %d-way hardware", inst.K, q.ways)
-		}
 		return 0, false, writeTo(inst.QA, f.sp.Had(int(inst.K)))
 	case isa.OpQNot:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		return 0, false, writeTo(inst.QA, f.pat(inst.QA).Not())
 	case isa.OpQAnd:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		return 0, false, writeTo(inst.QA, f.pat(inst.QB).And(f.pat(inst.QC)))
 	case isa.OpQOr:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		return 0, false, writeTo(inst.QA, f.pat(inst.QB).Or(f.pat(inst.QC)))
 	case isa.OpQXor:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		return 0, false, writeTo(inst.QA, f.pat(inst.QB).Xor(f.pat(inst.QC)))
 	case isa.OpQCnot:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		return 0, false, writeTo(inst.QA, f.pat(inst.QA).Xor(f.pat(inst.QB)))
 	case isa.OpQCcnot:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
 		ctrl := f.pat(inst.QB).And(f.pat(inst.QC))
 		return 0, false, writeTo(inst.QA, f.pat(inst.QA).Xor(ctrl))
 	case isa.OpQSwap:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
-		if err := q.checkWrite(inst.QB); err != nil {
-			return 0, false, err
-		}
 		f.pats[inst.QA], f.pats[inst.QB] = f.pats[inst.QB], f.pats[inst.QA]
 		f.dense[inst.QA], f.dense[inst.QB] = f.dense[inst.QB], f.dense[inst.QA]
 		charge(f.runsIn(inst.QA) + f.runsIn(inst.QB))
 		return 0, false, nil
 	case isa.OpQCswap:
-		if err := q.checkWrite(inst.QA); err != nil {
-			return 0, false, err
-		}
-		if err := q.checkWrite(inst.QB); err != nil {
-			return 0, false, err
-		}
 		// Fredkin as in the dense kernel: diff = (a^b)&ctrl, then a^=diff,
 		// b^=diff — conserving total population.
 		a, b := f.pat(inst.QA), f.pat(inst.QB)
@@ -327,10 +282,8 @@ func (q *Coprocessor) execRE(inst isa.Inst, rd uint16) (out uint16, writes bool,
 		// Above 16 ways the 16-bit destination truncates the channel
 		// number — an ISA limit, not a backend one (BACKENDS.md).
 		return uint16(f.pat(inst.QA).Next(uint64(rd))), true, nil
-	case isa.OpQPop:
+	default: // isa.OpQPop; Exec admits only Qat ops
 		charge(f.runsIn(inst.QA))
 		return uint16(f.pat(inst.QA).PopAfter(uint64(rd))), true, nil
-	default:
-		return 0, false, fmt.Errorf("qat: not a Qat op: %s", inst.Op.Name())
 	}
 }

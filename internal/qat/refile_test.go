@@ -1,11 +1,15 @@
 package qat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"tangled/internal/aob"
+	"tangled/internal/energy"
 	"tangled/internal/isa"
+	"tangled/internal/obs"
+	"tangled/internal/re"
 )
 
 // Differential coverage of the RE register file: the same instruction
@@ -241,5 +245,109 @@ func TestNewFromConfigValidation(t *testing.T) {
 	}
 	if q.Ways() != aob.MaxWays || q.Space().ChunkWays() != aob.MaxWays {
 		t.Fatalf("re defaults: ways=%d chunkWays=%d", q.Ways(), q.Space().ChunkWays())
+	}
+}
+
+// snapshotRegs records every register of q and returns a check that reports
+// the first register changed since, or -1.
+func snapshotRegs(q *Coprocessor) func() int {
+	if q.Backend() == BackendRE {
+		var pats [isa.NumQRegs]*re.Pattern
+		for i := range pats {
+			pats[i] = q.RegPattern(uint8(i))
+		}
+		return func() int {
+			for i, p := range pats {
+				if !q.RegPattern(uint8(i)).Equal(p) {
+					return i
+				}
+			}
+			return -1
+		}
+	}
+	var vs [isa.NumQRegs]*aob.Vector
+	for i := range vs {
+		vs[i] = q.Reg(uint8(i)).Clone()
+	}
+	return func() int {
+		for i, v := range vs {
+			if !q.Reg(uint8(i)).Equal(v) {
+				return i
+			}
+		}
+		return -1
+	}
+}
+
+// TestExecRefusalsAgree pins the checks Exec runs before either kernel:
+// both register files refuse the same instructions with the same error,
+// change no register, count the attempt in Metrics.Ops and charge neither
+// word ops nor energy for it.
+func TestExecRefusalsAgree(t *testing.T) {
+	writers := []isa.Op{
+		isa.OpQZero, isa.OpQOne, isa.OpQNot, isa.OpQHad,
+		isa.OpQAnd, isa.OpQOr, isa.OpQXor, isa.OpQCnot, isa.OpQCcnot,
+		isa.OpQSwap, isa.OpQCswap,
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"dense/4", Config{Ways: 4, ConstantRegs: true}},
+		{"re/4", Config{Ways: 4, ConstantRegs: true, Backend: BackendRE}},
+		{"re/20", Config{Ways: 20, ConstantRegs: true, Backend: BackendRE}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := NewFromConfig(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ways := q.Ways()
+			free := ConstHadReg(ways) // first register past the constant bank
+			// Distinct values in the operand registers, so a stray write shows.
+			for i := uint8(0); i < 3; i++ {
+				exec(t, q, isa.Inst{Op: isa.OpQHad, QA: free + i, K: i}, 0)
+			}
+			q.Metrics = NewMetrics(obs.NewRegistry())
+			q.Meter = energy.NewMeter()
+			unchanged := snapshotRegs(q)
+			var attempts uint64
+			refuse := func(inst isa.Inst, want string) {
+				t.Helper()
+				if _, _, err := q.Exec(inst, 0); err == nil || err.Error() != want {
+					t.Fatalf("%s: err %v, want %q", inst, err, want)
+				}
+				if r := unchanged(); r >= 0 {
+					t.Fatalf("refused %s changed @%d", inst, r)
+				}
+				if inst.Op.IsQat() {
+					attempts++
+				}
+			}
+			for r := uint8(0); r < free; r++ {
+				want := fmt.Sprintf("qat: write to reserved constant register @%d", r)
+				for _, op := range writers {
+					refuse(isa.Inst{Op: op, QA: r, QB: free + 1, QC: free + 2}, want)
+					if op == isa.OpQSwap || op == isa.OpQCswap {
+						refuse(isa.Inst{Op: op, QA: free, QB: r, QC: free + 2}, want)
+					}
+				}
+			}
+			for _, k := range []uint8{uint8(ways), 255} {
+				refuse(isa.Inst{Op: isa.OpQHad, QA: free, K: k},
+					fmt.Sprintf("qat: had pattern %d exceeds %d-way hardware", k, ways))
+			}
+			refuse(isa.Inst{Op: isa.OpAdd, RD: 1, RS: 2}, "qat: not a Qat op: add")
+
+			if got := q.Metrics.Ops.Total(); got != attempts {
+				t.Errorf("Metrics.Ops counted %d refused attempts, want %d", got, attempts)
+			}
+			if got := q.Metrics.WordOps.Value(); got != 0 {
+				t.Errorf("refusals charged %d word ops", got)
+			}
+			if *q.Meter != (energy.Meter{}) {
+				t.Errorf("refusals charged energy: %+v", *q.Meter)
+			}
+		})
 	}
 }

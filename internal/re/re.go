@@ -62,8 +62,12 @@ type Space struct {
 	ways      int // total entanglement degree E
 	chunkWays int // each symbol covers 2^chunkWays channels
 
-	symbols   aob.SymbolTable
-	memo      map[memoKey]*aob.Vector
+	symbols aob.SymbolTable
+	// memo[op] and notMemo cache interned chunk results per table
+	// generation, keyed by operand symbols so a lookup hashes plain
+	// pointer memory.
+	memo      [numBinOps]map[[2]*aob.Vector]*aob.Vector
+	notMemo   map[*aob.Vector]*aob.Vector
 	symbolCap int // intern entries before reset; <= 0 means unbounded
 	resets    uint64
 
@@ -77,10 +81,15 @@ type Space struct {
 	runBuf []run
 }
 
-type memoKey struct {
-	op   byte // '&', '|', '^', '~' (b nil for '~')
-	a, b *aob.Vector
-}
+// binOp names a binary chunk operation; it indexes Space.memo.
+type binOp uint8
+
+const (
+	opAnd binOp = iota
+	opOr
+	opXor
+	numBinOps
+)
 
 // NewSpace creates a Space for ways-way entanglement built from chunks of
 // 2^chunkWays channels. chunkWays must be in [0, aob.MaxWays] and must not
@@ -98,9 +107,12 @@ func NewSpace(ways, chunkWays int) (*Space, error) {
 	s := &Space{
 		ways:      ways,
 		chunkWays: chunkWays,
-		memo:      make(map[memoKey]*aob.Vector),
+		notMemo:   make(map[*aob.Vector]*aob.Vector),
 		symbolCap: DefaultSymbolCap,
 		hadSyms:   make([]*aob.Vector, chunkWays),
+	}
+	for op := range s.memo {
+		s.memo[op] = make(map[[2]*aob.Vector]*aob.Vector)
 	}
 	s.zeroSym = s.intern(aob.New(chunkWays))
 	s.oneSym = s.intern(aob.OneVector(chunkWays))
@@ -169,12 +181,15 @@ func (s *Space) internHashed(h uint64, sym *aob.Vector) *aob.Vector {
 	return sym
 }
 
-// resetSymbols drops the intern table, the op memo and the Had symbols,
+// resetSymbols drops the intern table, the op memos and the Had symbols,
 // keeping the canonical zero/one symbols (when already minted) so
 // Zero()/One() patterns stay pointer-shared with future ones.
 func (s *Space) resetSymbols() {
 	s.symbols = aob.SymbolTable{}
-	s.memo = make(map[memoKey]*aob.Vector)
+	for _, m := range s.memo {
+		clear(m)
+	}
+	clear(s.notMemo)
 	clear(s.hadSyms)
 	s.resets++
 	for _, sym := range []*aob.Vector{s.zeroSym, s.oneSym} {
@@ -385,7 +400,7 @@ func (p *Pattern) mustShareSpace(q *Pattern) {
 }
 
 // combine walks two run lists in lockstep applying the memoized chunk op.
-func (s *Space) combine(op byte, a, b *Pattern) *Pattern {
+func (s *Space) combine(op binOp, a, b *Pattern) *Pattern {
 	a.mustShareSpace(b)
 	out := s.runBuf[:0]
 	ai, bi := 0, 0
@@ -423,48 +438,46 @@ func (s *Space) combine(op byte, a, b *Pattern) *Pattern {
 
 // memoBinary returns the interned chunk x op y, computing it at most once
 // per symbol pair and table generation.
-func (s *Space) memoBinary(op byte, x, y *aob.Vector) *aob.Vector {
-	k := memoKey{op, x, y}
-	if got, ok := s.memo[k]; ok {
+func (s *Space) memoBinary(op binOp, x, y *aob.Vector) *aob.Vector {
+	if got, ok := s.memo[op][[2]*aob.Vector{x, y}]; ok {
 		return got
 	}
 	v := aob.New(s.chunkWays)
 	switch op {
-	case '&':
+	case opAnd:
 		v.And(x, y)
-	case '|':
+	case opOr:
 		v.Or(x, y)
-	case '^':
+	case opXor:
 		v.Xor(x, y)
 	}
 	sym := s.intern(v)
-	s.memo[k] = sym
+	s.memo[op][[2]*aob.Vector{x, y}] = sym
 	// Symmetric ops hit from either operand order.
-	s.memo[memoKey{op, y, x}] = sym
+	s.memo[op][[2]*aob.Vector{y, x}] = sym
 	return sym
 }
 
 // And returns p AND q channel-wise.
-func (p *Pattern) And(q *Pattern) *Pattern { return p.sp.combine('&', p, q) }
+func (p *Pattern) And(q *Pattern) *Pattern { return p.sp.combine(opAnd, p, q) }
 
 // Or returns p OR q channel-wise.
-func (p *Pattern) Or(q *Pattern) *Pattern { return p.sp.combine('|', p, q) }
+func (p *Pattern) Or(q *Pattern) *Pattern { return p.sp.combine(opOr, p, q) }
 
 // Xor returns p XOR q channel-wise.
-func (p *Pattern) Xor(q *Pattern) *Pattern { return p.sp.combine('^', p, q) }
+func (p *Pattern) Xor(q *Pattern) *Pattern { return p.sp.combine(opXor, p, q) }
 
 // Not returns the channel-wise complement of p.
 func (p *Pattern) Not() *Pattern {
 	s := p.sp
 	out := s.runBuf[:0]
 	for _, r := range p.runs {
-		k := memoKey{'~', r.sym, nil}
-		sym, ok := s.memo[k]
+		sym, ok := s.notMemo[r.sym]
 		if !ok {
 			v := r.sym.Clone()
 			v.Not()
 			sym = s.intern(v)
-			s.memo[k] = sym
+			s.notMemo[r.sym] = sym
 		}
 		out = appendRun(out, sym, r.count)
 	}
