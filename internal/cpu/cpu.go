@@ -111,11 +111,13 @@ func NewFromConfig(cfg qat.Config) (*Machine, error) {
 
 // Load installs an assembled program image at address 0 and resets the
 // whole machine: PC, registers, memory, statistics, and the Qat register
-// file (its reserved constant bank, if any, is preserved). A machine can
-// therefore be reused across runs deterministically — and without
-// reallocating any of its state, which is what makes pooled reuse (package
-// farm) allocation-free at steady state. Host attachments (Out, Trace) are
-// left alone so they can be configured once before repeated loads.
+// file (its reserved constant bank, if any, is preserved; only the Qat
+// registers written since the last reset need clearing, see
+// qat.Coprocessor.Reset). A machine can therefore be reused across runs
+// deterministically — and without reallocating any of its state, which is
+// what makes pooled reuse (package farm) allocation-free at steady state.
+// Host attachments (Out, Trace) are left alone so they can be configured
+// once before repeated loads.
 func (m *Machine) Load(p *asm.Program) error {
 	if len(p.Words) > len(m.Mem) {
 		return fmt.Errorf("cpu: program of %d words exceeds memory", len(p.Words))

@@ -122,3 +122,47 @@ func TestRunContextBudget(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoHalt", err)
 	}
 }
+
+// TestReloadMatchesFreshMachine: at the paper's 16 ways, loading program B
+// over a machine that ran program A — cut short by its step budget after
+// writing Qat registers B reads but never writes — must leave all 256 Qat
+// registers equal to a fresh machine that loaded B, and B must then run
+// to the same state on both.
+func TestReloadMatchesFreshMachine(t *testing.T) {
+	progA, err := asm.Assemble("one @10\nhad @11,15\nnot @12\nswap @12,@200\nloop:\nbr loop\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progB, err := asm.Assemble("lex $1,0\npop $1,@200\nlex $2,0\nnext $2,@11\nhad @20,3\nlex $0,0\nsys\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, fresh := New(16), New(16)
+	if err := reused.Load(progA); err != nil {
+		t.Fatal(err)
+	}
+	if err := reused.Run(100); !errors.Is(err, ErrNoHalt) {
+		t.Fatalf("program A: err = %v, want ErrNoHalt", err)
+	}
+	if !reused.Qat.Reg(200).Any() {
+		t.Fatal("program A left @200 clear; the fixture exercises nothing")
+	}
+	for _, m := range []*Machine{reused, fresh} {
+		if err := m.Load(progB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for q := 0; q < isa.NumQRegs; q++ {
+		if !reused.Qat.Reg(uint8(q)).Equal(fresh.Qat.Reg(uint8(q))) {
+			t.Fatalf("after reload @%d differs from a fresh machine's", q)
+		}
+	}
+	for _, m := range []*Machine{reused, fresh} {
+		if err := m.Run(100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reused.Regs != fresh.Regs {
+		t.Fatalf("program B on a reused machine: regs %v, fresh %v", reused.Regs, fresh.Regs)
+	}
+}

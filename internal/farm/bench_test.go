@@ -108,6 +108,34 @@ func BenchmarkFarmThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkFarmJob measures one job per Engine.Run call on the paper's
+// full 16-way hardware, where a Qat register is 1024 words: the Figure 10
+// factoring program for 143 (8x8-bit operands) on the default 5-stage
+// pipeline. Unlike the 8-way throughput sweep, per-job machine reload
+// (clearing the Qat registers the last run wrote) is visible here.
+func BenchmarkFarmJob(b *testing.B) {
+	res, err := compile.FactorProgram(143, 16, 8, 8, compile.Options{Reuse: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := asm.Assemble(res.Asm)
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs := []farm.Job{{Name: "factor143", Prog: prog, Mode: farm.Pipelined, Pipeline: pipeline.DefaultConfig()}}
+	b.Run("fig10-factor16", func(b *testing.B) {
+		engine := farm.New(1)
+		ctx := context.Background()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			results, _ := engine.Run(ctx, jobs)
+			if r := results[0]; r.Err != nil || r.Regs[4]*r.Regs[1] != 143 {
+				b.Fatalf("factored 143 as %d x %d (err %v)", r.Regs[4], r.Regs[1], r.Err)
+			}
+		}
+	})
+}
+
 // BenchmarkFarmThroughputObs is BenchmarkFarmThroughput's fig10 workload
 // with the full observability hook-up attached (registry, farm Obs, shared
 // cpu/qat/pipeline counters). Comparing the two benchmarks measures the

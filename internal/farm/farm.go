@@ -122,7 +122,9 @@ type Job struct {
 	// completes (successfully or not), before the machine returns to the
 	// pool. It runs on the worker goroutine and owns the machine only for
 	// the duration of the call: implementations must copy anything they
-	// want to keep and must not retain the pointer.
+	// want to keep and must not retain the pointer. A hook must not mutate
+	// a vector returned by m.Qat.Reg; to change a Qat register it must use
+	// m.Qat.SetReg, which marks the register for the next tenant's reset.
 	Inspect func(m *cpu.Machine)
 }
 

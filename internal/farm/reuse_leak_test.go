@@ -1,17 +1,22 @@
 package farm_test
 
 // Pool-reuse hygiene: a machine handed back to the sync.Pool must carry
-// nothing from its previous tenant. Three leak surfaces are pinned here:
+// nothing from its previous tenant. Four leak surfaces are pinned here:
 // the cycle-trace request tag (a stale tagged sink would stamp the previous
 // request's ID onto an unrelated job's rows), machine-level attachments an
 // Inspect hook may have planted (instruction-trace hook, energy meter,
-// alternate encoding, LUT reciprocal datapath), and the interleaved
+// alternate encoding, LUT reciprocal datapath), Qat register state left by
+// an Inspect hook or by a run cut short, and the interleaved
 // tagged/untagged mix under the race detector.
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"tangled/internal/aob"
 	"tangled/internal/asm"
+	"tangled/internal/compile"
 	"tangled/internal/cpu"
 	"tangled/internal/energy"
 	"tangled/internal/farm"
@@ -148,6 +153,119 @@ func TestReuseNoInspectStateLeak(t *testing.T) {
 			t.Fatalf("clean job never reused the pooled machine; leak surface not exercised")
 		})
 	}
+}
+
+// TestReuseNoQatStateLeak: a 16-way pipelined factoring job leaves Qat
+// state on its pooled machine — a register its program never writes,
+// planted by its Inspect hook through SetReg, or the registers it wrote
+// before MaxSteps cut it short. The jobs that reuse the machine read those
+// registers before writing them, and must see what a fresh engine sees.
+func TestReuseNoQatStateLeak(t *testing.T) {
+	fr, err := compile.FactorProgram(143, 16, 8, 8, compile.Options{Reuse: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	factor, err := asm.Assemble(fr.Asm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, firstHad := qatWriteSet(t, factor)
+	const planted = 255
+	if written[planted] || firstHad < 0 {
+		t.Fatalf("fixture: factor program writes @%d (%v) or has no had (%d)", planted, written[planted], firstHad)
+	}
+	reader := func(r int) farm.Job {
+		prog, err := asm.Assemble(fmt.Sprintf(
+			"lex $1,0\npop $1,@%d\nlex $2,0\nnext $2,@%d\nlex $0,0\nsys\n", r, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return farm.Job{Prog: prog, Mode: farm.Pipelined}
+	}
+	full := farm.Job{Prog: factor, Mode: farm.Pipelined}
+	if res, _ := farm.New(1).Run(nil, []farm.Job{full}); res[0].Regs[4]*res[0].Regs[1] != 143 {
+		t.Fatalf("fixture: factored 143 as %d x %d (err %v)", res[0].Regs[4], res[0].Regs[1], res[0].Err)
+	}
+
+	plant := full
+	plant.Inspect = func(m *cpu.Machine) {
+		v := aob.New(16)
+		v.One()
+		m.Qat.SetReg(planted, v)
+	}
+	cut := full
+	cut.MaxSteps = 200
+	cut.Inspect = func(m *cpu.Machine) {
+		if !m.Qat.Reg(uint8(firstHad)).Any() {
+			t.Errorf("fixture: cut-short run left @%d clear", firstHad)
+		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		dirty    farm.Job
+		dirtyErr bool
+		next     []farm.Job
+	}{
+		{"inspect-setreg", plant, false, []farm.Job{reader(planted)}},
+		{"maxsteps", cut, true, []farm.Job{reader(firstHad), full}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, _ := farm.New(1).Run(nil, tc.next)
+			engine := farm.New(1)
+			// Retry until the next jobs actually get the recycled machine
+			// (sync.Pool drops puts under -race).
+			for attempt := 0; attempt < 100; attempt++ {
+				if res, _ := engine.Run(nil, []farm.Job{tc.dirty}); (res[0].Err != nil) != tc.dirtyErr {
+					t.Fatalf("dirty job: err = %v, want error %v", res[0].Err, tc.dirtyErr)
+				}
+				got, st := engine.Run(nil, tc.next)
+				for i := range got {
+					if got[i].Err != nil || want[i].Err != nil {
+						t.Fatalf("job %d: err %v, fresh err %v", i, got[i].Err, want[i].Err)
+					}
+					if got[i].Regs != want[i].Regs || got[i].Output != want[i].Output ||
+						!reflect.DeepEqual(got[i].Pipe, want[i].Pipe) {
+						t.Fatalf("job %d on a reused machine: regs %v, fresh %v", i, got[i].Regs, want[i].Regs)
+					}
+				}
+				if st.PoolHits > 0 {
+					return
+				}
+			}
+			t.Fatalf("next jobs never reused the pooled machine; leak surface not exercised")
+		})
+	}
+}
+
+// qatWriteSet decodes prog and returns every Qat register it can write,
+// and the target of its first had (-1 if none).
+func qatWriteSet(t *testing.T, prog *asm.Program) (written [isa.NumQRegs]bool, firstHad int) {
+	t.Helper()
+	firstHad = -1
+	for pc := 0; pc < len(prog.Words); {
+		if prog.Data[pc] {
+			pc++
+			continue
+		}
+		var w1 uint16
+		if pc+1 < len(prog.Words) {
+			w1 = prog.Words[pc+1]
+		}
+		inst, n, err := isa.Decode(prog.Words[pc], w1)
+		if err != nil {
+			t.Fatalf("decode @%#x: %v", pc, err)
+		}
+		ws, nw := isa.QatWrites(inst)
+		for _, r := range ws[:nw] {
+			written[r] = true
+		}
+		if inst.Op == isa.OpQHad && firstHad < 0 {
+			firstHad = int(inst.QA)
+		}
+		pc += n
+	}
+	return written, firstHad
 }
 
 // TestReuseInterleavedTaggedUntagged runs a concurrent mix of tagged and

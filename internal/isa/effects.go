@@ -35,7 +35,7 @@ type Effects struct {
 	MayHalt bool
 }
 
-// qread / qwrite append a Qat register to the effect sets, deduplicating so
+// qread appends a Qat register to the read set, deduplicating so
 // "xor @1,@1,@1" reports each register once.
 func (e *Effects) qread(q uint8) {
 	for i := uint8(0); i < e.NQReads; i++ {
@@ -45,16 +45,6 @@ func (e *Effects) qread(q uint8) {
 	}
 	e.QReads[e.NQReads] = q
 	e.NQReads++
-}
-
-func (e *Effects) qwrite(q uint8) {
-	for i := uint8(0); i < e.NQWrites; i++ {
-		if e.QWrites[i] == q {
-			return
-		}
-	}
-	e.QWrites[e.NQWrites] = q
-	e.NQWrites++
 }
 
 // ReadsQat reports whether q is in the instruction's Qat read set.
@@ -122,11 +112,8 @@ func InstEffects(i Inst) Effects {
 	case OpSys:
 		e.ReadRegs = 1<<0 | 1<<1
 		e.MayHalt = true
-	case OpQZero, OpQOne, OpQHad:
-		e.qwrite(i.QA)
 	case OpQNot:
 		e.qread(i.QA)
-		e.qwrite(i.QA)
 	case OpQMeas, OpQNext, OpQPop:
 		e.ReadRegs = d
 		e.WriteRegs = d
@@ -134,27 +121,32 @@ func InstEffects(i Inst) Effects {
 	case OpQAnd, OpQOr, OpQXor:
 		e.qread(i.QB)
 		e.qread(i.QC)
-		e.qwrite(i.QA)
-	case OpQCnot:
+	case OpQCnot, OpQSwap:
 		e.qread(i.QA)
 		e.qread(i.QB)
-		e.qwrite(i.QA)
-	case OpQCcnot:
-		e.qread(i.QA)
-		e.qread(i.QB)
-		e.qread(i.QC)
-		e.qwrite(i.QA)
-	case OpQSwap:
-		e.qread(i.QA)
-		e.qread(i.QB)
-		e.qwrite(i.QA)
-		e.qwrite(i.QB)
-	case OpQCswap:
+	case OpQCcnot, OpQCswap:
 		e.qread(i.QA)
 		e.qread(i.QB)
 		e.qread(i.QC)
-		e.qwrite(i.QA)
-		e.qwrite(i.QB)
 	}
+	e.QWrites, e.NQWrites = QatWrites(i)
 	return e
+}
+
+// QatWrites returns the Qat write set of i, deduplicated, with only the
+// first n entries meaningful: the first operand of every register-writing
+// Qat op, plus the second for swap and cswap. It is the single source of
+// Effects.QWrites, and cheap enough for the coprocessor to call on every
+// instruction it executes.
+func QatWrites(i Inst) (w [2]uint8, n uint8) {
+	switch i.Op {
+	case OpQZero, OpQOne, OpQHad, OpQNot, OpQAnd, OpQOr, OpQXor, OpQCnot, OpQCcnot:
+		return [2]uint8{i.QA}, 1
+	case OpQSwap, OpQCswap:
+		if i.QB == i.QA {
+			return [2]uint8{i.QA}, 1
+		}
+		return [2]uint8{i.QA, i.QB}, 2
+	}
+	return w, 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"tangled/internal/aob"
 	"tangled/internal/cpu"
 	"tangled/internal/isa"
 )
@@ -128,6 +129,37 @@ func TestEffectsMatchExecution(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestQatWritesMatchesEffects pins isa.QatWrites, the write set the
+// coprocessor marks for its next reset, to InstEffects and to execution:
+// the two agree for every opcode (and for swap/cswap of a register with
+// itself), and stepping the instruction changes no Qat register outside it.
+func TestQatWritesMatchesEffects(t *testing.T) {
+	samples := append(effectsSamples(),
+		isa.Inst{Op: isa.OpQSwap, QA: 3, QB: 3},
+		isa.Inst{Op: isa.OpQCswap, QA: 2, QB: 2, QC: 1})
+	for _, inst := range samples {
+		w, n := isa.QatWrites(inst)
+		e := isa.InstEffects(inst)
+		if w != e.QWrites || n != e.NQWrites {
+			t.Errorf("%s: QatWrites = %v/%d, InstEffects.QWrites = %v/%d",
+				inst, w, n, e.QWrites, e.NQWrites)
+		}
+		m := newEffectsMachine(t, inst, &bytes.Buffer{})
+		var before [8]*aob.Vector
+		for q := range before {
+			before[q] = m.Qat.Reg(uint8(q)).Clone()
+		}
+		if err := m.Step(); err != nil {
+			t.Fatalf("%s: step: %v", inst, err)
+		}
+		for q := range before {
+			if !m.Qat.Reg(uint8(q)).Equal(before[q]) && !e.WritesQat(uint8(q)) {
+				t.Errorf("%s: @%d changed but is not in the write set %v", inst, q, w[:n])
+			}
+		}
 	}
 }
 

@@ -117,18 +117,15 @@ func openWAL(dir string) (*wal, []*Job, error) {
 }
 
 // replayWAL folds raw log bytes into the surviving job set, in submission
-// (Seq) order. It tolerates a torn tail: decoding stops at the first
-// malformed line. A missing or alien header is an error; a torn *header*
-// (file truncated inside line one) yields an empty store, matching the
+// (Seq) order. Lines have no length cap: every record writeLine can append
+// replays. It tolerates a torn tail: decoding stops at the first malformed
+// line. A missing or alien header is an error; a torn *header* (file
+// truncated inside line one) yields an empty store, matching the
 // crash-before-first-record case.
 func replayWAL(raw []byte) ([]*Job, error) {
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		return nil, nil
-	}
+	first, rest, _ := bytes.Cut(raw, []byte{'\n'})
 	var hdr walHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
+	if err := json.Unmarshal(first, &hdr); err != nil {
 		return nil, nil // torn header: crashed before the first full line
 	}
 	if hdr.Schema != WALSchema {
@@ -139,8 +136,9 @@ func replayWAL(raw []byte) ([]*Job, error) {
 	}
 	byID := make(map[string]*Job)
 	var order []string
-	for sc.Scan() {
-		line := sc.Bytes()
+	for len(rest) > 0 {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}

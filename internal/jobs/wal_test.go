@@ -112,6 +112,50 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
+// TestWALReplaysLongRecord: replay has no line-length cap. json.Marshal
+// escapes '<' to six bytes, so a spec of 3 MiB of them makes a job record
+// of about 18 MiB; that record and the state records after it must replay.
+func TestWALReplaysLongRecord(t *testing.T) {
+	dir := t.TempDir()
+	m, err := New(Config{Dir: dir, Workers: 1}, okExec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := strings.Repeat("<", 3<<20)
+	spec, err := json.Marshal(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Submit(Job{ID: "long", Spec: spec})
+	waitState(t, m, "long", StateCompleted)
+	m.Submit(Job{ID: "after"})
+	waitState(t, m, "after", StateCompleted)
+	closeNow(t, m)
+	if n := len(walLines(t, dir)[1]); n <= 16<<20 {
+		t.Fatalf("job record is %d bytes; the fixture must exceed 16 MiB", n)
+	}
+
+	m2, err := New(Config{Dir: dir, Workers: 1}, okExec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeNow(t, m2)
+	for _, id := range []string{"long", "after"} {
+		j, ok := m2.Get(id)
+		if !ok {
+			t.Fatalf("job %q lost at replay", id)
+		}
+		if j.State != StateCompleted {
+			t.Fatalf("job %q replayed as %s, want %s", id, j.State, StateCompleted)
+		}
+	}
+	j, _ := m2.Get("long")
+	var got string
+	if err := json.Unmarshal(j.Spec, &got); err != nil || got != text {
+		t.Fatalf("long spec did not round-trip (err %v, %d bytes)", err, len(got))
+	}
+}
+
 func TestWALTornHeaderIsEmptyStore(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, walFile), []byte(`{"schema":"tangl`), 0o644); err != nil {

@@ -31,6 +31,10 @@ type Coprocessor struct {
 	// Section 5 simplification); writes to them report an error.
 	reserved [isa.NumQRegs]bool
 
+	// written marks registers that Exec or SetReg may have changed since
+	// the last Reset, which therefore clears only those.
+	written [isa.NumQRegs]bool
+
 	// Meter, when non-nil, accumulates switching/erasure energy proxies
 	// for every executed operation (see package energy).
 	Meter *energy.Meter
@@ -84,7 +88,8 @@ func ConstOneReg() uint8 { return 1 }
 func ConstHadReg(k int) uint8 { return uint8(2 + k) }
 
 // Reg exposes register qa for inspection (tests, tracing). On the dense
-// backend the returned vector is live state; callers must not mutate it. On
+// backend the returned vector is live state; callers must not mutate it
+// (Reset would not know to clear the change; use SetReg instead). On
 // the RE backend it is a freshly materialized dense snapshot, which requires
 // ways <= aob.MaxWays — above that there is no dense form and Reg panics;
 // use RegPattern instead.
@@ -128,34 +133,41 @@ func (q *Coprocessor) SetReg(qa uint8, v *aob.Vector) {
 		if err := q.re.store(qa, p); err != nil {
 			panic(fmt.Sprintf("qat: SetReg(@%d): %v", qa, err))
 		}
+		q.written[qa] = true
 		return
 	}
 	q.regs[qa] = v.Clone()
+	q.written[qa] = true
 }
 
-// Reset clears all non-reserved registers. It reuses every allocation —
-// register vectors are zeroed in place — so a pooled coprocessor can be
-// reset between runs without touching the heap. An attached Meter is
+// Reset clears every non-reserved register written since the last Reset,
+// so its cost follows what the last run touched rather than the size of
+// the register file. Exec marks an instruction's write set before its
+// kernel runs and SetReg marks its target, which makes the marks a
+// superset of the registers that changed even when a run faulted or was
+// cut short. Registers are zeroed in place, so a pooled coprocessor is reset
+// between runs without touching the heap. An attached Meter is
 // deliberately left accumulating (metering spans runs by design); detach or
 // reset it separately when a machine changes tenants.
 func (q *Coprocessor) Reset() {
+	// The RE symbol space (intern table, memo) survives a reset the same
+	// way the dense path keeps its allocations: it is a cache, bounded by
+	// its own cap, and carries no channel state.
+	var zero *re.Pattern
 	if q.re != nil {
-		zero := q.re.sp.Zero()
-		for i := range q.re.pats {
-			if !q.reserved[i] {
-				q.re.pats[i], q.re.dense[i] = zero, nil
-			}
+		zero = q.re.sp.Zero()
+	}
+	for i, w := range q.written {
+		if !w || q.reserved[i] {
+			continue
 		}
-		// The symbol space (intern table, memo) survives a reset the same
-		// way the dense path keeps its allocations: it is a cache, bounded
-		// by its own cap, and carries no channel state.
-	} else {
-		for i := range q.regs {
-			if !q.reserved[i] {
-				q.regs[i].Zero()
-			}
+		if q.re != nil {
+			q.re.pats[i], q.re.dense[i] = zero, nil
+		} else {
+			q.regs[i].Zero()
 		}
 	}
+	q.written = [isa.NumQRegs]bool{}
 }
 
 // Exec executes one Qat instruction. rd carries the Tangled register value
@@ -164,9 +176,10 @@ func (q *Coprocessor) Reset() {
 //
 // The checks are shared by both register files and run before either
 // kernel switch: a non-Qat op is refused, the attempt is counted, and a
-// write to a reserved register (the write set comes from isa.InstEffects)
-// or a had pattern beyond the hardware width faults with no register
-// changed.
+// write to a reserved register (the write set comes from isa.QatWrites) or
+// a had pattern beyond the hardware width faults with no register changed.
+// Each register of the write set is marked for the next Reset as it is
+// checked, before any kernel runs.
 func (q *Coprocessor) Exec(inst isa.Inst, rd uint16) (out uint16, writes bool, err error) {
 	if !inst.Op.IsQat() {
 		return 0, false, fmt.Errorf("qat: not a Qat op: %s", inst.Op.Name())
@@ -174,11 +187,12 @@ func (q *Coprocessor) Exec(inst isa.Inst, rd uint16) (out uint16, writes bool, e
 	if q.Metrics != nil {
 		q.Metrics.Ops.At(int(inst.Op) - int(isa.OpQZero)).Inc()
 	}
-	eff := isa.InstEffects(inst)
-	for _, r := range eff.QWrites[:eff.NQWrites] {
+	ws, n := isa.QatWrites(inst)
+	for _, r := range ws[:n] {
 		if q.reserved[r] {
 			return 0, false, fmt.Errorf("qat: write to reserved constant register @%d", r)
 		}
+		q.written[r] = true
 	}
 	if inst.Op == isa.OpQHad && int(inst.K) >= q.ways {
 		return 0, false, fmt.Errorf("qat: had pattern %d exceeds %d-way hardware", inst.K, q.ways)
