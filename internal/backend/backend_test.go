@@ -1,15 +1,16 @@
 package backend
 
-// Registry, canonicalization, and planner decision tests. The farm-level
-// differential proof that an auto plan executes byte-identically to its
-// explicit spelling lives in internal/farm (TestAutoPlannerDifferential).
+// Planner decision tests. The canonical geometry the plans carry is pinned
+// in internal/qat (TestCanonicalizeDense/RE/Unknown, TestCanonicalAgreement).
+// The farm-level differential proof that an auto plan executes
+// byte-identically to its explicit spelling lives in internal/farm
+// (TestAutoPlannerDifferential).
 
 import (
 	"cmp"
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"tangled/internal/aob"
@@ -19,72 +20,6 @@ import (
 	"tangled/internal/profile"
 	"tangled/internal/qat"
 )
-
-func TestRegistryNames(t *testing.T) {
-	want := []string{qat.BackendDense, qat.BackendRE}
-	if got := Names(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Names()=%v, want %v", got, want)
-	}
-	for _, n := range append([]string{""}, want...) {
-		if _, ok := Lookup(n); !ok {
-			t.Fatalf("Lookup(%q) failed", n)
-		}
-	}
-	if _, ok := Lookup(Auto); ok {
-		t.Fatal("Lookup(auto) resolved: the pseudo-backend must not be registered")
-	}
-	if _, ok := Lookup("fpga"); ok {
-		t.Fatal("Lookup of unknown name resolved")
-	}
-}
-
-func TestCanonicalizeDense(t *testing.T) {
-	c, err := Canonicalize(qat.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := qat.Config{Ways: aob.MaxWays, Backend: qat.BackendDense}
-	if c != want {
-		t.Fatalf("canonical dense=%+v, want %+v", c, want)
-	}
-	// RE knobs on a dense config are erased, not rejected: pool/memo keys
-	// must not vary on them.
-	c, err = Canonicalize(qat.Config{Ways: 4, ChunkWays: 3, SpillRuns: 9, Backend: qat.BackendDense})
-	if err != nil || c.ChunkWays != 0 || c.SpillRuns != 0 {
-		t.Fatalf("dense knob erasure: %+v err=%v", c, err)
-	}
-	if _, err := Canonicalize(qat.Config{Ways: aob.MaxWays + 1, Backend: qat.BackendDense}); err == nil {
-		t.Fatal("dense over-width accepted")
-	}
-}
-
-func TestCanonicalizeRE(t *testing.T) {
-	c, err := Canonicalize(qat.Config{Ways: 20, Backend: qat.BackendRE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := qat.Config{Ways: 20, Backend: qat.BackendRE, ChunkWays: aob.MaxWays, SpillRuns: -1}
-	if c != want {
-		t.Fatalf("canonical re=%+v, want %+v", c, want)
-	}
-	c, err = Canonicalize(qat.Config{Ways: 8, Backend: qat.BackendRE})
-	if err != nil || c.ChunkWays != 8 || c.SpillRuns != qat.DefaultSpillRuns {
-		t.Fatalf("re defaults: %+v err=%v", c, err)
-	}
-	if _, err := Canonicalize(qat.Config{Ways: qat.MaxREWays + 1, Backend: qat.BackendRE}); err == nil {
-		t.Fatal("re over-width accepted")
-	}
-	if _, err := Canonicalize(qat.Config{Ways: 8, ChunkWays: 9, Backend: qat.BackendRE}); err == nil {
-		t.Fatal("chunk ways above total accepted")
-	}
-}
-
-func TestCanonicalizeUnknown(t *testing.T) {
-	_, err := Canonicalize(qat.Config{Backend: "fpga"})
-	if err == nil || !strings.Contains(err.Error(), "fpga") {
-		t.Fatalf("unknown backend error=%v", err)
-	}
-}
 
 func mustProg(t *testing.T, src string) *asm.Program {
 	t.Helper()

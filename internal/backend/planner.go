@@ -1,7 +1,10 @@
-package backend
-
-// The auto-planner: resolves the Auto pseudo-backend into a registered
-// driver, before any machine is built or pool touched.
+// Package backend is the static auto-planner: it resolves the Auto
+// pseudo-backend into one of the two Qat register files (qat.BackendDense,
+// qat.BackendRE) before any machine is built or pool touched. The register
+// files' geometry rule (defaults made explicit, invalid geometry refused)
+// is qat.Config.Canonical; every plan is a canonical Config, so an
+// auto-planned run shares pool and memo identity with its explicit
+// spelling.
 //
 // Decision order, first match wins:
 //
@@ -15,16 +18,17 @@ package backend
 //
 // Only rule 1 reads the program's static profile (internal/profile), so
 // PlanAuto lints and profiles only to fill an UnservableError: every
-// servable plan costs two config canonicalizations and at most one probe
-// per backend. RE serves only past the dense wall: at 16 ways or fewer
-// its default geometry is one chunk per register, so it does dense's work
+// servable plan costs two canonicalizations and at most one probe per
+// backend. RE serves only past the dense wall: at 16 ways or fewer its
+// default geometry is one chunk per register, so it does dense's work
 // plus run interning.
 //
 // The planner never changes the requested width — it only picks the file
-// the width runs on. The RE plan uses the driver's default geometry
-// (ChunkWays 0, SpillRuns 0 canonicalize to min(ways, 16) and
-// qat.DefaultSpillRuns), so an auto-planned RE run shares pool and memo
-// identity with an explicitly requested default RE run.
+// the width runs on. The RE plan uses the default geometry (ChunkWays 0,
+// SpillRuns 0 canonicalize to min(ways, 16) and qat.DefaultSpillRuns), so
+// an auto-planned RE run shares pool and memo identity with an explicitly
+// requested default RE run.
+package backend
 
 import (
 	"fmt"
@@ -36,7 +40,13 @@ import (
 	"tangled/internal/qat"
 )
 
-// UnservableError reports a width no registered backend can execute. The
+// Auto is the pseudo-backend name the planner resolves into a concrete
+// register file from the program's width and the memo. It is accepted by
+// the layers above (farm jobs, HTTP requests, CLI flags), never by
+// qat.Config.Canonical.
+const Auto = "auto"
+
+// UnservableError reports a width no backend can execute. The
 // profile documents why, for error surfaces that attach it (HTTP 422).
 type UnservableError struct {
 	Ways    int
@@ -56,8 +66,8 @@ type Plan struct {
 // width; p reaches only an UnservableError. probe, when non-nil, reports
 // whether a memoized result exists for a canonical config; it is consulted
 // before the width rules. cfg.Backend must be Auto (or empty/dense/re,
-// which pass through canonicalization untouched — callers can funnel every
-// job through Decide).
+// which pass through qat.Config.Canonical — callers can funnel every job
+// through Decide).
 func Decide(p *lint.Profile, cfg qat.Config, probe func(qat.Config) bool) (Plan, error) {
 	return decide(func() *lint.Profile { return p }, cfg, probe)
 }
@@ -84,7 +94,7 @@ func PlanAuto(prog *asm.Program, cfg qat.Config, probe func(qat.Config) bool) (P
 // called only for an unservable width; each probe runs at most once.
 func decide(prof func() *lint.Profile, cfg qat.Config, probe func(qat.Config) bool) (Plan, error) {
 	if cfg.Backend != Auto {
-		c, err := Canonicalize(cfg)
+		c, err := cfg.Canonical()
 		return Plan{Config: c}, err
 	}
 	ways := cfg.Ways
@@ -98,12 +108,12 @@ func decide(prof func() *lint.Profile, cfg qat.Config, probe func(qat.Config) bo
 	var denseC qat.Config
 	var denseErr error
 	if ways <= aob.MaxWays {
-		denseC, denseErr = Canonicalize(defaultGeometry(cfg, qat.BackendDense))
+		denseC, denseErr = defaultGeometry(cfg, qat.BackendDense).Canonical()
 		if probe != nil && denseErr == nil && probe(denseC) {
 			return Plan{Config: denseC}, nil
 		}
 	}
-	reC, reErr := Canonicalize(defaultGeometry(cfg, qat.BackendRE))
+	reC, reErr := defaultGeometry(cfg, qat.BackendRE).Canonical()
 	if probe != nil && reErr == nil && probe(reC) {
 		return Plan{Config: reC}, nil
 	}
@@ -113,8 +123,8 @@ func decide(prof func() *lint.Profile, cfg qat.Config, probe func(qat.Config) bo
 	return Plan{Config: denseC}, denseErr
 }
 
-// defaultGeometry is cfg on the named backend with the driver's default
-// geometry, the only geometry the planner plans.
+// defaultGeometry is cfg on the named backend with its default geometry,
+// the only geometry the planner plans.
 func defaultGeometry(cfg qat.Config, name string) qat.Config {
 	cfg.Backend = name
 	cfg.ChunkWays, cfg.SpillRuns = 0, 0

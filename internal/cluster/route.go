@@ -10,9 +10,10 @@ package cluster
 // locality, never correctness: two sources that differ in text but
 // assemble to the same words may land on different nodes. A
 // backend:"auto" request is keyed under its own marker instead of being
-// planned here. Planning needs the per-node profile and memo probe; the
-// router only needs *stability* (same request → same node), and the chosen
-// node's own planner then resolves and memoizes it.
+// planned here. Planning reads the width and the owning node's memo (and
+// profiles only to fill a 422); the router only needs *stability* (same
+// request → same node), and the chosen node's own planner then resolves
+// and memoizes it.
 
 import (
 	"crypto/sha256"
@@ -74,8 +75,8 @@ func RouteKey(req *server.RunRequest) (uint64, bool) {
 			kind |= routeConst
 		}
 	default:
-		cfg, err := backend.Canonicalize(qat.Config{Ways: req.Ways, ConstantRegs: req.ConstRegs,
-			Backend: req.Backend, ChunkWays: req.ChunkWays, SpillRuns: req.SpillRuns})
+		cfg, err := qat.Config{Ways: req.Ways, ConstantRegs: req.ConstRegs,
+			Backend: req.Backend, ChunkWays: req.ChunkWays, SpillRuns: req.SpillRuns}.Canonical()
 		if err != nil {
 			return 0, false
 		}

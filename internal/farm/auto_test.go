@@ -200,6 +200,30 @@ func TestAutoMemoProbeSticky(t *testing.T) {
 	}
 }
 
+// TestAutoMemoHitCountedOnce: three identical auto jobs are one miss and
+// two hits, as for the explicit spelling. The planner's memo probe only
+// picks the backend; the cache lookup that serves the job counts the hit.
+func TestAutoMemoHitCountedOnce(t *testing.T) {
+	prog, err := asm.Assemble(wideEntangleSrc(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []string{qat.BackendDense, backend.Auto} {
+		engine := farm.New(1)
+		cache := memo.New(64)
+		engine.SetMemo(cache)
+		for i := 0; i < 3; i++ {
+			res, _ := engine.Run(nil, []farm.Job{{Prog: prog, Ways: 4, Backend: b}})
+			if res[0].Err != nil || res[0].Cached != (i > 0) || res[0].Backend != qat.BackendDense {
+				t.Fatalf("%s run %d: err=%v cached=%v backend=%q", b, i, res[0].Err, res[0].Cached, res[0].Backend)
+			}
+		}
+		if st := cache.Stats(); st.Hits != 2 || st.Misses != 1 {
+			t.Fatalf("%s: memo hits/misses %d/%d, want 2/1", b, st.Hits, st.Misses)
+		}
+	}
+}
+
 // TestAutoUnservable asks for a width past every backend: the job must
 // fail with backend.UnservableError carrying the profile.
 func TestAutoUnservable(t *testing.T) {

@@ -85,8 +85,9 @@ type Job struct {
 	ConstantRegs bool
 	// Backend selects the Qat register file for Functional jobs: "" or
 	// qat.BackendDense for the AoB file, qat.BackendRE for the compressed
-	// one (docs/BACKENDS.md), or backend.Auto to let the static planner
-	// pick from the program's profile (Result.Backend reports the choice).
+	// one (docs/BACKENDS.md), or backend.Auto to let the planner pick from
+	// the width and the memo (Engine.Resolve; Result.Backend reports the
+	// choice).
 	// Pipelined jobs reject a non-dense backend; auto resolves to dense.
 	Backend string
 	// REChunkWays is the RE backend's symbol size; 0 means the default
@@ -304,18 +305,10 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 		defer o.InFlight.Add(-1)
 	}
 
-	prog := j.Prog
-	if prog == nil {
-		if j.Src == "" {
-			res.Err = ErrNoProgram
-			return res
-		}
-		p, err := asm.Assemble(j.Src)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		prog = p
+	prog, err := j.program()
+	if err != nil {
+		res.Err = err
+		return res
 	}
 	if j.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -327,24 +320,24 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 		ctx, cancel = joinContext(ctx, j.Ctx)
 		defer cancel()
 	}
-	maxSteps := j.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
+	maxSteps := j.maxSteps()
 	if err := e.resolveAuto(j, prog, maxSteps, o); err != nil {
 		res.Err = err
 		return res
 	}
-	if j.Mode != Pipelined {
-		if cfg, cerr := j.qatConfig(); cerr == nil {
-			res.Backend = cfg.Backend
-		}
+	// The configuration is checked before the cache: an invalid one has no
+	// identity of its own to key on.
+	cfg, err := j.config()
+	if err != nil {
+		res.Err = err
+		return res
 	}
+	res.Backend = cfg.Backend
 	exec := func() {
 		if j.Mode == Pipelined {
 			e.runPipelined(ctx, j, prog, maxSteps, &res, bc, o)
 		} else {
-			e.runFunctional(ctx, j, prog, maxSteps, &res, bc, o)
+			e.runFunctional(ctx, cfg, j, prog, maxSteps, &res, bc, o)
 		}
 	}
 	cache := e.jobCache(j, o)
@@ -352,7 +345,7 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 		exec()
 		return res
 	}
-	entry, cached, err := cache.Do(ctx, jobKey(j, prog, maxSteps), func() memo.Entry {
+	entry, cached, err := cache.Do(ctx, jobKey(j, cfg, prog, maxSteps), func() memo.Entry {
 		exec()
 		return memo.Entry{Regs: res.Regs, Output: res.Output, Insts: res.Insts, Pipe: res.Pipe, Err: res.Err}
 	})
@@ -393,20 +386,16 @@ func joinContext(batch, job context.Context) (context.Context, context.CancelFun
 	return ctx, func() { stop(); cancel() }
 }
 
-func (e *Engine) runFunctional(ctx context.Context, j *Job, prog *asm.Program, maxSteps uint64, res *Result, bc *batchCounters, o *Obs) {
-	cfg, err := j.qatConfig()
-	if err != nil {
-		res.Err = err
-		return
-	}
+// runFunctional runs j on a machine of the canonical configuration cfg.
+func (e *Engine) runFunctional(ctx context.Context, cfg qat.Config, j *Job, prog *asm.Program, maxSteps uint64, res *Result, bc *batchCounters, o *Obs) {
 	pool := e.pool(poolKey{ways: cfg.Ways, constRegs: cfg.ConstantRegs,
 		backend: cfg.Backend, chunkWays: cfg.ChunkWays, spillRuns: cfg.SpillRuns})
 	var m *cpu.Machine
 	if v := pool.get(bc); v != nil {
 		m = v.(*cpu.Machine)
 	} else {
-		m, err = cpu.NewFromConfig(cfg)
-		if err != nil {
+		var err error
+		if m, err = cpu.NewFromConfig(cfg); err != nil {
 			bc.unalloc() // nothing was constructed; the miss never became a machine
 			res.Err = err
 			return
@@ -437,34 +426,56 @@ func (e *Engine) runFunctional(ctx context.Context, j *Job, prog *asm.Program, m
 		res.Err = err
 		return
 	}
-	err = m.RunContext(ctx, maxSteps)
+	res.Err = m.RunContext(ctx, maxSteps)
 	res.Regs = m.Regs
 	res.Output = out.String()
 	res.Insts = m.Stats.Insts
-	res.Err = err
 	if j.Inspect != nil {
 		j.Inspect(m)
 	}
 }
 
-// qatConfig resolves a Functional job's machine configuration into canonical
-// form through the backend registry — defaults made explicit, invalid
-// geometry rejected — so equivalent spellings share pool and memo identity.
-// The Auto pseudo-backend must already be resolved (resolveAuto); seeing it
-// here is a sequencing bug, reported rather than guessed around.
-func (j *Job) qatConfig() (qat.Config, error) {
-	if j.Backend == backend.Auto {
+// config checks the job's register-file choice and returns a Functional
+// job's Qat configuration in canonical form (qat.Config.Canonical):
+// defaults made explicit, invalid geometry rejected, so equivalent
+// spellings share pool and memo identity. A Pipelined job, which must be
+// dense, gets the zero Config. The Auto pseudo-backend must already be
+// resolved (Resolve); seeing it here is a sequencing bug, reported rather
+// than guessed around.
+func (j *Job) config() (qat.Config, error) {
+	switch {
+	case j.Backend == backend.Auto:
 		return qat.Config{}, fmt.Errorf("farm: backend %q not resolved before execution", backend.Auto)
+	case j.Mode == Pipelined:
+		if j.Backend != "" && j.Backend != qat.BackendDense {
+			return qat.Config{}, fmt.Errorf("farm: pipelined jobs support only the dense backend (got %q)", j.Backend)
+		}
+		return qat.Config{}, nil
 	}
-	return backend.Canonicalize(qat.Config{Ways: j.Ways, ConstantRegs: j.ConstantRegs,
-		Backend: j.Backend, ChunkWays: j.REChunkWays, SpillRuns: j.RESpillRuns})
+	return qat.Config{Ways: j.Ways, ConstantRegs: j.ConstantRegs,
+		Backend: j.Backend, ChunkWays: j.REChunkWays, SpillRuns: j.RESpillRuns}.Canonical()
+}
+
+// program returns the job's assembled program: Prog, or Src assembled.
+func (j *Job) program() (*asm.Program, error) {
+	if j.Prog != nil {
+		return j.Prog, nil
+	}
+	if j.Src == "" {
+		return nil, ErrNoProgram
+	}
+	return asm.Assemble(j.Src)
+}
+
+// maxSteps is the job's step budget with the default applied.
+func (j *Job) maxSteps() uint64 {
+	if j.MaxSteps == 0 {
+		return DefaultMaxSteps
+	}
+	return j.MaxSteps
 }
 
 func (e *Engine) runPipelined(ctx context.Context, j *Job, prog *asm.Program, maxCycles uint64, res *Result, bc *batchCounters, o *Obs) {
-	if j.Backend != "" && j.Backend != qat.BackendDense {
-		res.Err = fmt.Errorf("farm: pipelined jobs support only the dense backend (got %q)", j.Backend)
-		return
-	}
 	cfg := j.Pipeline
 	if cfg == (pipeline.Config{}) {
 		cfg = pipeline.DefaultConfig()

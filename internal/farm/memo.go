@@ -45,22 +45,19 @@ func (e *Engine) jobCache(j *Job, o *Obs) *memo.Cache {
 }
 
 // jobKey derives the job's content address from its resolved program and
-// budget, normalizing defaults (ways 0, zero pipeline config) so equivalent
-// spellings share an entry.
-func jobKey(j *Job, prog *asm.Program, maxSteps uint64) memo.Key {
+// budget, normalizing defaults (zero pipeline config) so equivalent
+// spellings share an entry. cfg is a functional job's canonical
+// configuration (Job.config); pipelined jobs ignore it.
+func jobKey(j *Job, cfg qat.Config, prog *asm.Program, maxSteps uint64) memo.Key {
 	ek := memo.ExecKey{MaxSteps: maxSteps, Words: prog.Words}
 	if j.Mode == Pipelined {
 		ek.Pipelined = true
-		cfg := j.Pipeline
-		if cfg == (pipeline.Config{}) {
-			cfg = pipeline.DefaultConfig()
+		pc := j.Pipeline
+		if pc == (pipeline.Config{}) {
+			pc = pipeline.DefaultConfig()
 		}
-		ek.Pipeline = cfg
+		ek.Pipeline = pc
 	} else {
-		// qatConfig resolves every default (ways 0, backend "", chunk/spill
-		// zeros), so equivalent spellings hash identically. Invalid configs
-		// still key consistently; the execution path reports their error.
-		cfg, _ := j.qatConfig()
 		ek.Ways = cfg.Ways
 		ek.ConstantRegs = cfg.ConstantRegs
 		if cfg.Backend == qat.BackendRE {
@@ -85,20 +82,12 @@ func (e *Engine) MemoProbe(j *Job) (Result, bool) {
 	if c == nil {
 		return Result{}, false
 	}
-	if j.Prog == nil {
-		if j.Src == "" {
-			return Result{}, false
-		}
-		p, err := asm.Assemble(j.Src)
-		if err != nil {
-			return Result{}, false
-		}
-		j.Prog = p
+	p, err := j.program()
+	if err != nil {
+		return Result{}, false
 	}
-	maxSteps := j.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
+	j.Prog = p
+	maxSteps := j.maxSteps()
 	// An auto job must resolve to a concrete backend before keying: a key
 	// over the unresolved pseudo-name would alias the dense spelling. The
 	// resolution is sticky (written back into j) so a subsequent real run
@@ -107,23 +96,23 @@ func (e *Engine) MemoProbe(j *Job) (Result, bool) {
 	if err := e.resolveAuto(j, j.Prog, maxSteps, e.currentObs()); err != nil {
 		return Result{}, false
 	}
-	ent, ok := c.Get(jobKey(j, j.Prog, maxSteps))
+	// An invalid configuration reports as a miss, like a planner failure.
+	cfg, err := j.config()
+	if err != nil {
+		return Result{}, false
+	}
+	ent, ok := c.Get(jobKey(j, cfg, j.Prog, maxSteps))
 	if !ok {
 		return Result{}, false
 	}
-	res := Result{
-		Name:   j.Name,
-		Regs:   ent.Regs,
-		Output: ent.Output,
-		Insts:  ent.Insts,
-		Pipe:   ent.Pipe,
-		Err:    ent.Err,
-		Cached: true,
-	}
-	if j.Mode != Pipelined {
-		if cfg, err := j.qatConfig(); err == nil {
-			res.Backend = cfg.Backend
-		}
-	}
-	return res, true
+	return Result{
+		Name:    j.Name,
+		Regs:    ent.Regs,
+		Output:  ent.Output,
+		Insts:   ent.Insts,
+		Pipe:    ent.Pipe,
+		Err:     ent.Err,
+		Cached:  true,
+		Backend: cfg.Backend,
+	}, true
 }

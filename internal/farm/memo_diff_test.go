@@ -188,3 +188,38 @@ func TestMemoBypass(t *testing.T) {
 		t.Fatal("traced pipelined jobs emitted no trace rows")
 	}
 }
+
+// TestMemoSkipsInvalidConfig: a job whose register-file choice is invalid
+// fails without reaching the cache. Keyed anyway, an unknown backend at 16
+// ways (or a pipelined job on "re") would hash like the dense spelling,
+// and its error would be replayed to every later dense run of the program.
+func TestMemoSkipsInvalidConfig(t *testing.T) {
+	src := "\tlex $1, 7\n\tlex $0, 0\n\tsys\n"
+	for _, c := range []struct {
+		name      string
+		bad, good farm.Job
+	}{
+		{"unknown backend", farm.Job{Src: src, Ways: 16, Backend: "fpga"}, farm.Job{Src: src, Ways: 16}},
+		{"pipelined re", farm.Job{Src: src, Mode: farm.Pipelined, Backend: "re"}, farm.Job{Src: src, Mode: farm.Pipelined}},
+	} {
+		engine := farm.New(1)
+		cache := memo.New(16)
+		engine.SetMemo(cache)
+		bad, good := c.bad, c.good
+		if res, _ := engine.Run(nil, []farm.Job{bad}); res[0].Err == nil {
+			t.Fatalf("%s: accepted", c.name)
+		}
+		if _, hit := engine.MemoProbe(&good); hit {
+			t.Fatalf("%s: the dense spelling hit an entry the failed job stored", c.name)
+		}
+		if res, _ := engine.Run(nil, []farm.Job{good}); res[0].Err != nil || res[0].Cached {
+			t.Fatalf("%s: dense run after the failed job: err=%v cached=%v", c.name, res[0].Err, res[0].Cached)
+		}
+		if _, hit := engine.MemoProbe(&bad); hit {
+			t.Fatalf("%s: hit the dense entry", c.name)
+		}
+		if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 {
+			t.Fatalf("%s: memo hits/misses %d/%d, want 0/1", c.name, st.Hits, st.Misses)
+		}
+	}
+}

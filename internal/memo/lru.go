@@ -50,7 +50,7 @@ func (l *LRU[K, V]) Get(key K) (V, bool) {
 }
 
 // Peek returns the value for key without refreshing its recency — the
-// put-if-absent probe.
+// probe behind Cache.Has.
 func (l *LRU[K, V]) Peek(key K) (V, bool) {
 	if el, ok := l.items[key]; ok {
 		return el.Value.(*lruItem[K, V]).val, true

@@ -250,6 +250,16 @@ func (c *Cache) Get(k Key) (Entry, bool) {
 	return e.clone(), true
 }
 
+// Has reports whether k is stored, without counting a hit, refreshing
+// recency or copying the entry: the auto-planner's probe, which only picks
+// a backend. The lookup that then serves the entry (Get or Do) counts it.
+func (c *Cache) Has(k Key) bool {
+	c.mu.Lock()
+	_, ok := c.lru.Peek(k)
+	c.mu.Unlock()
+	return ok
+}
+
 // Do returns the cached entry for k, or executes exec to produce it. The
 // returned flag reports whether the entry came from the cache (a stored
 // entry or another caller's just-finished identical execution) rather than

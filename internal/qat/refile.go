@@ -73,63 +73,78 @@ type reFile struct {
 	spills    uint64
 }
 
-// NewFromConfig builds a coprocessor per cfg. The zero Config is the
-// paper's dense 16-way hardware.
-func NewFromConfig(cfg Config) (*Coprocessor, error) {
-	ways := cfg.Ways
+// Canonical validates cfg and makes its defaults explicit, so that every
+// spelling of one geometry compares equal: the farm keys machine pools and
+// the memo on the canonical Config. It names the backend, resolves Ways 0
+// to the 16-way hardware, zeroes the RE knobs on a dense config (a dense
+// key never varies on them), and on RE resolves ChunkWays 0 to
+// min(Ways, aob.MaxWays) and SpillRuns 0 to DefaultSpillRuns. A negative
+// budget, or a width past dense hardware (no dense form exists to spill
+// into), becomes -1. On error the returned Config is cfg as far as it was
+// resolved.
+func (cfg Config) Canonical() (Config, error) {
 	switch cfg.Backend {
 	case "", BackendDense:
-		if ways == 0 {
-			ways = aob.MaxWays
+		cfg.Backend = BackendDense
+		cfg.ChunkWays, cfg.SpillRuns = 0, 0
+		if cfg.Ways == 0 {
+			cfg.Ways = aob.MaxWays
 		}
-		if ways < 0 || ways > aob.MaxWays {
-			return nil, fmt.Errorf("qat: dense ways %d out of range [0,%d]", cfg.Ways, aob.MaxWays)
+		if cfg.Ways < 0 || cfg.Ways > aob.MaxWays {
+			return cfg, fmt.Errorf("qat: dense ways %d out of range [0,%d]", cfg.Ways, aob.MaxWays)
 		}
-		if cfg.ConstantRegs {
-			return NewWithConstants(ways), nil
-		}
-		return New(ways), nil
+		return cfg, nil
 	case BackendRE:
 	default:
-		return nil, fmt.Errorf("qat: unknown backend %q", cfg.Backend)
+		return cfg, fmt.Errorf("qat: unknown backend %q", cfg.Backend)
 	}
+	if cfg.Ways == 0 {
+		cfg.Ways = aob.MaxWays
+	}
+	if cfg.Ways < 0 || cfg.Ways > MaxREWays {
+		return cfg, fmt.Errorf("qat: re ways %d out of range [0,%d]", cfg.Ways, MaxREWays)
+	}
+	if cfg.ChunkWays == 0 {
+		cfg.ChunkWays = min(cfg.Ways, aob.MaxWays)
+	}
+	if cfg.ChunkWays < 0 || cfg.ChunkWays > aob.MaxWays || cfg.ChunkWays > cfg.Ways {
+		return cfg, fmt.Errorf("qat: re chunk ways %d out of range [0,min(%d,ways)]", cfg.ChunkWays, aob.MaxWays)
+	}
+	if cfg.SpillRuns == 0 {
+		cfg.SpillRuns = DefaultSpillRuns
+	}
+	if cfg.Ways > aob.MaxWays || cfg.SpillRuns < 0 {
+		cfg.SpillRuns = -1
+	}
+	return cfg, nil
+}
 
-	if ways == 0 {
-		ways = aob.MaxWays
-	}
-	if ways < 0 || ways > MaxREWays {
-		return nil, fmt.Errorf("qat: re ways %d out of range [0,%d]", cfg.Ways, MaxREWays)
-	}
-	chunkWays := cfg.ChunkWays
-	if chunkWays == 0 {
-		chunkWays = ways
-		if chunkWays > aob.MaxWays {
-			chunkWays = aob.MaxWays
-		}
-	}
-	if chunkWays < 0 || chunkWays > aob.MaxWays || chunkWays > ways {
-		return nil, fmt.Errorf("qat: re chunkWays %d out of range [0,min(%d,ways)]", cfg.ChunkWays, aob.MaxWays)
-	}
-	sp, err := re.NewSpace(ways, chunkWays)
+// NewFromConfig builds a coprocessor per cfg, canonicalized first. The
+// zero Config is the paper's dense 16-way hardware.
+func NewFromConfig(cfg Config) (*Coprocessor, error) {
+	cfg, err := cfg.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	spill := cfg.SpillRuns
-	if spill == 0 {
-		spill = DefaultSpillRuns
+	if cfg.Backend == BackendDense {
+		if cfg.ConstantRegs {
+			return NewWithConstants(cfg.Ways), nil
+		}
+		return New(cfg.Ways), nil
 	}
-	if ways > aob.MaxWays {
-		spill = -1 // no dense form exists to spill into
+	sp, err := re.NewSpace(cfg.Ways, cfg.ChunkWays)
+	if err != nil {
+		return nil, err
 	}
-	q := &Coprocessor{ways: ways}
-	q.re = &reFile{sp: sp, spillRuns: spill}
+	q := &Coprocessor{ways: cfg.Ways}
+	q.re = &reFile{sp: sp, spillRuns: cfg.SpillRuns}
 	for i := range q.re.pats {
 		q.re.pats[i] = sp.Zero()
 	}
 	if cfg.ConstantRegs {
 		q.re.pats[1] = sp.One()
 		q.reserved[0], q.reserved[1] = true, true
-		for k := 0; k < ways; k++ {
+		for k := 0; k < cfg.Ways; k++ {
 			q.re.pats[2+k] = sp.Had(k)
 			q.reserved[2+k] = true
 		}

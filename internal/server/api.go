@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"time"
 
-	"tangled/internal/aob"
 	"tangled/internal/backend"
 	"tangled/internal/farm"
 	"tangled/internal/lint"
@@ -53,9 +52,9 @@ type RunRequest struct {
 	// Backend selects the Qat register-file representation for functional
 	// runs: "" or "dense" is the paper's bit-parallel file, "re" the
 	// run-encoded compressed file, which also unlocks Ways beyond the
-	// dense wall (up to qat.MaxREWays), and "auto" lets the server's
-	// static planner pick from the program's profile (the choice comes
-	// back in RunResult.Backend). Pipelined runs are dense-only.
+	// dense wall (up to qat.MaxREWays), and "auto" lets the planner pick
+	// from the width and the memo (the choice comes back in
+	// RunResult.Backend). Pipelined runs are dense-only.
 	Backend string `json:"backend,omitempty"`
 	// ChunkWays and SpillRuns tune the "re" backend (0 means the backend
 	// defaults; negative SpillRuns disables spilling). Rejected for dense
@@ -258,9 +257,9 @@ type BuildInfo struct {
 	// "memo", "backend:re", "backend:auto") so clients feature-detect
 	// from one probe instead of poking endpoints.
 	Capabilities []string `json:"capabilities,omitempty"`
-	// Backends lists the registered register-file backends by name
-	// (sorted); "auto" is a planner pseudo-backend, advertised through the
-	// "backend:auto" capability instead.
+	// Backends lists the register-file backends by name (sorted); "auto"
+	// is a planner pseudo-backend, advertised through the "backend:auto"
+	// capability instead.
 	Backends []string `json:"backends,omitempty"`
 	// EventsSchema/EventsVer version the /v1/events lifecycle stream,
 	// present when the jobs subsystem is enabled.
@@ -291,14 +290,16 @@ type AssembleResponse struct {
 	Lint *lint.Report `json:"lint,omitempty"`
 }
 
-// validate checks a RunRequest and resolves it into a farm job skeleton
-// (program assembly happens separately so assembler diagnostics can surface
-// with line info).
 // Validate checks the request's schema without touching a server: the
 // cluster coordinator runs it before deriving a routing key, so requests
 // that no worker could accept skip keyed routing.
 func (r *RunRequest) Validate() error { return r.validate() }
 
+// validate is Validate. The register-file geometry is qat.Config.Canonical's
+// to judge; validate adds only the wire rules: pipelined runs are dense,
+// chunk_ways/spill_runs apply only to "re", and an "auto" width is not
+// negative (widths past every backend fail at planning time as a 422 with
+// the profile attached).
 func (r *RunRequest) validate() error {
 	if r.Src == "" && len(r.Words) == 0 {
 		return fmt.Errorf("program %q has neither src nor words", r.ID)
@@ -311,44 +312,19 @@ func (r *RunRequest) validate() error {
 	default:
 		return fmt.Errorf("program %q: mode %q is not \"functional\" or \"pipelined\"", r.ID, r.Mode)
 	}
-	switch r.Backend {
-	case "", qat.BackendDense:
-		if r.Ways < 0 || r.Ways > aob.MaxWays {
-			return fmt.Errorf("program %q: ways %d out of range [0,%d]", r.ID, r.Ways, aob.MaxWays)
-		}
-		if r.ChunkWays != 0 || r.SpillRuns != 0 {
-			return fmt.Errorf("program %q: chunk_ways/spill_runs apply only to the \"re\" backend", r.ID)
-		}
-	case qat.BackendRE:
-		if r.Mode == "pipelined" {
-			return fmt.Errorf("program %q: pipelined runs support only the dense backend", r.ID)
-		}
-		if r.Ways < 0 || r.Ways > qat.MaxREWays {
-			return fmt.Errorf("program %q: ways %d out of range [0,%d] for backend \"re\"", r.ID, r.Ways, qat.MaxREWays)
-		}
-		ways := r.Ways
-		if ways == 0 {
-			ways = aob.MaxWays
-		}
-		if r.ChunkWays < 0 || r.ChunkWays > aob.MaxWays || r.ChunkWays > ways {
-			return fmt.Errorf("program %q: chunk_ways %d out of range [0,min(%d,ways)]",
-				r.ID, r.ChunkWays, aob.MaxWays)
-		}
-	case backend.Auto:
-		if r.Mode == "pipelined" {
-			return fmt.Errorf("program %q: pipelined runs support only the dense backend", r.ID)
-		}
-		// Widths past every backend pass validation and fail at planning
-		// time as a 422 with the profile attached — the planner, not the
-		// request schema, owns that verdict.
+	if r.Mode == "pipelined" && (r.Backend == qat.BackendRE || r.Backend == backend.Auto) {
+		return fmt.Errorf("program %q: pipelined runs support only the dense backend", r.ID)
+	}
+	if r.Backend == backend.Auto {
 		if r.Ways < 0 {
 			return fmt.Errorf("program %q: negative ways %d", r.ID, r.Ways)
 		}
-		if r.ChunkWays != 0 || r.SpillRuns != 0 {
-			return fmt.Errorf("program %q: chunk_ways/spill_runs apply only to the \"re\" backend", r.ID)
-		}
-	default:
-		return fmt.Errorf("program %q: backend %q is not \"dense\", \"re\", or \"auto\"", r.ID, r.Backend)
+	} else if _, err := (qat.Config{Ways: r.Ways, Backend: r.Backend,
+		ChunkWays: r.ChunkWays, SpillRuns: r.SpillRuns}).Canonical(); err != nil {
+		return fmt.Errorf("program %q: %w", r.ID, err)
+	}
+	if r.Backend != qat.BackendRE && (r.ChunkWays != 0 || r.SpillRuns != 0) {
+		return fmt.Errorf("program %q: chunk_ways/spill_runs apply only to the \"re\" backend", r.ID)
 	}
 	if r.Stages != 0 && r.Stages != 4 && r.Stages != 5 {
 		return fmt.Errorf("program %q: stages %d is not 4 or 5", r.ID, r.Stages)

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"tangled/internal/farm/farmtest"
+	"tangled/internal/obs"
 	"tangled/internal/qat"
 )
 
@@ -160,8 +161,30 @@ func TestHTTPAutoUnservable(t *testing.T) {
 	}
 }
 
-// TestBuildinfoBackends pins the backend advertisement: registered names
-// plus the auto capability.
+// TestHTTPAutoMemoHitCountedOnce: three identical auto requests are one
+// memo miss and two hits, as for the explicit spelling — the planner's
+// probe picks the backend without counting a hit of its own.
+func TestHTTPAutoMemoHitCountedOnce(t *testing.T) {
+	src := farmtest.Generate(farmtest.Seed(8))
+	for _, b := range []string{qat.BackendDense, "auto"} {
+		reg := obs.NewRegistry()
+		_, base := startTestServer(t, Config{Registry: reg})
+		for i := 0; i < 3; i++ {
+			res := runOnce(t, base, RunRequest{ID: fmt.Sprintf("%s-%d", b, i), Src: src, Ways: 4, Backend: b})
+			if res.Cached != (i > 0) || res.Backend != qat.BackendDense {
+				t.Fatalf("%s run %d: cached=%v backend=%q", b, i, res.Cached, res.Backend)
+			}
+		}
+		snap := reg.Snapshot()
+		if snap["memo_hits_total"] != uint64(2) || snap["memo_misses_total"] != uint64(1) {
+			t.Fatalf("%s: memo_hits_total %v, memo_misses_total %v, want 2 and 1",
+				b, snap["memo_hits_total"], snap["memo_misses_total"])
+		}
+	}
+}
+
+// TestBuildinfoBackends pins the backend advertisement: the two backend
+// names plus the auto capability.
 func TestBuildinfoBackends(t *testing.T) {
 	_, base := startTestServer(t, Config{})
 	resp, err := http.Get(base + "/v1/buildinfo")

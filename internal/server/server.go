@@ -689,7 +689,7 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
 		TraceVer:      obs.TraceSchemaVersion,
 	}
 	info.Capabilities = []string{"backend:re", "backend:auto"}
-	info.Backends = backend.Names()
+	info.Backends = []string{qat.BackendDense, qat.BackendRE}
 	if s.cfg.MemoCap > 0 {
 		info.Capabilities = append(info.Capabilities, "memo")
 	}
@@ -768,21 +768,11 @@ func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (f
 		job.REChunkWays = req.ChunkWays
 		job.RESpillRuns = req.SpillRuns
 	}
-	if job.Backend == backend.Auto && job.Mode == farm.Functional {
+	if job.Backend == backend.Auto {
 		// Resolve the pseudo-backend here, before the memo probe and
 		// admission, so every downstream identity (coalescing, memo keys)
-		// is over the concrete backend. The probe prefers a backend that
-		// already has this exact run memoized.
-		probe := func(cfg qat.Config) bool {
-			t := job
-			t.Ways, t.ConstantRegs = cfg.Ways, cfg.ConstantRegs
-			t.Backend, t.REChunkWays, t.RESpillRuns = cfg.Backend, cfg.ChunkWays, cfg.SpillRuns
-			_, hit := s.engine.MemoProbe(&t)
-			return hit
-		}
-		plan, err := backend.PlanAuto(prog,
-			qat.Config{Ways: job.Ways, ConstantRegs: job.ConstantRegs, Backend: backend.Auto}, probe)
-		if err != nil {
+		// is over the concrete backend.
+		if err := s.engine.Resolve(&job); err != nil {
 			var ue *backend.UnservableError
 			if errors.As(err, &ue) {
 				s.obs.unservable.Inc()
@@ -796,9 +786,6 @@ func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (f
 			}
 		}
 		s.obs.autoPlanned.Inc()
-		job.Backend = plan.Config.Backend
-		job.REChunkWays = plan.Config.ChunkWays
-		job.RESpillRuns = plan.Config.SpillRuns
 	}
 	return job, 0, nil
 }
