@@ -217,65 +217,37 @@ func (v *Vector) Meas(ch uint64) uint64 {
 	return 0
 }
 
-// The binary and ternary word loops below share one shape: operand slices
-// are re-sliced to the destination length up front (hoisting the bounds
-// checks out of the loop) and the body runs four words per iteration with a
-// scalar tail. On the paper's 16-way hardware a register is 1024 words, so
-// the unrolled body carries essentially the whole operation.
+// And, Or and Xor hand their words to the per-architecture kernels
+// andWords, orWords and xorWords (SSE2 on amd64, portable word loops
+// elsewhere). The operands are sliced to the destination length first, so a
+// short operand panics here, before any kernel runs.
+//
+// The CNot and CCNot loops below share one shape: operand slices are
+// re-sliced to the destination length up front (hoisting the bounds checks
+// out of the loop) and the body runs four words per iteration with a scalar
+// tail. On the paper's 16-way hardware a register is 1024 words, so the
+// unrolled body carries essentially the whole operation.
 
 // And sets v = a AND b channel-wise (Qat "and @a,@b,@c"). The operand
 // vectors may alias v.
 func (v *Vector) And(a, b *Vector) {
 	v.mustMatch(a)
 	v.mustMatch(b)
-	vw := v.words
-	aw, bw := a.words[:len(vw)], b.words[:len(vw)]
-	i := 0
-	for ; i+4 <= len(vw); i += 4 {
-		vw[i] = aw[i] & bw[i]
-		vw[i+1] = aw[i+1] & bw[i+1]
-		vw[i+2] = aw[i+2] & bw[i+2]
-		vw[i+3] = aw[i+3] & bw[i+3]
-	}
-	for ; i < len(vw); i++ {
-		vw[i] = aw[i] & bw[i]
-	}
+	andWords(v.words, a.words[:len(v.words)], b.words[:len(v.words)])
 }
 
 // Or sets v = a OR b channel-wise (Qat "or @a,@b,@c").
 func (v *Vector) Or(a, b *Vector) {
 	v.mustMatch(a)
 	v.mustMatch(b)
-	vw := v.words
-	aw, bw := a.words[:len(vw)], b.words[:len(vw)]
-	i := 0
-	for ; i+4 <= len(vw); i += 4 {
-		vw[i] = aw[i] | bw[i]
-		vw[i+1] = aw[i+1] | bw[i+1]
-		vw[i+2] = aw[i+2] | bw[i+2]
-		vw[i+3] = aw[i+3] | bw[i+3]
-	}
-	for ; i < len(vw); i++ {
-		vw[i] = aw[i] | bw[i]
-	}
+	orWords(v.words, a.words[:len(v.words)], b.words[:len(v.words)])
 }
 
 // Xor sets v = a XOR b channel-wise (Qat "xor @a,@b,@c").
 func (v *Vector) Xor(a, b *Vector) {
 	v.mustMatch(a)
 	v.mustMatch(b)
-	vw := v.words
-	aw, bw := a.words[:len(vw)], b.words[:len(vw)]
-	i := 0
-	for ; i+4 <= len(vw); i += 4 {
-		vw[i] = aw[i] ^ bw[i]
-		vw[i+1] = aw[i+1] ^ bw[i+1]
-		vw[i+2] = aw[i+2] ^ bw[i+2]
-		vw[i+3] = aw[i+3] ^ bw[i+3]
-	}
-	for ; i < len(vw); i++ {
-		vw[i] = aw[i] ^ bw[i]
-	}
+	xorWords(v.words, a.words[:len(v.words)], b.words[:len(v.words)])
 }
 
 // Not flips every channel of v in place (Qat "not @a", the Pauli-X analog).

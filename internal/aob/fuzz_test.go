@@ -15,11 +15,15 @@ func FuzzAoBRef(f *testing.F) {
 	f.Add([]byte{3, 8, 0x02, 1, 0x21, 9, 0x10, 11, 0x03})
 	f.Add([]byte{0, 7, 0x00, 4, 0x00, 12, 0x00})
 	f.Add([]byte{8, 6, 0x31, 10, 0x23, 13, 0x07, 14, 0x3F, 15, 0x00})
+	// 9 and 10 ways: the logic gates on one and two whole 8-word blocks,
+	// with the destination aliasing an operand.
+	f.Add([]byte{9, 2, 0x04, 2, 0x19, 4, 0x12, 5, 0x13, 6, 0x30, 4, 0x15})
+	f.Add([]byte{10, 2, 0x04, 2, 0x19, 4, 0x12, 5, 0x13, 6, 0x30, 4, 0x15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		ways := int(data[0] % 9) // 0..8: big enough for multi-word, small enough to model
+		ways := int(data[0] % 11) // 0..10: reaches the 8- and 16-word kernel blocks, small enough to model
 		data = data[1:]
 
 		const numRegs = 4

@@ -8,6 +8,7 @@ package farm_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -249,5 +250,37 @@ func TestAutoPipelinedResolvesDense(t *testing.T) {
 	})
 	if results[0].Err != nil {
 		t.Fatalf("pipelined auto: %v", results[0].Err)
+	}
+}
+
+// TestRunLeavesJobsUnchanged: Run resolves auto on its own copy of each
+// job. The caller's slice still asks for auto afterwards, so a rerun of it
+// plans again (and may then pick a memoized entry) instead of replaying the
+// first run's choice.
+func TestRunLeavesJobsUnchanged(t *testing.T) {
+	prog, err := asm.Assemble(wideEntangleSrc(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []farm.Job{
+		{Name: "wide", Prog: prog, Ways: 20, Backend: backend.Auto},
+		{Name: "narrow", Src: wideEntangleSrc(4), Ways: 6, Backend: backend.Auto},
+		{Name: "pipelined", Src: "\tlex $0, 0\n\tsys\n", Mode: farm.Pipelined, Backend: backend.Auto},
+	}
+	want := append([]farm.Job(nil), jobs...)
+	engine := farm.New(0)
+	for run := 0; run < 2; run++ {
+		results, _ := engine.Run(nil, jobs)
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("run %d job %d: %v", run, i, r.Err)
+			}
+		}
+		if results[0].Backend != qat.BackendRE || results[1].Backend != qat.BackendDense {
+			t.Fatalf("run %d: backends %q, %q; want re, dense", run, results[0].Backend, results[1].Backend)
+		}
+		if !reflect.DeepEqual(jobs, want) {
+			t.Fatalf("run %d rewrote the caller's jobs:\ngot  %+v\nwant %+v", run, jobs, want)
+		}
 	}
 }

@@ -186,8 +186,8 @@ type Engine struct {
 
 // New returns an engine whose Run calls each execute at most workers jobs
 // concurrently; workers <= 0 means runtime.GOMAXPROCS(0). The bound is per
-// call, not engine-wide: each Run starts its own min(workers, len(jobs))
-// goroutines, so concurrent Run calls add up.
+// call, not engine-wide: each Run works on its calling goroutine plus
+// min(workers, len(jobs))-1 helpers, so concurrent Run calls add up.
 func New(workers int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -211,61 +211,62 @@ func (e *Engine) Totals() Stats {
 // a lost slot. When ctx is cancelled mid-batch, jobs not yet started report
 // ctx.Err() and in-flight jobs stop at their next cancellation poll; Run
 // always drains its workers before returning. A nil ctx means
-// context.Background().
+// context.Background(). Run does not modify jobs: a job that asks for
+// backend.Auto is resolved on a private copy, so rerunning the same slice
+// plans it again.
+//
+// The calling goroutine is worker 0; Run starts the other workers-1 as
+// helpers, and each worker claims the next unclaimed job index until none
+// are left.
 func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, Stats) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now()
 	results := make([]Result, len(jobs))
-	workers := e.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(e.workers, len(jobs))
 	o := e.currentObs()
 	if o != nil {
 		o.QueueDepth.Add(int64(len(jobs)))
 	}
 	var bc batchCounters
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= len(jobs) {
+				return
+			}
+			// Once ctx is done it stays done, so a job either starts on a
+			// live context or reports the error without starting.
+			started := ctx.Err() == nil
+			if started {
 				results[i] = e.runJob(ctx, i, &jobs[i], &bc, o)
-				if o != nil {
-					o.QueueDepth.Add(-1)
-					o.JobsDone.Inc()
-					if results[i].Err != nil {
-						o.JobErrors.Inc()
-					}
+			} else {
+				results[i] = Result{Job: i, Name: jobs[i].Name, Err: ctx.Err()}
+			}
+			if o != nil {
+				o.QueueDepth.Add(-1)
+				o.JobsDone.Inc()
+				if results[i].Err != nil {
+					o.JobErrors.Inc()
+				}
+				if started {
 					o.JobSeconds.Observe(results[i].Duration.Seconds())
 				}
 			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
 		}()
 	}
-	fed := len(jobs)
-	for i := range jobs {
-		select {
-		case idx <- i:
-			continue
-		case <-ctx.Done():
-			fed = i
-		}
-		break
-	}
-	close(idx)
+	work()
 	wg.Wait()
-	for i := fed; i < len(jobs); i++ {
-		results[i] = Result{Job: i, Name: jobs[i].Name, Err: ctx.Err()}
-		if o != nil {
-			o.QueueDepth.Add(-1)
-			o.JobsDone.Inc()
-			o.JobErrors.Inc()
-		}
-	}
 	if o != nil {
 		o.PoolHits.Add(bc.hits.Load())
 		o.PoolMisses.Add(bc.misses.Load())
@@ -321,9 +322,13 @@ func (e *Engine) runJob(ctx context.Context, i int, j *Job, bc *batchCounters, o
 		defer cancel()
 	}
 	maxSteps := j.maxSteps()
-	if err := e.resolveAuto(j, prog, maxSteps, o); err != nil {
-		res.Err = err
-		return res
+	if j.Backend == backend.Auto {
+		rj := *j // resolve on a copy: the caller's job keeps asking for auto
+		j = &rj
+		if err := e.resolveAuto(j, prog, maxSteps, o); err != nil {
+			res.Err = err
+			return res
+		}
 	}
 	// The configuration is checked before the cache: an invalid one has no
 	// identity of its own to key on.

@@ -14,6 +14,7 @@ import (
 	"tangled/internal/cpu"
 	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
+	"tangled/internal/obs"
 	"tangled/internal/pipeline"
 )
 
@@ -192,6 +193,36 @@ func TestCancelDrains(t *testing.T) {
 	}
 	if stats.Errors != uint64(len(jobs)) {
 		t.Fatalf("stats.Errors = %d, want %d", stats.Errors, len(jobs))
+	}
+}
+
+// TestCancelledBeforeStart: on a context that is already done no job
+// starts, every slot reports ctx.Err(), and the queue accounting still
+// drains to zero with one done and one error per job.
+func TestCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	jobs := make([]farm.Job, 5)
+	for i := range jobs {
+		jobs[i] = farm.Job{Name: fmt.Sprintf("spin-%d", i), Src: spinSrc, Ways: 4}
+	}
+	engine := farm.New(2)
+	fo := farm.NewObs(obs.NewRegistry())
+	engine.SetObs(fo)
+	results, stats := engine.Run(ctx, jobs)
+	for i, res := range results {
+		if res.Job != i || res.Name != jobs[i].Name || !errors.Is(res.Err, context.Canceled) {
+			t.Fatalf("slot %d: job=%d name=%q err=%v, want %d %q Canceled", i, res.Job, res.Name, res.Err, i, jobs[i].Name)
+		}
+	}
+	n := uint64(len(jobs))
+	if stats.Errors != n || fo.JobsDone.Value() != n || fo.JobErrors.Value() != n {
+		t.Fatalf("errors %d, jobs done %d, job errors %d; want %d each",
+			stats.Errors, fo.JobsDone.Value(), fo.JobErrors.Value(), n)
+	}
+	if fo.JobSeconds.Count() != 0 || fo.QueueDepth.Value() != 0 || fo.InFlight.Value() != 0 {
+		t.Fatalf("latency samples %d, queue depth %d, in flight %d; want 0 each",
+			fo.JobSeconds.Count(), fo.QueueDepth.Value(), fo.InFlight.Value())
 	}
 }
 
