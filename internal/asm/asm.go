@@ -1265,18 +1265,3 @@ func DisassembleWith(words []uint16, enc isa.Encoding) []string {
 	}
 	return out
 }
-
-// SymbolsByAddr returns label names sorted by address, for listings.
-func (p *Program) SymbolsByAddr() []string {
-	names := make([]string, 0, len(p.Symbols))
-	for n := range p.Symbols {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if p.Symbols[names[i]] != p.Symbols[names[j]] {
-			return p.Symbols[names[i]] < p.Symbols[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	return names
-}

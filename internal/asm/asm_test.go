@@ -375,9 +375,6 @@ func TestMultipleLabelsSameAddress(t *testing.T) {
 	if p.Symbols["a"] != 0 || p.Symbols["b"] != 0 {
 		t.Errorf("symbols: %v", p.Symbols)
 	}
-	if names := p.SymbolsByAddr(); len(names) != 2 || names[0] != "a" {
-		t.Errorf("SymbolsByAddr = %v", names)
-	}
 }
 
 func TestDisassembleRoundTrip(t *testing.T) {

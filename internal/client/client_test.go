@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"tangled/internal/obs"
 	"tangled/internal/server"
 )
 
@@ -178,7 +179,8 @@ func TestBatchTruncationDetected(t *testing.T) {
 // TestAgainstRealServer closes the loop: the retrying client against the
 // real serving stack, including an end-to-end resubmission the memo answers.
 func TestAgainstRealServer(t *testing.T) {
-	s, err := server.New(server.Config{})
+	reg := obs.NewRegistry()
+	s, err := server.New(server.Config{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,7 @@ func TestAgainstRealServer(t *testing.T) {
 	if err != nil || !again.Cached || again.Regs != res.Regs || again.Output != res.Output || again.Insts != res.Insts {
 		t.Fatalf("resubmission: %+v, %v (first %+v)", again, err, res)
 	}
-	if done := s.Engine().Totals().Jobs; done != 1 {
+	if done := reg.Counter("farm_jobs_done_total", "").Value(); done != 1 {
 		t.Fatalf("engine ran %d jobs, want 1", done)
 	}
 

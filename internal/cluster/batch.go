@@ -34,8 +34,8 @@ type batchItem struct {
 
 func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var breq server.BatchRequest
-	if err := co.decodeBody(w, r, &breq); err != nil {
-		co.writeError(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
+	if code, resp := server.DecodeBody(r.Body, &breq); resp != nil {
+		co.writeError(w, code, *resp)
 		return
 	}
 	if len(breq.Programs) == 0 {

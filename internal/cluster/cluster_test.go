@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"tangled/internal/client"
+	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/obs"
 	"tangled/internal/qasm"
@@ -42,6 +44,24 @@ func startWorker(t *testing.T, cfg server.Config) (*server.Server, string) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv, base
+}
+
+// runDirect is the in-process reference of the cluster differential: each
+// corpus program executed functionally by a farm engine, with no serving
+// layer in between.
+func runDirect(t *testing.T, srcs []string) []farm.Result {
+	t.Helper()
+	jobs := make([]farm.Job, len(srcs))
+	for i, src := range srcs {
+		jobs[i] = farm.Job{Src: src, Mode: farm.Functional, Ways: farmtest.Ways, MaxSteps: qasm.MaxSteps}
+	}
+	results, _ := farm.New(0).Run(context.Background(), jobs)
+	for i := range results {
+		if err := results[i].Err; err != nil {
+			t.Fatalf("direct run of program %d: %v", i, err)
+		}
+	}
+	return results
 }
 
 func startCoordinator(t *testing.T, cfg Config) (*Coordinator, string) {
@@ -78,10 +98,7 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = farmtest.Generate(farmtest.Seed(i))
 	}
-	direct, _, err := qasm.RunFunctionalBatch(context.Background(), srcs, farmtest.Ways, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, srcs)
 
 	var urls []string
 	for i := 0; i < 3; i++ {
@@ -593,6 +610,43 @@ func TestRouteKeyAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Fatalf("RouteKey allocates %.0f times per call, budget 4", allocs)
+	}
+}
+
+// TestCoordinatorBodyRulesMatchWorker: to a client the coordinator is a
+// qatserver, so a body a worker refuses — a valid request followed by a
+// second JSON value, or more bytes than MaxBodyBytes — gets the same status
+// and the same error body from the coordinator, on every POST endpoint.
+func TestCoordinatorBodyRulesMatchWorker(t *testing.T) {
+	const limit = 256
+	_, worker := startWorker(t, server.Config{Workers: 1, MaxBodyBytes: limit})
+	_, coord := startCoordinator(t, Config{Nodes: []string{worker}, MaxBodyBytes: limit})
+	run := `{"src":"lex $0,0\nsys\n"}`
+	valid := map[string]string{"/v1/run": run, "/v1/batch": `{"programs":[` + run + `]}`, "/v1/assemble": run}
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	for path, body := range valid {
+		for what, bad := range map[string]string{
+			"trailing data": body + ` {}`,
+			"oversize":      body[:len(body)-1] + `,"id":"` + strings.Repeat("x", limit) + `"}`,
+		} {
+			wantCode, wantBody := post(worker+path, bad)
+			gotCode, gotBody := post(coord+path, bad)
+			if gotCode != wantCode || gotBody != wantBody {
+				t.Errorf("%s %s: coordinator %d %q, worker %d %q", path, what, gotCode, gotBody, wantCode, wantBody)
+			}
+		}
 	}
 }
 

@@ -416,21 +416,17 @@ func (co *Coordinator) methodOnly(method string, h http.HandlerFunc) http.Handle
 		}
 		co.inFlight.Add(1)
 		defer co.inFlight.Add(-1)
+		if r.Body != nil {
+			r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
+		}
 		h(w, r)
 	}
 }
 
-func (co *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	body := http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req server.RunRequest
-	if err := co.decodeBody(w, r, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
+	if code, resp := server.DecodeBody(r.Body, &req); resp != nil {
+		co.writeError(w, code, *resp)
 		return
 	}
 	// Mint the request ID here, before the first forward, so a failover
@@ -647,8 +643,8 @@ func intersect(a, b []string) []string {
 
 func (co *Coordinator) handleAssemble(w http.ResponseWriter, r *http.Request) {
 	var req server.AssembleRequest
-	if err := co.decodeBody(w, r, &req); err != nil {
-		co.writeError(w, http.StatusBadRequest, server.ErrorResponse{Error: "bad request body: " + err.Error()})
+	if code, resp := server.DecodeBody(r.Body, &req); resp != nil {
+		co.writeError(w, code, *resp)
 		return
 	}
 	tried := make(map[*node]bool)

@@ -172,9 +172,6 @@ type Engine struct {
 	mu    sync.Mutex
 	pools map[poolKey]*machinePool
 
-	totalsMu sync.Mutex
-	totals   Stats
-
 	// obs is the optional observability hook-up (see obs.go); atomic so
 	// SetObs is safe against in-flight batches.
 	obs atomic.Pointer[Obs]
@@ -197,14 +194,6 @@ func New(workers int) *Engine {
 
 // Workers returns the engine's concurrency bound.
 func (e *Engine) Workers() int { return e.workers }
-
-// Totals returns lifetime statistics accumulated over every batch this
-// engine has run. Wall is the sum of batch wall times, not elapsed time.
-func (e *Engine) Totals() Stats {
-	e.totalsMu.Lock()
-	defer e.totalsMu.Unlock()
-	return e.totals
-}
 
 // Run executes jobs and returns one Result per job, in job order, plus the
 // batch statistics. Per-job failures land in Result.Err, never in a panic or
@@ -289,10 +278,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) ([]Result, Stats) {
 	}
 	st.PoolHits = bc.hits.Load()
 	st.PoolMisses = bc.misses.Load()
-
-	e.totalsMu.Lock()
-	e.totals.accumulate(st)
-	e.totalsMu.Unlock()
 	return results, st
 }
 

@@ -5,8 +5,7 @@ import (
 	"time"
 )
 
-// Stats aggregates one batch (Engine.Run) or an engine lifetime
-// (Engine.Totals).
+// Stats aggregates one batch (Engine.Run).
 type Stats struct {
 	// Jobs is the number of jobs submitted; Errors how many failed.
 	Jobs, Errors uint64
@@ -22,7 +21,7 @@ type Stats struct {
 	// MemoHits counts jobs served from the memo cache (including jobs
 	// collapsed onto an identical in-flight execution) without running.
 	MemoHits uint64
-	// Wall is the batch wall-clock time (for Totals: the sum over batches).
+	// Wall is the batch wall-clock time.
 	Wall time.Duration
 	// Workers is the concurrency the batch actually used.
 	Workers int
@@ -56,20 +55,4 @@ func (s Stats) String() string {
 		line += fmt.Sprintf(", memo hits %d", s.MemoHits)
 	}
 	return line
-}
-
-// accumulate folds a batch into lifetime totals.
-func (s *Stats) accumulate(b Stats) {
-	s.Jobs += b.Jobs
-	s.Errors += b.Errors
-	s.Insts += b.Insts
-	s.Cycles += b.Cycles
-	s.Stalls += b.Stalls
-	s.PoolHits += b.PoolHits
-	s.PoolMisses += b.PoolMisses
-	s.MemoHits += b.MemoHits
-	s.Wall += b.Wall
-	if b.Workers > s.Workers {
-		s.Workers = b.Workers
-	}
 }

@@ -134,16 +134,6 @@ func LogicOpCost(ways int) Cost {
 	return Cost{Gates: uint64(1) << uint(ways), Levels: 1}
 }
 
-// CSwapCost models the Fredkin/cswap datapath: per channel, two AND-OR mux
-// legs (2 gates each counting the mux as one plus the difference term).
-// Its real cost is architectural, not logical: it is "the only instruction
-// requiring two AoB datapaths out of the Qat ALU and a second write port on
-// Qat's register file" — captured by ExtraWritePorts.
-func CSwapCost(ways int) Cost {
-	checkWays(ways)
-	return Cost{Gates: 3 * (uint64(1) << uint(ways)), Levels: 2}
-}
-
 // PortCosts tabulates the register-file port requirements of each
 // instruction class, the Section 5 hardware-justification argument.
 type PortCosts struct {

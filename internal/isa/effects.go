@@ -2,11 +2,95 @@ package isa
 
 // Architectural effect metadata: which registers an instruction reads and
 // writes, whether it touches memory, and how it can divert or stop control
-// flow. This is the per-instruction ground truth that dataflow analyses
-// (package lint) and any future forwarding/scoreboard logic share with the
-// executing models — the tables here mirror the execute stage in package cpu
-// and package qat exactly, and the cross-check test in effects_test.go pins
-// the two together.
+// flow. This is the per-instruction ground truth shared by every model that
+// needs it: the dataflow analyses of package lint, the hazard interlock of
+// package pipeline (TangledRegs), the multi-cycle timing of package cpu
+// (Op.WritesTangledReg) and the reserved-register checks of package qat
+// (QatWrites). The tables here mirror the execute stage in package cpu and
+// package qat exactly, and the cross-check tests in effects_test.go pin the
+// two together.
+
+// regRoles names the Tangled registers an opcode touches by the operand
+// fields that select them.
+type regRoles uint8
+
+const (
+	roleD   regRoles = 1 << iota // the $d field ($c of a branch)
+	roleS                        // the $s field
+	roleSys                      // $0 and $1: sys's service selector and argument
+)
+
+// mask resolves the roles against i's register fields.
+func (r regRoles) mask(i Inst) uint16 {
+	var m uint16
+	if r&roleD != 0 {
+		m |= 1 << (i.RD & 0xF)
+	}
+	if r&roleS != 0 {
+		m |= 1 << (i.RS & 0xF)
+	}
+	if r&roleSys != 0 {
+		m |= 1<<0 | 1<<1
+	}
+	return m
+}
+
+// tangledRoles is the one statement of which Tangled registers each opcode
+// reads and writes, following the execute semantics of package cpu:
+//
+//   - two-operand ALU ops read $d and $s and write $d; copy and load read
+//     only $s;
+//   - lhi reads $d (it preserves the low byte) while lex does not;
+//   - sys reads $0 (the service selector) and $1 (the service argument);
+//   - meas/next/pop read $d as the channel/index argument before writing
+//     the result back into it;
+//   - every other Qat op touches no Tangled register.
+var tangledRoles = [numOps]struct{ reads, writes regRoles }{
+	OpAdd:   {roleD | roleS, roleD},
+	OpAddf:  {roleD | roleS, roleD},
+	OpAnd:   {roleD | roleS, roleD},
+	OpBrf:   {roleD, 0},
+	OpBrt:   {roleD, 0},
+	OpCopy:  {roleS, roleD},
+	OpFloat: {roleD, roleD},
+	OpInt:   {roleD, roleD},
+	OpJumpr: {roleD, 0},
+	OpLex:   {0, roleD},
+	OpLhi:   {roleD, roleD},
+	OpLoad:  {roleS, roleD},
+	OpMul:   {roleD | roleS, roleD},
+	OpMulf:  {roleD | roleS, roleD},
+	OpNeg:   {roleD, roleD},
+	OpNegf:  {roleD, roleD},
+	OpNot:   {roleD, roleD},
+	OpOr:    {roleD | roleS, roleD},
+	OpRecip: {roleD, roleD},
+	OpShift: {roleD | roleS, roleD},
+	OpSlt:   {roleD | roleS, roleD},
+	OpStore: {roleD | roleS, 0},
+	OpSys:   {roleSys, 0},
+	OpXor:   {roleD | roleS, roleD},
+	OpQMeas: {roleD, roleD},
+	OpQNext: {roleD, roleD},
+	OpQPop:  {roleD, roleD},
+}
+
+// TangledRegs returns the Tangled registers i reads and writes, as bitmasks
+// over the 16-entry file (bit r = register $r). It is the single source of
+// Effects.ReadRegs and Effects.WriteRegs, and cheap enough for the pipeline
+// interlock to call on every hazard check.
+func TangledRegs(i Inst) (reads, writes uint16) {
+	if i.Op >= numOps {
+		return 0, 0
+	}
+	r := tangledRoles[i.Op]
+	return r.reads.mask(i), r.writes.mask(i)
+}
+
+// WritesTangledReg reports whether op writes a Tangled general register.
+func (op Op) WritesTangledReg() bool {
+	return op < numOps && tangledRoles[op].writes != 0
+}
 
 // Effects describes the architectural reads and writes of one decoded
 // instruction. Tangled registers are bitmasks over the 16-entry file; Qat
@@ -68,55 +152,24 @@ func (e Effects) WritesQat(q uint8) bool {
 }
 
 // InstEffects computes the architectural effects of i, following the execute
-// semantics of package cpu (Tangled) and package qat (coprocessor):
-//
-//   - two-operand ALU ops read $d and $s and write $d; copy and load read
-//     only $s;
-//   - lhi reads $d (it preserves the low byte) while lex does not;
-//   - sys reads $0 (the service selector) and $1 (the service argument);
-//   - meas/next/pop read $d as the channel/index argument before writing
-//     the result back into it, and read (never write) their Qat register;
-//   - the multi-register Qat ops write their first operand (swap and cswap
-//     also the second) and read every operand that feeds the result.
+// semantics of package cpu (Tangled) and package qat (coprocessor). The
+// Tangled masks come from TangledRegs; for the Qat operands, meas/next/pop
+// read (never write) their register, and the multi-register ops write their
+// first operand (swap and cswap also the second) and read every operand
+// that feeds the result.
 func InstEffects(i Inst) Effects {
 	var e Effects
-	d, s := uint16(1)<<(i.RD&0xF), uint16(1)<<(i.RS&0xF)
+	e.ReadRegs, e.WriteRegs = TangledRegs(i)
 	switch i.Op {
-	case OpAdd, OpAddf, OpAnd, OpMul, OpMulf, OpOr, OpShift, OpSlt, OpXor:
-		e.ReadRegs = d | s
-		e.WriteRegs = d
-	case OpCopy:
-		e.ReadRegs = s
-		e.WriteRegs = d
 	case OpLoad:
-		e.ReadRegs = s
-		e.WriteRegs = d
 		e.MemRead = true
 	case OpStore:
-		e.ReadRegs = d | s
 		e.MemWrite = true
-	case OpFloat, OpInt, OpNeg, OpNegf, OpNot, OpRecip:
-		e.ReadRegs = d
-		e.WriteRegs = d
-	case OpJumpr:
-		e.ReadRegs = d
-		e.Control = true
-	case OpLex:
-		e.WriteRegs = d
-	case OpLhi:
-		e.ReadRegs = d
-		e.WriteRegs = d
-	case OpBrf, OpBrt:
-		e.ReadRegs = d
+	case OpBrf, OpBrt, OpJumpr:
 		e.Control = true
 	case OpSys:
-		e.ReadRegs = 1<<0 | 1<<1
 		e.MayHalt = true
-	case OpQNot:
-		e.qread(i.QA)
-	case OpQMeas, OpQNext, OpQPop:
-		e.ReadRegs = d
-		e.WriteRegs = d
+	case OpQNot, OpQMeas, OpQNext, OpQPop:
 		e.qread(i.QA)
 	case OpQAnd, OpQOr, OpQXor:
 		e.qread(i.QB)

@@ -80,9 +80,12 @@ func newEffectsMachine(t *testing.T, inst isa.Inst, out *bytes.Buffer) *cpu.Mach
 }
 
 // TestEffectsMatchExecution pins the effect tables to the executing model:
-// stepping one instruction must change exactly a subset of the declared
-// Tangled write set, and perturbing any register outside the declared read
-// set must not change the written values, the PC, or the output.
+// stepping one instruction must change exactly the declared Tangled write
+// set (the samples' register values are chosen so that every write changes
+// its register, so a write set naming too many registers — which would add
+// interlock stalls — fails here too), and perturbing any register outside
+// the declared read set must not change the written values, the PC, or the
+// output.
 func TestEffectsMatchExecution(t *testing.T) {
 	for _, inst := range effectsSamples() {
 		inst := inst
@@ -95,9 +98,14 @@ func TestEffectsMatchExecution(t *testing.T) {
 				t.Fatalf("step: %v", err)
 			}
 			for r := 0; r < isa.NumRegs; r++ {
-				if m.Regs[r] != before[r] && e.WriteRegs&(1<<r) == 0 {
+				changed, declared := m.Regs[r] != before[r], e.WriteRegs&(1<<r) != 0
+				if changed && !declared {
 					t.Errorf("register $%d changed (%#x -> %#x) but is not in WriteRegs %016b",
 						r, before[r], m.Regs[r], e.WriteRegs)
+				}
+				if declared && !changed {
+					t.Errorf("register $%d is in WriteRegs %016b but kept %#x",
+						r, e.WriteRegs, before[r])
 				}
 			}
 			basePC, baseRegs, baseOut := m.PC, m.Regs, out.String()
@@ -129,6 +137,28 @@ func TestEffectsMatchExecution(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTangledRegsViews pins every view of the Tangled register table to
+// it: for every opcode and every $d/$s pair, InstEffects carries the
+// TangledRegs masks, and Op.WritesTangledReg reports a nonempty write mask.
+func TestTangledRegsViews(t *testing.T) {
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		for d := uint8(0); d < isa.NumRegs; d++ {
+			for s := uint8(0); s < isa.NumRegs; s++ {
+				inst := isa.Inst{Op: op, RD: d, RS: s}
+				reads, writes := isa.TangledRegs(inst)
+				if e := isa.InstEffects(inst); e.ReadRegs != reads || e.WriteRegs != writes {
+					t.Fatalf("%s: InstEffects reads/writes %016b/%016b, TangledRegs %016b/%016b",
+						inst, e.ReadRegs, e.WriteRegs, reads, writes)
+				}
+				if op.WritesTangledReg() != (writes != 0) {
+					t.Fatalf("%s: WritesTangledReg = %v, TangledRegs writes %016b",
+						inst, op.WritesTangledReg(), writes)
+				}
+			}
+		}
 	}
 }
 

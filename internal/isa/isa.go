@@ -219,18 +219,6 @@ func (op Op) Fmt() Format {
 // meas/next/pop instructions that deliver results to Tangled registers).
 func (op Op) IsQat() bool { return op >= OpQZero && op < numOps }
 
-// WritesTangledReg reports whether op writes a Tangled general register.
-func (op Op) WritesTangledReg() bool {
-	switch op {
-	case OpQMeas, OpQNext, OpQPop:
-		return true
-	case OpBrf, OpBrt, OpStore, OpSys, OpJumpr:
-		return false
-	default:
-		return !op.IsQat()
-	}
-}
-
 // Inst is one decoded instruction.
 type Inst struct {
 	Op  Op

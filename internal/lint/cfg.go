@@ -110,7 +110,7 @@ type cfg struct {
 	imprecise bool
 
 	blocks  []block
-	liveOut []regset // per-block live-out sets, filled by runChecks
+	liveOut []RegSet // per-block live-out sets, filled by runChecks
 }
 
 // buildCFG decodes, resolves jump targets, computes reachability and forms

@@ -3,7 +3,7 @@ package lint
 // Register dataflow over the reachable CFG: definite assignment (a forward
 // must-analysis, for use-before-def) and liveness (a backward may-analysis,
 // for dead stores). Both treat the 16 Tangled registers and the 256 Qat
-// registers uniformly through regset.
+// registers uniformly through RegSet.
 
 import (
 	"fmt"
@@ -11,55 +11,27 @@ import (
 	"tangled/internal/isa"
 )
 
-// regset is a bitset over the 16 Tangled registers and 256 Qat registers.
-type regset struct {
-	cpu uint16
-	qat [4]uint64
+var fullSet = RegSet{
+	CPU: 0xFFFF,
+	Qat: [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)},
 }
 
-var fullSet = regset{
-	cpu: 0xFFFF,
-	qat: [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)},
-}
+var allCPUSet = RegSet{CPU: 0xFFFF}
 
-var allCPUSet = regset{cpu: 0xFFFF}
+func (s *RegSet) addQat(q uint8) { s.Qat[q>>6] |= 1 << (q & 63) }
 
-func (s *regset) addCPU(r uint8)     { s.cpu |= 1 << (r & 0xF) }
-func (s regset) hasCPU(r uint8) bool { return s.cpu&(1<<(r&0xF)) != 0 }
-func (s *regset) addQat(q uint8)     { s.qat[q>>6] |= 1 << (q & 63) }
-func (s regset) hasQat(q uint8) bool { return s.qat[q>>6]&(1<<(q&63)) != 0 }
-
-func (s regset) union(o regset) regset {
-	s.cpu |= o.cpu
-	for i := range s.qat {
-		s.qat[i] |= o.qat[i]
+func (s RegSet) intersect(o RegSet) RegSet {
+	s.CPU &= o.CPU
+	for i := range s.Qat {
+		s.Qat[i] &= o.Qat[i]
 	}
 	return s
 }
-
-func (s regset) intersect(o regset) regset {
-	s.cpu &= o.cpu
-	for i := range s.qat {
-		s.qat[i] &= o.qat[i]
-	}
-	return s
-}
-
-// diff removes o's members from s.
-func (s regset) diff(o regset) regset {
-	s.cpu &^= o.cpu
-	for i := range s.qat {
-		s.qat[i] &^= o.qat[i]
-	}
-	return s
-}
-
-func (s regset) eq(o regset) bool { return s == o }
 
 // defSet returns the registers an instruction writes.
-func defSet(in *instNode) regset {
-	var s regset
-	s.cpu = in.eff.WriteRegs
+func defSet(in *instNode) RegSet {
+	var s RegSet
+	s.CPU = in.eff.WriteRegs
 	for i := uint8(0); i < in.eff.NQWrites; i++ {
 		s.addQat(in.eff.QWrites[i])
 	}
@@ -70,17 +42,17 @@ func defSet(in *instNode) regset {
 // behavior depends on, for definite assignment. sys is narrowed to $0 (the
 // service selector): flagging the halt idiom `lex $0,0; sys` for an unused
 // argument register would be noise.
-func daUseSet(in *instNode) regset {
-	var s regset
+func daUseSet(in *instNode) RegSet {
+	var s RegSet
 	if in.inst.Op == isa.OpSys {
-		s.addCPU(0)
+		s.CPU = 1 << 0
 		return s
 	}
-	s.cpu = in.eff.ReadRegs
+	s.CPU = in.eff.ReadRegs
 	if in.pairBr {
 		// Either half of a br pair lands at the same target whatever the
 		// condition register holds, so the pair does not observe it.
-		s.cpu &^= 1 << in.inst.RD
+		s.CPU &^= 1 << in.inst.RD
 	}
 	for i := uint8(0); i < in.eff.NQReads; i++ {
 		s.addQat(in.eff.QReads[i])
@@ -91,10 +63,10 @@ func daUseSet(in *instNode) regset {
 // liveUseSet returns the registers an instruction may expose, for liveness.
 // sys conservatively uses every Tangled register: it may halt, and the final
 // register file is the run's observable output.
-func liveUseSet(in *instNode) regset {
+func liveUseSet(in *instNode) RegSet {
 	s := daUseSet(in)
 	if in.inst.Op == isa.OpSys {
-		return s.union(allCPUSet)
+		return s.Union(allCPUSet)
 	}
 	return s
 }
@@ -108,18 +80,18 @@ func regName(cpu bool, r uint8) string {
 
 // forEachMember calls f(true, r) per CPU member and f(false, q) per Qat
 // member, in ascending register order.
-func (s regset) forEachMember(f func(cpu bool, r uint8)) {
+func (s RegSet) forEachMember(f func(cpu bool, r uint8)) {
 	for r := uint8(0); r < uint8(isa.NumRegs); r++ {
-		if s.hasCPU(r) {
+		if s.HasCPU(r) {
 			f(true, r)
 		}
 	}
 	for w := 0; w < 4; w++ {
-		if s.qat[w] == 0 {
+		if s.Qat[w] == 0 {
 			continue
 		}
 		for b := 0; b < 64; b++ {
-			if s.qat[w]&(1<<b) != 0 {
+			if s.Qat[w]&(1<<b) != 0 {
 				f(false, uint8(w*64+b))
 			}
 		}
@@ -135,23 +107,23 @@ func (g *cfg) entryID() int { return g.blockAt(0) }
 // fatal. On an imprecise graph, label-rooted blocks (possible indirect-call
 // targets) start from the full set so unknowable callers cause no false
 // positives; the real entry at address 0 starts empty.
-func (g *cfg) definiteAssignment() []regset {
+func (g *cfg) definiteAssignment() []RegSet {
 	n := len(g.blocks)
-	sets := make([]regset, 3*n)
+	sets := make([]RegSet, 3*n)
 	in, out, gen := sets[:n], sets[n:2*n], sets[2*n:]
 	for i := range g.blocks {
 		in[i] = fullSet
 		b := &g.blocks[i]
 		for k := range b.insts {
-			gen[i] = gen[i].union(defSet(&b.insts[k]))
+			gen[i] = gen[i].Union(defSet(&b.insts[k]))
 		}
 	}
 	entry := g.entryID()
 	if entry >= 0 {
-		in[entry] = regset{}
+		in[entry] = RegSet{}
 	}
 	for i := range out {
-		out[i] = in[i].union(gen[i])
+		out[i] = in[i].Union(gen[i])
 	}
 	changed := true
 	for changed {
@@ -159,16 +131,16 @@ func (g *cfg) definiteAssignment() []regset {
 		for i := range g.blocks {
 			ni := fullSet
 			if i == entry {
-				ni = regset{}
+				ni = RegSet{}
 			}
 			for _, p := range g.blocks[i].preds {
 				ni = ni.intersect(out[p])
 			}
 			if i == entry {
-				ni = regset{}
+				ni = RegSet{}
 			}
-			no := ni.union(gen[i])
-			if !ni.eq(in[i]) || !no.eq(out[i]) {
+			no := ni.Union(gen[i])
+			if ni != in[i] || no != out[i] {
 				in[i], out[i] = ni, no
 				changed = true
 			}
@@ -190,7 +162,7 @@ func (g *cfg) checkUseBeforeDef(r *Report) {
 		b := &g.blocks[i]
 		for k := range b.insts {
 			ins := &b.insts[k]
-			missing := daUseSet(ins).diff(state)
+			missing := daUseSet(ins).Diff(state)
 			missing.forEachMember(func(cpuReg bool, reg uint8) {
 				var msg string
 				if cpuReg {
@@ -203,7 +175,7 @@ func (g *cfg) checkUseBeforeDef(r *Report) {
 				r.add(Diagnostic{Check: CheckUseBeforeDef, Severity: Warning,
 					Addr: ins.addr, Line: int(ins.line), Msg: msg})
 			})
-			state = state.union(defSet(ins))
+			state = state.Union(defSet(ins))
 		}
 	}
 }
@@ -211,17 +183,17 @@ func (g *cfg) checkUseBeforeDef(r *Report) {
 // liveness computes per-block live-out sets. Exits the analysis cannot
 // follow (unresolved jumpr, transfers into non-instruction words) and the
 // corresponding blocks conservatively keep everything live.
-func (g *cfg) liveness() []regset {
+func (g *cfg) liveness() []RegSet {
 	n := len(g.blocks)
-	sets := make([]regset, 4*n)
+	sets := make([]RegSet, 4*n)
 	use, def, liveOut, liveIn := sets[:n], sets[n:2*n], sets[2*n:3*n], sets[3*n:]
 	for i := range g.blocks {
 		b := &g.blocks[i]
 		for k := len(b.insts) - 1; k >= 0; k-- {
 			ins := &b.insts[k]
 			d := defSet(ins)
-			use[i] = use[i].diff(d).union(liveUseSet(ins))
-			def[i] = def[i].union(d)
+			use[i] = use[i].Diff(d).Union(liveUseSet(ins))
+			def[i] = def[i].Union(d)
 		}
 	}
 	for i := range g.blocks {
@@ -234,7 +206,7 @@ func (g *cfg) liveness() []regset {
 		case b.exitsUnknown || len(b.succs) == 0:
 			liveOut[i] = fullSet
 		}
-		liveIn[i] = use[i].union(liveOut[i].diff(def[i]))
+		liveIn[i] = use[i].Union(liveOut[i].Diff(def[i]))
 	}
 	changed := true
 	for changed {
@@ -242,10 +214,10 @@ func (g *cfg) liveness() []regset {
 		for i := n - 1; i >= 0; i-- {
 			no := liveOut[i]
 			for _, s := range g.blocks[i].succs {
-				no = no.union(liveIn[s])
+				no = no.Union(liveIn[s])
 			}
-			ni := use[i].union(no.diff(def[i]))
-			if !no.eq(liveOut[i]) || !ni.eq(liveIn[i]) {
+			ni := use[i].Union(no.Diff(def[i]))
+			if no != liveOut[i] || ni != liveIn[i] {
 				liveOut[i], liveIn[i] = no, ni
 				changed = true
 			}
@@ -263,14 +235,14 @@ func (g *cfg) checkDeadStores(r *Report) {
 		for k := len(b.insts) - 1; k >= 0; k-- {
 			ins := &b.insts[k]
 			d := defSet(ins)
-			dead := d.diff(live)
+			dead := d.Diff(live)
 			dead.forEachMember(func(cpuReg bool, reg uint8) {
 				r.add(Diagnostic{Check: CheckDeadStore, Severity: Warning,
 					Addr: ins.addr, Line: int(ins.line),
 					Msg: fmt.Sprintf("value %s writes to %s is overwritten before any read",
 						ins.inst.Op.Name(), regName(cpuReg, reg))})
 			})
-			live = live.diff(d).union(liveUseSet(ins))
+			live = live.Diff(d).Union(liveUseSet(ins))
 		}
 	}
 }

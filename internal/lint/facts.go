@@ -66,25 +66,18 @@ func (s RegSet) Intersects(o RegSet) bool {
 	return false
 }
 
-func exportSet(s regset) RegSet { return RegSet{CPU: s.cpu, Qat: s.qat} }
-
 // DefSet returns the registers instruction in writes.
 func DefSet(in isa.Inst) RegSet {
-	return exportSet(defSet(&instNode{inst: in, eff: isa.InstEffects(in)}))
-}
-
-// UseSet returns the registers whose prior value the instruction's behavior
-// depends on. pairBr marks the halves of a complementary brf/brt pair, whose
-// combined transfer does not observe the condition register.
-func UseSet(in isa.Inst, pairBr bool) RegSet {
-	return exportSet(daUseSet(&instNode{inst: in, eff: isa.InstEffects(in), pairBr: pairBr}))
+	return defSet(&instNode{inst: in, eff: isa.InstEffects(in)})
 }
 
 // LiveUseSet returns the registers the instruction may expose, for liveness:
-// like UseSet, except sys keeps every Tangled register live (it may halt, and
-// the final register file is the run's observable output).
+// the registers whose prior value its behavior depends on, and for sys every
+// Tangled register (it may halt, and the final register file is the run's
+// observable output). pairBr marks the halves of a complementary brf/brt
+// pair, whose combined transfer does not observe the condition register.
 func LiveUseSet(in isa.Inst, pairBr bool) RegSet {
-	return exportSet(liveUseSet(&instNode{inst: in, eff: isa.InstEffects(in), pairBr: pairBr}))
+	return liveUseSet(&instNode{inst: in, eff: isa.InstEffects(in), pairBr: pairBr})
 }
 
 // InstFact describes one decoded instruction.
@@ -254,7 +247,7 @@ func (g *cfg) fillFacts(f *Facts) {
 			ExitsUnknown: b.exitsUnknown,
 			MayHalt:      b.mayHalt,
 			InLoop:       b.inLoop,
-			LiveOut:      exportSet(g.liveOut[i]),
+			LiveOut:      g.liveOut[i],
 		}
 	}
 }

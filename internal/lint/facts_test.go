@@ -147,12 +147,13 @@ func TestDefUseSets(t *testing.T) {
 	if d := DefSet(lhi); !d.HasCPU(4) || d.CPU != 1<<4 {
 		t.Fatalf("lhi def = %+v", d)
 	}
-	if u := UseSet(lhi, false); !u.HasCPU(4) {
+	if u := LiveUseSet(lhi, false); !u.HasCPU(4) {
 		t.Fatalf("lhi use = %+v", u)
 	}
-	// sys: UseSet narrows to the service selector, LiveUseSet all 16.
+	// sys: the definite-assignment use set narrows to the service
+	// selector, LiveUseSet keeps all 16.
 	sys := isa.Inst{Op: isa.OpSys}
-	if u := UseSet(sys, false); u.CPU != 1<<0 {
+	if u := daUseSet(&instNode{inst: sys, eff: isa.InstEffects(sys)}); u.CPU != 1<<0 {
 		t.Fatalf("sys use = %+v", u)
 	}
 	if l := LiveUseSet(sys, false); l.CPU != 0xFFFF {
@@ -160,10 +161,10 @@ func TestDefUseSets(t *testing.T) {
 	}
 	// A paired branch does not observe its condition register.
 	br := isa.Inst{Op: isa.OpBrf, RD: 7, Imm: 2}
-	if u := UseSet(br, true); u.HasCPU(7) {
+	if u := LiveUseSet(br, true); u.HasCPU(7) {
 		t.Fatalf("paired brf observes the condition: %+v", u)
 	}
-	if u := UseSet(br, false); !u.HasCPU(7) {
+	if u := LiveUseSet(br, false); !u.HasCPU(7) {
 		t.Fatalf("unpaired brf misses the condition: %+v", u)
 	}
 	// swap writes both Qat registers.

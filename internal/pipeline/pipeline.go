@@ -113,14 +113,6 @@ func (s Stats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Insts)
 }
 
-// IPC returns retired instructions per cycle.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Insts) / float64(s.Cycles)
-}
-
 // ErrNoHalt is returned when the cycle budget expires before sys-halt.
 var ErrNoHalt = errors.New("pipeline: cycle budget exhausted without halt")
 
@@ -203,45 +195,6 @@ func (p *Pipeline) idIdx() int { return 1 }
 func (p *Pipeline) exIdx() int { return 2 }
 func (p *Pipeline) wbIdx() int { return p.cfg.Stages - 1 }
 
-// regsRead returns the Tangled registers an instruction reads.
-func regsRead(inst isa.Inst) []uint8 {
-	switch inst.Op {
-	case isa.OpLex:
-		return nil
-	case isa.OpSys:
-		// sys reads the service selector in $0 and the argument in $1.
-		return []uint8{0, 1}
-	case isa.OpLhi:
-		return []uint8{inst.RD} // merges into the existing low byte
-	case isa.OpBrf, isa.OpBrt, isa.OpJumpr:
-		return []uint8{inst.RD}
-	case isa.OpLoad:
-		return []uint8{inst.RS}
-	case isa.OpStore:
-		return []uint8{inst.RD, inst.RS}
-	case isa.OpQMeas, isa.OpQNext, isa.OpQPop:
-		return []uint8{inst.RD} // the channel index input
-	case isa.OpFloat, isa.OpInt, isa.OpNeg, isa.OpNegf, isa.OpNot, isa.OpRecip:
-		return []uint8{inst.RD}
-	case isa.OpCopy:
-		return []uint8{inst.RS}
-	default:
-		if inst.Op.IsQat() {
-			return nil // pure coprocessor op touches no Tangled registers
-		}
-		// Two-operand ALU forms read both.
-		return []uint8{inst.RD, inst.RS}
-	}
-}
-
-// regWritten returns the Tangled register an instruction writes, if any.
-func regWritten(inst isa.Inst) (uint8, bool) {
-	if inst.Op.WritesTangledReg() {
-		return inst.RD, true
-	}
-	return 0, false
-}
-
 // exLatency returns the EX-stage occupancy for inst under the config.
 func (p *Pipeline) exLatency(inst isa.Inst) int {
 	switch inst.Op {
@@ -262,8 +215,8 @@ func (p *Pipeline) hazardStall() (stall, loadUse bool) {
 	if !id.valid || id.decodeErr != nil {
 		return false, false
 	}
-	srcs := regsRead(id.inst)
-	if len(srcs) == 0 {
+	reads, _ := isa.TangledRegs(id.inst)
+	if reads == 0 {
 		return false, false
 	}
 	// Producers between EX and the stage before WB cannot yet be read from
@@ -273,18 +226,7 @@ func (p *Pipeline) hazardStall() (stall, loadUse bool) {
 		if !prod.valid || prod.decodeErr != nil {
 			continue
 		}
-		rd, writes := regWritten(prod.inst)
-		if !writes {
-			continue
-		}
-		hit := false
-		for _, s := range srcs {
-			if s == rd {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+		if _, writes := isa.TangledRegs(prod.inst); writes&reads == 0 {
 			continue
 		}
 		if !p.cfg.Forwarding {

@@ -11,78 +11,22 @@ import (
 	"tangled/internal/pipeline"
 )
 
-// This file is the batch face of the toolchain: the same one-call helpers as
-// RunFunctional/RunPipelined/Factor, fanned out over the farm worker pool.
-// Results always come back in input order; per-program failures are joined
-// into the returned error while the surviving results stay usable.
+// This file is the batch face of the toolchain: Factor fanned out over a
+// farm engine's worker pool. Reports come back in input order; per-program
+// failures are joined into the returned error while the surviving reports
+// stay usable.
 
 // resultFrom converts a farm result into the facade's Result type.
 func resultFrom(fr *farm.Result) *Result {
 	return &Result{Regs: fr.Regs, Output: fr.Output, Insts: fr.Insts, Pipe: fr.Pipe}
 }
 
-// collect converts a farm batch into facade results plus a joined error.
-// Failed slots are nil in the returned slice.
-func collect(frs []farm.Result) ([]*Result, error) {
-	out := make([]*Result, len(frs))
-	var errs []error
-	for i := range frs {
-		if err := frs[i].Err; err != nil {
-			errs = append(errs, fmt.Errorf("qasm: job %d (%s): %w", i, frs[i].Name, err))
-			continue
-		}
-		out[i] = resultFrom(&frs[i])
-	}
-	return out, errors.Join(errs...)
-}
-
-// RunFunctionalBatch assembles and executes each source on the functional
-// machine, fanning the programs across workers concurrent machines
-// (workers <= 0 means GOMAXPROCS). Results are in input order; failed
-// programs leave a nil slot and contribute to the joined error.
-func RunFunctionalBatch(ctx context.Context, srcs []string, ways, workers int) ([]*Result, farm.Stats, error) {
-	return RunFunctionalBatchOn(ctx, farm.New(workers), srcs, ways)
-}
-
-// RunFunctionalBatchOn is RunFunctionalBatch on a caller-supplied engine,
-// so the caller keeps the engine's pools warm across batches and can attach
-// observability (farm.Engine.SetObs) before running.
-func RunFunctionalBatchOn(ctx context.Context, e *farm.Engine, srcs []string, ways int) ([]*Result, farm.Stats, error) {
-	jobs := make([]farm.Job, len(srcs))
-	for i, src := range srcs {
-		jobs[i] = farm.Job{Name: fmt.Sprintf("func-%d", i), Src: src, Mode: farm.Functional, Ways: ways, MaxSteps: MaxSteps}
-	}
-	frs, stats := e.Run(ctx, jobs)
-	res, err := collect(frs)
-	return res, stats, err
-}
-
-// RunPipelinedBatch is RunFunctionalBatch on the cycle-accurate pipeline.
-func RunPipelinedBatch(ctx context.Context, srcs []string, cfg pipeline.Config, workers int) ([]*Result, farm.Stats, error) {
-	return RunPipelinedBatchOn(ctx, farm.New(workers), srcs, cfg)
-}
-
-// RunPipelinedBatchOn is RunPipelinedBatch on a caller-supplied engine.
-func RunPipelinedBatchOn(ctx context.Context, e *farm.Engine, srcs []string, cfg pipeline.Config) ([]*Result, farm.Stats, error) {
-	jobs := make([]farm.Job, len(srcs))
-	for i, src := range srcs {
-		jobs[i] = farm.Job{Name: fmt.Sprintf("pipe-%d", i), Src: src, Mode: farm.Pipelined, Pipeline: cfg, MaxSteps: MaxSteps}
-	}
-	frs, stats := e.Run(ctx, jobs)
-	res, err := collect(frs)
-	return res, stats, err
-}
-
-// FactorBatch runs the Figure 10 factoring toolchain for every composite in
-// ns concurrently: programs are generated and assembled up front (reporting
-// any generation error in that slot), then executed on workers pooled
-// pipelines. Reports are in input order with nil slots for failures.
-func FactorBatch(ctx context.Context, ns []uint64, aBits, bBits int, copts compile.Options, pcfg pipeline.Config, workers int) ([]*FactorReport, farm.Stats, error) {
-	return FactorBatchOn(ctx, farm.New(workers), ns, aBits, bBits, copts, pcfg)
-}
-
-// FactorBatchOn is FactorBatch on a caller-supplied engine (see
-// RunFunctionalBatchOn for why a caller would supply one).
+// FactorBatchOn runs the Figure 10 factoring toolchain for every composite
+// in ns on e: programs are generated and assembled up front (reporting any
+// generation error in that slot), then executed on the engine's pooled
+// pipelines. The caller supplies the engine so it keeps the pools warm
+// across batches and can attach observability (farm.Engine.SetObs) before
+// running. Reports are in input order with nil slots for failures.
 func FactorBatchOn(ctx context.Context, e *farm.Engine, ns []uint64, aBits, bBits int, copts compile.Options, pcfg pipeline.Config) ([]*FactorReport, farm.Stats, error) {
 	pcfg.ConstantRegs = copts.ConstantRegs
 	jobs := make([]farm.Job, 0, len(ns))
@@ -127,15 +71,9 @@ func FactorBatchOn(ctx context.Context, e *farm.Engine, ns []uint64, aBits, bBit
 			errs = append(errs, fmt.Errorf("qasm: factoring %d failed: %w", s.n, fr.Err))
 			continue
 		}
-		rep := &FactorReport{
-			N:        s.n,
-			Factors:  [2]uint16{fr.Regs[4], fr.Regs[1]},
-			QatInsts: s.gen.QatInsts,
-			RegsUsed: s.gen.RegsUsed,
-			Result:   resultFrom(fr),
-		}
-		if p, q := uint64(rep.Factors[0]), uint64(rep.Factors[1]); p*q != s.n {
-			errs = append(errs, fmt.Errorf("qasm: measured factors %d x %d != %d", p, q, s.n))
+		rep, err := factorReport(s.n, s.gen, resultFrom(fr))
+		if err != nil {
+			errs = append(errs, err)
 			continue
 		}
 		reports[i] = rep

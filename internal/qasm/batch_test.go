@@ -6,54 +6,14 @@ import (
 	"testing"
 
 	"tangled/internal/compile"
+	"tangled/internal/farm"
 	"tangled/internal/pipeline"
 )
-
-func TestRunFunctionalBatch(t *testing.T) {
-	srcs := []string{
-		"lex $0,1\nlex $1,11\nsys\nlex $0,0\nsys\n",
-		"lex $0,1\nlex $1,22\nsys\nlex $0,0\nsys\n",
-		"lex $0,1\nlex $1,33\nsys\nlex $0,0\nsys\n",
-	}
-	results, stats, err := RunFunctionalBatch(context.Background(), srcs, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []string{"11\n", "22\n", "33\n"} {
-		if results[i] == nil || results[i].Output != want {
-			t.Fatalf("result %d = %+v, want output %q", i, results[i], want)
-		}
-	}
-	if stats.Jobs != 3 || stats.Errors != 0 {
-		t.Fatalf("stats: %+v", stats)
-	}
-}
-
-func TestRunPipelinedBatchReportsPerJobErrors(t *testing.T) {
-	srcs := []string{
-		"lex $0,1\nlex $1,7\nsys\nlex $0,0\nsys\n",
-		"bogus $9\n", // does not assemble
-	}
-	cfg := pipeline.Config{Stages: 4, Ways: 4, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
-	results, stats, err := RunPipelinedBatch(context.Background(), srcs, cfg, 2)
-	if err == nil {
-		t.Fatal("expected a joined error for the malformed program")
-	}
-	if results[0] == nil || results[0].Output != "7\n" || results[0].Pipe == nil {
-		t.Fatalf("good program result: %+v", results[0])
-	}
-	if results[1] != nil {
-		t.Fatalf("failed program should leave a nil slot, got %+v", results[1])
-	}
-	if stats.Errors != 1 {
-		t.Fatalf("stats.Errors = %d, want 1", stats.Errors)
-	}
-}
 
 func TestFactorBatch(t *testing.T) {
 	ns := []uint64{15, 21, 35}
 	pcfg := pipeline.Config{Stages: 5, Ways: 12, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
-	reports, stats, err := FactorBatch(context.Background(), ns, 6, 6, compile.Options{Reuse: true}, pcfg, 2)
+	reports, stats, err := FactorBatchOn(context.Background(), farm.New(2), ns, 6, 6, compile.Options{Reuse: true}, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +38,7 @@ func TestFactorBatchReportsGenerationErrors(t *testing.T) {
 	// 255 does not fit the 6-bit first operand; 15 still succeeds.
 	ns := []uint64{255, 15}
 	pcfg := pipeline.Config{Stages: 4, Ways: 12, Forwarding: true, MulLatency: 1, QatNextLatency: 1}
-	reports, _, err := FactorBatch(context.Background(), ns, 6, 6, compile.Options{Reuse: true}, pcfg, 1)
+	reports, _, err := FactorBatchOn(context.Background(), farm.New(1), ns, 6, 6, compile.Options{Reuse: true}, pcfg)
 	if err == nil || !strings.Contains(err.Error(), "255") {
 		t.Fatalf("expected a generation error naming 255, got %v", err)
 	}

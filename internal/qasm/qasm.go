@@ -76,11 +76,18 @@ func Factor(n uint64, aBits, bBits int, copts compile.Options, pcfg pipeline.Con
 	if err != nil {
 		return nil, fmt.Errorf("qasm: factoring program failed: %w", err)
 	}
+	return factorReport(n, res, run)
+}
+
+// factorReport reads the two factors a factoring program leaves in $4 and
+// $1 and checks that they multiply back to n. On a mismatch it returns the
+// report together with the error.
+func factorReport(n uint64, gen *compile.FactorResult, run *Result) (*FactorReport, error) {
 	rep := &FactorReport{
 		N:        n,
 		Factors:  [2]uint16{run.Regs[4], run.Regs[1]},
-		QatInsts: res.QatInsts,
-		RegsUsed: res.RegsUsed,
+		QatInsts: gen.QatInsts,
+		RegsUsed: gen.RegsUsed,
 		Result:   run,
 	}
 	if p, q := uint64(rep.Factors[0]), uint64(rep.Factors[1]); p*q != n {

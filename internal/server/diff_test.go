@@ -4,7 +4,7 @@ package server
 // corpus (internal/farm/farmtest) must come back byte-identical through the
 // HTTP serving stack — request decode, admission, chunked batch execution,
 // NDJSON encode — as from direct in-process batch execution
-// (qasm.RunFunctionalBatch). This is the internal/farm diff harness
+// (a farm engine, via runDirect). This is the internal/farm diff harness
 // extended across the serialization boundary: any divergence is a bug in
 // the serving layer, since both sides share the machine models.
 
@@ -16,19 +16,35 @@ import (
 	"net/http"
 	"testing"
 
+	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/qasm"
 )
+
+// runDirect is the in-process reference of the serving differentials: each
+// corpus program executed functionally by a farm engine, with no serving
+// layer in between.
+func runDirect(t *testing.T, srcs []string) []farm.Result {
+	t.Helper()
+	jobs := make([]farm.Job, len(srcs))
+	for i, src := range srcs {
+		jobs[i] = farm.Job{Src: src, Mode: farm.Functional, Ways: farmtest.Ways, MaxSteps: qasm.MaxSteps}
+	}
+	results, _ := farm.New(0).Run(context.Background(), jobs)
+	for i := range results {
+		if err := results[i].Err; err != nil {
+			t.Fatalf("direct run of program %d: %v", i, err)
+		}
+	}
+	return results
+}
 
 func TestDifferentialHTTPvsDirect(t *testing.T) {
 	srcs := make([]string, farmtest.Programs)
 	for i := range srcs {
 		srcs[i] = farmtest.Generate(farmtest.Seed(i))
 	}
-	direct, _, err := qasm.RunFunctionalBatch(context.Background(), srcs, farmtest.Ways, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, srcs)
 
 	// BatchMax below the corpus size so the server's chunked streaming path
 	// is the one under test, not a single engine call.

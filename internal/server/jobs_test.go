@@ -440,10 +440,7 @@ func TestDifferentialAsyncVsSync(t *testing.T) {
 		srcs[i] = farmtest.Generate(farmtest.Seed(i))
 	}
 	srcs = append(srcs, sloppySrc)
-	direct, _, err := qasm.RunFunctionalBatch(context.Background(), srcs, farmtest.Ways, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, srcs)
 	for _, tc := range []struct {
 		name    string
 		memoCap int

@@ -9,13 +9,11 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
 
 	"tangled/internal/farm/farmtest"
-	"tangled/internal/qasm"
 )
 
 func TestDifferentialHTTPREBackend(t *testing.T) {
@@ -23,10 +21,7 @@ func TestDifferentialHTTPREBackend(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = farmtest.Generate(farmtest.Seed(i))
 	}
-	direct, _, err := qasm.RunFunctionalBatch(context.Background(), srcs, farmtest.Ways, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	direct := runDirect(t, srcs)
 
 	_, base := startTestServer(t, Config{BatchMax: 32})
 	req := BatchRequest{ID: "re-diff", Programs: make([]RunRequest, len(srcs))}

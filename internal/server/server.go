@@ -242,7 +242,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Engine exposes the underlying farm (its Totals feed healthz and tests).
+// Engine exposes the underlying farm engine.
 func (s *Server) Engine() *farm.Engine { return s.engine }
 
 // Handler returns the server's HTTP handler, for callers that manage their
@@ -819,23 +819,33 @@ func assembleErrorResponse(err error) ErrorResponse {
 	return resp
 }
 
-// decodeBody decodes a JSON body, writing the 400/413 on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	dec := json.NewDecoder(r.Body)
+// DecodeBody is the request-body rule of every qatserver endpoint, and of a
+// coordinator that stands in for one: body must hold exactly one JSON value
+// with no unknown fields. On failure it returns the status and error body to
+// answer with — 413 when body is an http.MaxBytesReader past its limit, 400
+// for anything else — and a nil response on success.
+func DecodeBody(body io.Reader, v interface{}) (int, *ErrorResponse) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				ErrorResponse{Error: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)})
-		} else {
-			s.writeError(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
+			return http.StatusRequestEntityTooLarge,
+				&ErrorResponse{Error: fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)}
 		}
-		return false
+		return http.StatusBadRequest, &ErrorResponse{Error: "bad request body: " + err.Error()}
 	}
 	// Tolerate (and require no more than) one JSON value.
 	if err := dec.Decode(&struct{}{}); !errors.Is(err, io.EOF) {
-		s.writeError(w, http.StatusBadRequest, ErrorResponse{Error: "trailing data after JSON body"})
+		return http.StatusBadRequest, &ErrorResponse{Error: "trailing data after JSON body"}
+	}
+	return 0, nil
+}
+
+// decodeBody applies DecodeBody to r's body, writing the refusal on failure.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	if code, resp := DecodeBody(r.Body, v); resp != nil {
+		s.writeError(w, code, *resp)
 		return false
 	}
 	return true

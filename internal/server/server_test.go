@@ -224,7 +224,8 @@ func TestBatchStreamsNDJSONInOrder(t *testing.T) {
 // TestIdempotentReplay: a retry carries the same ID and program, and the
 // content-addressed memo answers it without executing anything new.
 func TestIdempotentReplay(t *testing.T) {
-	s, base := startTestServer(t, Config{})
+	reg := obs.NewRegistry()
+	_, base := startTestServer(t, Config{Registry: reg})
 	req := RunRequest{ID: "idem-1", Src: farmtest.Generate(farmtest.Seed(3)), Ways: farmtest.Ways}
 
 	var first RunResult
@@ -240,7 +241,7 @@ func TestIdempotentReplay(t *testing.T) {
 	if second.ID != first.ID || second.Regs != first.Regs || second.Output != first.Output || second.Insts != first.Insts {
 		t.Fatalf("resubmission diverged: %+v vs %+v", first, second)
 	}
-	if done := s.Engine().Totals().Jobs; done != 1 {
+	if done := reg.Counter("farm_jobs_done_total", "").Value(); done != 1 {
 		t.Fatalf("engine ran %d jobs, want 1", done)
 	}
 }
