@@ -43,9 +43,10 @@ type Config struct {
 	MaxRetries int
 	// BaseBackoff seeds the exponential schedule; <=0 means 50ms.
 	BaseBackoff time.Duration
-	// MaxBackoff caps one sleep; <=0 means 2s.
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps one backoff sleep (a Retry-After hint may exceed it).
+const maxBackoff = 2 * time.Second
 
 // Client talks to one qatserver. Safe for concurrent use.
 type Client struct {
@@ -68,9 +69,6 @@ func NewWith(cfg Config) *Client {
 	}
 	if cfg.BaseBackoff <= 0 {
 		cfg.BaseBackoff = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 2 * time.Second
 	}
 	cfg.BaseURL = strings.TrimRight(cfg.BaseURL, "/")
 	h := cfg.HTTPClient
@@ -96,9 +94,11 @@ func NewWith(cfg Config) *Client {
 	}
 }
 
-// APIError is a non-2xx server response, carrying the decoded body.
+// APIError is a non-2xx server response: its status, its body as
+// received (up to 64 KiB), and that body decoded.
 type APIError struct {
 	Status int
+	Body   []byte
 	Resp   server.ErrorResponse
 }
 
@@ -156,8 +156,8 @@ func drainClose(body io.ReadCloser) {
 // capped.
 func (c *Client) backoff(attempt int, retryAfter time.Duration) time.Duration {
 	d := time.Duration(float64(c.cfg.BaseBackoff) * math.Pow(2, float64(attempt)))
-	if d > c.cfg.MaxBackoff {
-		d = c.cfg.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	// Full jitter: uniform in (0, d]. Decorrelates a fleet of clients that
 	// all saw the same 429.
@@ -238,8 +238,8 @@ func (c *Client) do(ctx context.Context, mkReq func() (*http.Request, error), re
 }
 
 func decodeError(resp *http.Response) *APIError {
-	apiErr := &APIError{Status: resp.StatusCode}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	apiErr := &APIError{Status: resp.StatusCode, Body: body}
 	if err := json.Unmarshal(body, &apiErr.Resp); err != nil || apiErr.Resp.Error == "" {
 		apiErr.Resp.Error = strings.TrimSpace(string(body))
 	}

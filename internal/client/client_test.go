@@ -123,7 +123,7 @@ func TestGiveUpAfterMaxRetries(t *testing.T) {
 
 func TestBackoffHonorsRetryAfterAndCap(t *testing.T) {
 	ts, _, _ := scripted(t, []int{429, 429, 200}, server.RunResult{})
-	c := NewWith(Config{BaseURL: ts.URL, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond})
+	c := NewWith(Config{BaseURL: ts.URL, BaseBackoff: time.Millisecond})
 	slept := stubSleep(c)
 
 	if _, err := c.Run(context.Background(), server.RunRequest{Src: "lex $1,1\n"}); err != nil {
@@ -134,7 +134,7 @@ func TestBackoffHonorsRetryAfterAndCap(t *testing.T) {
 	}
 	for i, d := range *slept {
 		// The server advertised retry_after_ms=250; the jittered
-		// exponential is capped at 4ms, so the hint must win.
+		// exponential is at most 2ms here, so the hint must win.
 		if d < 250*time.Millisecond {
 			t.Fatalf("sleep %d was %v, Retry-After hint of 250ms ignored", i, d)
 		}
@@ -142,12 +142,13 @@ func TestBackoffHonorsRetryAfterAndCap(t *testing.T) {
 }
 
 func TestBackoffJitterWithinBounds(t *testing.T) {
-	c := NewWith(Config{BaseURL: "http://unused", BaseBackoff: 10 * time.Millisecond, MaxBackoff: 80 * time.Millisecond})
-	for attempt := 0; attempt < 6; attempt++ {
+	c := NewWith(Config{BaseURL: "http://unused", BaseBackoff: 10 * time.Millisecond})
+	for attempt := 0; attempt < 10; attempt++ {
+		bound := min(10*time.Millisecond<<attempt, maxBackoff)
 		for trial := 0; trial < 50; trial++ {
 			d := c.backoff(attempt, 0)
-			if d <= 0 || d > 80*time.Millisecond {
-				t.Fatalf("attempt %d: backoff %v outside (0, cap]", attempt, d)
+			if d <= 0 || d > bound {
+				t.Fatalf("attempt %d: backoff %v outside (0, %v]", attempt, d, bound)
 			}
 		}
 	}

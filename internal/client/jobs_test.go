@@ -16,7 +16,7 @@ import (
 
 func startJobServer(t *testing.T) (*server.Server, *Client) {
 	t.Helper()
-	s, err := server.New(server.Config{JobsEphemeral: true})
+	s, err := server.New(server.Config{JobsDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,12 +172,12 @@ func TestMemoHotRouting(t *testing.T) {
 			}
 		}
 	}
-	ratioOf := func(srvs ...*server.Server) float64 {
+	ratioOf := func(regs ...*obs.Registry) float64 {
 		var hits, misses uint64
-		for _, s := range srvs {
-			st := s.Engine().Memo().Stats()
-			hits += st.Hits
-			misses += st.Misses
+		for _, r := range regs {
+			snap := r.Snapshot()
+			hits += snap["memo_hits_total"].(uint64)
+			misses += snap["memo_misses_total"].(uint64)
 		}
 		if hits+misses == 0 {
 			return 0
@@ -186,18 +186,20 @@ func TestMemoHotRouting(t *testing.T) {
 	}
 
 	// Baseline: the whole mix against one direct worker.
-	soloSrv, soloBase := startWorker(t, server.Config{Workers: 2})
+	soloReg := obs.NewRegistry()
+	_, soloBase := startWorker(t, server.Config{Workers: 2, Registry: soloReg})
 	runMix(client.NewWith(client.Config{BaseURL: soloBase, MaxRetries: -1}), 0, reps)
-	baseline := ratioOf(soloSrv)
+	baseline := ratioOf(soloReg)
 
 	// Fleet: three live workers plus one configured-but-down slot. The
 	// coordinator starts optimistic, so wait for the heartbeat to evict the
 	// empty slot before measuring.
-	var srvs []*server.Server
+	var regs []*obs.Registry
 	var urls []string
 	for i := 0; i < 3; i++ {
-		s, base := startWorker(t, server.Config{Workers: 2})
-		srvs = append(srvs, s)
+		reg := obs.NewRegistry()
+		_, base := startWorker(t, server.Config{Workers: 2, Registry: reg})
+		regs = append(regs, reg)
 		urls = append(urls, base)
 	}
 	spare, err := net.Listen("tcp", "127.0.0.1:0")
@@ -216,7 +218,8 @@ func TestMemoHotRouting(t *testing.T) {
 
 	// Join: bring the fourth worker up on its reserved address; the
 	// heartbeat readmits it and its arcs move over.
-	srv4, err := server.New(server.Config{Workers: 2})
+	reg4 := obs.NewRegistry()
+	srv4, err := server.New(server.Config{Workers: 2, Registry: reg4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +227,12 @@ func TestMemoHotRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv4.Close() })
-	srvs = append(srvs, srv4)
+	regs = append(regs, reg4)
 	waitFor(t, "node join", func() bool { return co.clusterHealth().NodesHealthy == 4 })
 
 	runMix(cl, reps/2, reps)
 
-	fleet := ratioOf(srvs...)
+	fleet := ratioOf(regs...)
 	t.Logf("memo hit ratio: single-node %.3f, 3→4-node fleet %.3f", baseline, fleet)
 	if fleet < baseline*0.9 {
 		t.Fatalf("fleet memo hit ratio %.3f fell more than 10%% below single-node %.3f: hot routing is not keeping caches warm",
@@ -298,7 +301,7 @@ func keyedReqOwnedBy(t *testing.T, co *Coordinator, owner string) server.RunRequ
 // remaining window.
 func TestBackpressureDemotion(t *testing.T) {
 	a, b := newStubWorker(t), newStubWorker(t)
-	co, err := New(Config{Nodes: []string{a.srv.URL, b.srv.URL}, DemoteMax: 5 * time.Second})
+	co, err := New(Config{Nodes: []string{a.srv.URL, b.srv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +327,8 @@ func TestBackpressureDemotion(t *testing.T) {
 	if !nodeA.demoted(now) {
 		t.Fatal("429 did not open a demotion window")
 	}
-	if win := time.Duration(nodeA.demotedUntil.Load() - now.UnixNano()); win > 5*time.Second {
-		t.Fatalf("demotion window %v exceeds DemoteMax cap", win)
+	if win := time.Duration(nodeA.demotedUntil.Load() - now.UnixNano()); win > demoteMax {
+		t.Fatalf("demotion window %v exceeds the %v cap", win, demoteMax)
 	}
 	if !co.ring.Contains(a.id()) {
 		t.Fatal("demotion must not drop ring membership (backpressure is transient, locality is not)")
@@ -615,12 +618,12 @@ func TestRouteKeyAllocs(t *testing.T) {
 
 // TestCoordinatorBodyRulesMatchWorker: to a client the coordinator is a
 // qatserver, so a body a worker refuses — a valid request followed by a
-// second JSON value, or more bytes than MaxBodyBytes — gets the same status
-// and the same error body from the coordinator, on every POST endpoint.
+// second JSON value, or more bytes than server.MaxBodyBytes — gets the
+// same status and the same error body from the coordinator, on every POST
+// endpoint.
 func TestCoordinatorBodyRulesMatchWorker(t *testing.T) {
-	const limit = 256
-	_, worker := startWorker(t, server.Config{Workers: 1, MaxBodyBytes: limit})
-	_, coord := startCoordinator(t, Config{Nodes: []string{worker}, MaxBodyBytes: limit})
+	_, worker := startWorker(t, server.Config{Workers: 1})
+	_, coord := startCoordinator(t, Config{Nodes: []string{worker}})
 	run := `{"src":"lex $0,0\nsys\n"}`
 	valid := map[string]string{"/v1/run": run, "/v1/batch": `{"programs":[` + run + `]}`, "/v1/assemble": run}
 	post := func(url, body string) (int, string) {
@@ -639,7 +642,7 @@ func TestCoordinatorBodyRulesMatchWorker(t *testing.T) {
 	for path, body := range valid {
 		for what, bad := range map[string]string{
 			"trailing data": body + ` {}`,
-			"oversize":      body[:len(body)-1] + `,"id":"` + strings.Repeat("x", limit) + `"}`,
+			"oversize":      body[:len(body)-1] + `,"id":"` + strings.Repeat("x", server.MaxBodyBytes) + `"}`,
 		} {
 			wantCode, wantBody := post(worker+path, bad)
 			gotCode, gotBody := post(coord+path, bad)
@@ -647,6 +650,67 @@ func TestCoordinatorBodyRulesMatchWorker(t *testing.T) {
 				t.Errorf("%s %s: coordinator %d %q, worker %d %q", path, what, gotCode, gotBody, wantCode, wantBody)
 			}
 		}
+	}
+}
+
+// TestCoordinatorMethodRulesMatchWorker: a GET on a POST endpoint gets the
+// same 405, Allow header and error body from the coordinator as from a
+// worker.
+func TestCoordinatorMethodRulesMatchWorker(t *testing.T) {
+	_, worker := startWorker(t, server.Config{Workers: 1})
+	_, coord := startCoordinator(t, Config{Nodes: []string{worker}})
+	get := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%d Allow=%q %s", resp.StatusCode, resp.Header.Get("Allow"), b)
+	}
+	for _, path := range []string{"/v1/run", "/v1/batch", "/v1/assemble"} {
+		if got, want := get(coord+path), get(worker+path); got != want {
+			t.Errorf("GET %s: coordinator %s, worker %s", path, got, want)
+		}
+	}
+}
+
+// TestCoordinatorRelaysRunFailureRecord: a run cut off by its timeout gets
+// the same 504 from the coordinator as from a worker — status,
+// X-Request-ID, and the failure record's id, code and backend (its insts
+// count varies with timing).
+func TestCoordinatorRelaysRunFailureRecord(t *testing.T) {
+	_, worker := startWorker(t, server.Config{Workers: 1})
+	_, coord := startCoordinator(t, Config{Nodes: []string{worker}})
+	body := `{"id":"spin","src":"lex $1,1\nL:\nbrt $1,L\n","timeout_ms":20}`
+	type answer struct {
+		status             int
+		reqID, id, backend string
+		code               int
+	}
+	run := func(base string) answer {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rec server.RunResult
+		if err := json.NewDecoder(resp.Body).Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		return answer{resp.StatusCode, resp.Header.Get("X-Request-ID"), rec.ID, rec.Backend, rec.Code}
+	}
+	want := run(worker)
+	if want.status != http.StatusGatewayTimeout {
+		t.Fatalf("worker answered %+v, want a 504 failure record", want)
+	}
+	if got := run(coord); got != want {
+		t.Fatalf("coordinator %+v, worker %+v", got, want)
 	}
 }
 

@@ -34,13 +34,6 @@ type Config struct {
 	// FailAfter is how many consecutive missed beats evict a node;
 	// <=0 means 3.
 	FailAfter int
-	// DemoteDefault is the demotion window for a 429 without a
-	// Retry-After hint; <=0 means 1s. DemoteMax caps hinted windows;
-	// <=0 means 30s.
-	DemoteDefault time.Duration
-	DemoteMax     time.Duration
-	// MaxBodyBytes bounds request bodies; <=0 means 8MiB.
-	MaxBodyBytes int64
 	// Registry receives the cluster_* metric family; nil disables it.
 	Registry *obs.Registry
 }
@@ -83,15 +76,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 3
-	}
-	if cfg.DemoteDefault <= 0 {
-		cfg.DemoteDefault = time.Second
-	}
-	if cfg.DemoteMax <= 0 {
-		cfg.DemoteMax = 30 * time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 8 << 20
 	}
 	co := &Coordinator{
 		cfg:    cfg,
@@ -365,6 +349,13 @@ func (co *Coordinator) refusal() (int, server.ErrorResponse) {
 	}
 }
 
+// demoteDefault is the demotion window for a 429 without a Retry-After
+// hint; demoteMax caps a hinted one.
+const (
+	demoteDefault = time.Second
+	demoteMax     = 30 * time.Second
+)
+
 // noteForwardFailure classifies one failed forward and updates the node:
 // 429 opens a demotion window sized by the worker's hint, 503 marks the
 // node draining, transport errors leave state to the heartbeat. It returns
@@ -378,12 +369,9 @@ func (co *Coordinator) noteForwardFailure(n *node, err error) (failover bool, re
 	}
 	switch apiErr.Status {
 	case http.StatusTooManyRequests:
-		d := co.cfg.DemoteDefault
+		d := demoteDefault
 		if ms := apiErr.Resp.RetryAfterMs; ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
-			if d > co.cfg.DemoteMax {
-				d = co.cfg.DemoteMax
-			}
+			d = min(time.Duration(ms)*time.Millisecond, demoteMax)
 		}
 		n.demote(time.Now(), d)
 		co.obs.demotions.Inc()
@@ -406,7 +394,7 @@ func (co *Coordinator) methodOnly(method string, h http.HandlerFunc) http.Handle
 		if r.Method != method {
 			w.Header().Set("Allow", method)
 			co.writeError(w, http.StatusMethodNotAllowed, server.ErrorResponse{
-				Error: fmt.Sprintf("method %s not allowed", r.Method)})
+				Error: fmt.Sprintf("%s requires %s", r.URL.Path, method)})
 			return
 		}
 		if co.draining.Load() {
@@ -417,7 +405,7 @@ func (co *Coordinator) methodOnly(method string, h http.HandlerFunc) http.Handle
 		co.inFlight.Add(1)
 		defer co.inFlight.Add(-1)
 		if r.Body != nil {
-			r.Body = http.MaxBytesReader(w, r.Body, co.cfg.MaxBodyBytes)
+			r.Body = http.MaxBytesReader(w, r.Body, server.MaxBodyBytes)
 		}
 		h(w, r)
 	}
@@ -435,6 +423,7 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	if req.ID == "" {
 		req.ID = client.NewRequestID()
 	}
+	w.Header().Set("X-Request-ID", req.ID)
 	key, keyed := RouteKey(&req)
 	if keyed {
 		co.obs.keyed.Inc()
@@ -457,9 +446,8 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 			n.routed.Add(1)
 			co.obs.routed.Inc()
 			co.obs.nodeRouted.With(n.id).Inc()
-			w.Header().Set("X-Request-ID", req.ID)
 			w.Header().Set("X-Cluster-Node", n.id)
-			co.writeJSON(w, statusOfResult(&res), res)
+			co.writeJSON(w, http.StatusOK, res)
 			return
 		}
 		if r.Context().Err() != nil {
@@ -485,17 +473,13 @@ func (co *Coordinator) nextCandidate(key uint64, keyed bool, tried map[*node]boo
 	return nil
 }
 
-// statusOfResult mirrors the worker's finishRun: per-run failure records
-// (499 cancelled, 504 deadline) carry their Code as the HTTP status.
-func statusOfResult(res *server.RunResult) int {
-	if res.Code >= 400 && res.Code != http.StatusInternalServerError {
-		return res.Code
-	}
-	return http.StatusOK
-}
-
+// relayAPIError answers with a worker's refusal as it was received: its
+// status and body (APIError.Body) unchanged, so a run's 499/504 failure
+// record reaches the caller as a worker sent it.
 func (co *Coordinator) relayAPIError(w http.ResponseWriter, apiErr *client.APIError) {
-	co.writeError(w, apiErr.Status, apiErr.Resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(apiErr.Status)
+	w.Write(apiErr.Body)
 }
 
 func (co *Coordinator) writeJSON(w http.ResponseWriter, status int, v interface{}) {

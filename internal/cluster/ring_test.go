@@ -4,21 +4,25 @@ package cluster
 // is the satellite's 3→4→3 pin: adding a node moves only the keys the new
 // node now owns (≈ keys/nodes, bounded below ceil(keys/nodes)+slack —
 // never a mod-N reshuffle), and removing it restores the original
-// assignment exactly. Keys are derived the same way production keys are:
-// memo ExecKeys folded to ring coordinates.
+// assignment exactly. Keys are derived the way the router derives them:
+// RouteKey over distinct run requests.
 
 import (
+	"fmt"
 	"testing"
 
-	"tangled/internal/memo"
+	"tangled/internal/server"
 )
 
-// testKeys derives n distinct memo-key ring coordinates deterministically.
+// testKeys derives n distinct ring coordinates deterministically.
 func testKeys(n int) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
-		ek := memo.ExecKey{MaxSteps: 1000, Words: []uint16{uint16(i), uint16(i >> 16), 0x9}}
-		keys[i] = ek.Sum().Uint64()
+		k, ok := RouteKey(&server.RunRequest{Src: fmt.Sprintf("lex $1,%d\n", i)})
+		if !ok {
+			panic("run request not keyed")
+		}
+		keys[i] = k
 	}
 	return keys
 }

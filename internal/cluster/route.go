@@ -21,7 +21,6 @@ import (
 
 	"tangled/internal/backend"
 	"tangled/internal/pipeline"
-	"tangled/internal/qasm"
 	"tangled/internal/qat"
 	"tangled/internal/server"
 )
@@ -97,23 +96,13 @@ func RouteKey(req *server.RunRequest) (uint64, bool) {
 	for _, v := range [...]int{ways, a, b} {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	// Clamp against the default ceiling. A worker running with a custom
-	// -max-steps may key under a different budget than we route on; that
-	// costs locality for over-budget requests, never correctness.
-	buf = binary.LittleEndian.AppendUint64(buf, clampSteps(req.MaxSteps))
+	// The budget a worker keys under, so over-budget and default budgets
+	// route together.
+	buf = binary.LittleEndian.AppendUint64(buf, req.StepBudget())
 	buf = append(buf, req.Src...)
 	for _, w := range req.Words {
 		buf = binary.LittleEndian.AppendUint16(buf, w)
 	}
 	sum := sha256.Sum256(buf)
 	return binary.LittleEndian.Uint64(sum[:8]), true
-}
-
-// clampSteps resolves a request budget against the default qasm ceiling,
-// like RunRequest.maxSteps does server-side with a zero cap.
-func clampSteps(steps uint64) uint64 {
-	if steps == 0 || steps > qasm.MaxSteps {
-		return qasm.MaxSteps
-	}
-	return steps
 }

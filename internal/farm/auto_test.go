@@ -211,7 +211,7 @@ func TestAutoMemoHitCountedOnce(t *testing.T) {
 	}
 	for _, b := range []string{qat.BackendDense, backend.Auto} {
 		engine := farm.New(1)
-		cache := memo.New(64)
+		cache, mo := observedCache(64)
 		engine.SetMemo(cache)
 		for i := 0; i < 3; i++ {
 			res, _ := engine.Run(nil, []farm.Job{{Prog: prog, Ways: 4, Backend: b}})
@@ -219,8 +219,8 @@ func TestAutoMemoHitCountedOnce(t *testing.T) {
 				t.Fatalf("%s run %d: err=%v cached=%v backend=%q", b, i, res[0].Err, res[0].Cached, res[0].Backend)
 			}
 		}
-		if st := cache.Stats(); st.Hits != 2 || st.Misses != 1 {
-			t.Fatalf("%s: memo hits/misses %d/%d, want 2/1", b, st.Hits, st.Misses)
+		if h, m := mo.Hits.Value(), mo.Misses.Value(); h != 2 || m != 1 {
+			t.Fatalf("%s: memo hits/misses %d/%d, want 2/1", b, h, m)
 		}
 	}
 }

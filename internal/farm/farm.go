@@ -52,8 +52,8 @@ const (
 	Pipelined
 )
 
-// DefaultMaxSteps bounds job execution when Job.MaxSteps is zero. It matches
-// the toolchain facade's budget (qasm.MaxSteps).
+// DefaultMaxSteps bounds job execution when Job.MaxSteps is zero; the
+// toolchain facade's budget, qasm.MaxSteps, is defined as this value.
 const DefaultMaxSteps = 50_000_000
 
 // ErrNoProgram is reported by jobs that carry neither source nor an

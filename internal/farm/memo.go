@@ -27,9 +27,6 @@ import (
 // they start.
 func (e *Engine) SetMemo(c *memo.Cache) { e.memo.Store(c) }
 
-// Memo returns the engine-wide cache, nil when disabled.
-func (e *Engine) Memo() *memo.Cache { return e.memo.Load() }
-
 // jobCache resolves the cache a job should consult: the engine's, or nil
 // when none is attached or the job must execute for real (Inspect,
 // pipelined trace capture).

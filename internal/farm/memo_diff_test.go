@@ -44,13 +44,22 @@ func sameResult(a, b farm.Result) error {
 	return nil
 }
 
+// observedCache returns a memo cache of the given capacity with its metric
+// set attached, for tests that read the traffic counters.
+func observedCache(capacity int) (*memo.Cache, *memo.Obs) {
+	c := memo.New(capacity)
+	o := memo.NewObs(obs.NewRegistry())
+	c.SetObs(o)
+	return c, o
+}
+
 // TestMemoDifferential: fresh (memo-less) execution vs the memoized
 // engine's populating miss vs its subsequent hit, over the full shared
 // corpus and all three machine models.
 func TestMemoDifferential(t *testing.T) {
 	fresh := farm.New(0)
 	memoized := farm.New(0)
-	cache := memo.New(0)
+	cache, mo := observedCache(0)
 	memoized.SetMemo(cache)
 
 	for i := 0; i < farmtest.Programs; i++ {
@@ -93,8 +102,8 @@ func TestMemoDifferential(t *testing.T) {
 			}
 		}
 	}
-	if st := cache.Stats(); st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("cache saw no traffic: %+v", st)
+	if h, m := mo.Hits.Value(), mo.Misses.Value(); h == 0 || m == 0 {
+		t.Fatalf("cache saw no traffic: %d hits / %d misses", h, m)
 	}
 }
 
@@ -108,7 +117,7 @@ func TestMemoBatchSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := memo.New(0)
+	cache, mo := observedCache(0)
 	engine := farm.New(8)
 	engine.SetMemo(cache)
 
@@ -118,12 +127,12 @@ func TestMemoBatchSingleflight(t *testing.T) {
 	}
 	results, st := engine.Run(nil, jobs)
 
-	cs := cache.Stats()
-	if cs.Misses != 1 {
-		t.Fatalf("misses = %d, want exactly 1 execution for %d identical jobs (stats %+v)", cs.Misses, n, cs)
+	hits, misses := mo.Hits.Value(), mo.Misses.Value()
+	if misses != 1 {
+		t.Fatalf("misses = %d, want exactly 1 execution for %d identical jobs (%d hits)", misses, n, hits)
 	}
-	if cs.Hits+cs.Misses != n {
-		t.Fatalf("hits+misses = %d, want %d (stats %+v)", cs.Hits+cs.Misses, n, cs)
+	if hits+misses != n {
+		t.Fatalf("hits+misses = %d, want %d", hits+misses, n)
 	}
 	if st.MemoHits != n-1 {
 		t.Fatalf("batch memo hits = %d, want %d", st.MemoHits, n-1)
@@ -153,7 +162,7 @@ func TestMemoBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := memo.New(0)
+	cache, mo := observedCache(0)
 	engine := farm.New(1)
 	engine.SetMemo(cache)
 	o := farm.NewObs(obs.NewRegistry())
@@ -178,8 +187,8 @@ func TestMemoBypass(t *testing.T) {
 	if st.MemoHits != 0 {
 		t.Fatalf("bypass jobs produced %d memo hits", st.MemoHits)
 	}
-	if cs := cache.Stats(); cs.Hits != 0 || cs.Misses != 0 || cache.Len() != 0 {
-		t.Fatalf("bypass jobs touched the cache: %+v len=%d", cs, cache.Len())
+	if h, m := mo.Hits.Value(), mo.Misses.Value(); h != 0 || m != 0 || cache.Len() != 0 {
+		t.Fatalf("bypass jobs touched the cache: %d hits / %d misses, len=%d", h, m, cache.Len())
 	}
 	if inspected.Load() != 2 {
 		t.Fatalf("inspect ran %d times, want 2", inspected.Load())
@@ -203,7 +212,7 @@ func TestMemoSkipsInvalidConfig(t *testing.T) {
 		{"pipelined re", farm.Job{Src: src, Mode: farm.Pipelined, Backend: "re"}, farm.Job{Src: src, Mode: farm.Pipelined}},
 	} {
 		engine := farm.New(1)
-		cache := memo.New(16)
+		cache, mo := observedCache(16)
 		engine.SetMemo(cache)
 		bad, good := c.bad, c.good
 		if res, _ := engine.Run(nil, []farm.Job{bad}); res[0].Err == nil {
@@ -218,8 +227,8 @@ func TestMemoSkipsInvalidConfig(t *testing.T) {
 		if _, hit := engine.MemoProbe(&bad); hit {
 			t.Fatalf("%s: hit the dense entry", c.name)
 		}
-		if st := cache.Stats(); st.Hits != 0 || st.Misses != 1 {
-			t.Fatalf("%s: memo hits/misses %d/%d, want 0/1", c.name, st.Hits, st.Misses)
+		if h, m := mo.Hits.Value(), mo.Misses.Value(); h != 0 || m != 1 {
+			t.Fatalf("%s: memo hits/misses %d/%d, want 0/1", c.name, h, m)
 		}
 	}
 }

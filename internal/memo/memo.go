@@ -49,12 +49,6 @@ const DefaultCap = 4096
 // Key is the canonical content address of one execution.
 type Key [sha256.Size]byte
 
-// Uint64 folds the key to a 64-bit ring coordinate (its first 8 bytes,
-// big-endian). SHA-256 output is uniform, so any 8 bytes place keys evenly
-// on a consistent-hash ring; the cluster router uses this to land repeat
-// programs on the node whose memo cache already holds the entry.
-func (k Key) Uint64() uint64 { return binary.BigEndian.Uint64(k[:8]) }
-
 // ExecKey describes one deterministic execution for hashing. Callers
 // normalize defaults before hashing (farm resolves ways 0 to the full
 // hardware and an all-zero pipeline config to pipeline.DefaultConfig), so
@@ -168,18 +162,6 @@ func Cacheable(err error) bool {
 		!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// Stats is a snapshot of the cache's traffic counters.
-type Stats struct {
-	// Hits counts results served from the store; Misses counts executions
-	// that ran through Do and populated it.
-	Hits, Misses uint64
-	// Evictions counts entries aged out by the LRU bound.
-	Evictions uint64
-	// Dedup counts callers that waited on another caller's identical
-	// in-flight execution instead of running their own.
-	Dedup uint64
-}
-
 // flight is one in-progress execution other callers can wait on.
 type flight struct {
 	done  chan struct{}
@@ -194,8 +176,6 @@ type Cache struct {
 	lru      *LRU[Key, Entry]
 	inflight map[Key]*flight
 
-	hits, misses, evictions, dedup atomic.Uint64
-
 	obs atomic.Pointer[Obs]
 }
 
@@ -206,7 +186,6 @@ func New(capacity int) *Cache {
 	}
 	c := &Cache{inflight: make(map[Key]*flight)}
 	c.lru = NewLRU[Key, Entry](capacity, func(Key, Entry) {
-		c.evictions.Add(1)
 		if o := c.obs.Load(); o != nil {
 			o.Evictions.Inc()
 		}
@@ -217,16 +196,6 @@ func New(capacity int) *Cache {
 // SetObs attaches (or with nil detaches) the metric set; see NewObs. Safe
 // to call concurrently with cache traffic.
 func (c *Cache) SetObs(o *Obs) { c.obs.Store(o) }
-
-// Stats returns a snapshot of the traffic counters.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Dedup:     c.dedup.Load(),
-	}
-}
 
 // Len returns the number of stored entries.
 func (c *Cache) Len() int {
@@ -287,7 +256,6 @@ func (c *Cache) Do(ctx context.Context, k Key, exec func() Entry) (Entry, bool, 
 			break
 		}
 		c.mu.Unlock()
-		c.dedup.Add(1)
 		if o := c.obs.Load(); o != nil {
 			o.Dedup.Inc()
 		}
@@ -328,7 +296,6 @@ func (c *Cache) Do(ctx context.Context, k Key, exec func() Entry) (Entry, bool, 
 }
 
 func (c *Cache) hit(start time.Time) {
-	c.hits.Add(1)
 	if o := c.obs.Load(); o != nil {
 		o.Hits.Inc()
 		o.HitSeconds.Observe(time.Since(start).Seconds())
@@ -336,7 +303,6 @@ func (c *Cache) hit(start time.Time) {
 }
 
 func (c *Cache) miss(start time.Time) {
-	c.misses.Add(1)
 	if o := c.obs.Load(); o != nil {
 		o.Misses.Inc()
 		o.MissSeconds.Observe(time.Since(start).Seconds())

@@ -180,8 +180,17 @@ func testKey(i int) Key {
 	return ExecKey{MaxSteps: uint64(i), Words: []uint16{uint16(i)}}.Sum()
 }
 
+// observed returns a cache of the given capacity with its metric set
+// attached, for tests that read the traffic counters.
+func observed(capacity int) (*Cache, *Obs) {
+	c := New(capacity)
+	o := NewObs(obs.NewRegistry())
+	c.SetObs(o)
+	return c, o
+}
+
 func TestCacheHitMiss(t *testing.T) {
-	c := New(8)
+	c, o := observed(8)
 	var execs atomic.Int64
 	exec := func() Entry {
 		execs.Add(1)
@@ -209,23 +218,23 @@ func TestCacheHitMiss(t *testing.T) {
 	if e3.Pipe.Cycles != 7 {
 		t.Fatalf("stored entry mutated through a returned clone")
 	}
-	if s := c.Stats(); s.Hits != 2 || s.Misses != 1 { // Do-hit + Get-hit
-		t.Fatalf("stats = %+v, want 2 hits / 1 miss", s)
+	if h, m := o.Hits.Value(), o.Misses.Value(); h != 2 || m != 1 { // Do-hit + Get-hit
+		t.Fatalf("%d hits / %d misses, want 2 / 1", h, m)
 	}
 }
 
 func TestCacheGetDoesNotCountMiss(t *testing.T) {
-	c := New(8)
+	c, o := observed(8)
 	if _, ok := c.Get(testKey(1)); ok {
 		t.Fatalf("unexpected hit")
 	}
-	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("probe miss must be silent, stats = %+v", s)
+	if h, m := o.Hits.Value(), o.Misses.Value(); h != 0 || m != 0 {
+		t.Fatalf("probe miss must be silent: %d hits / %d misses", h, m)
 	}
 }
 
 func TestSingleflight(t *testing.T) {
-	c := New(8)
+	c, o := observed(8)
 	const callers = 16
 	var execs atomic.Int64
 	gate := make(chan struct{})
@@ -262,9 +271,9 @@ func TestSingleflight(t *testing.T) {
 
 	// Wait for every follower to register as a dedup waiter, then release.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().Dedup < callers-1 {
+	for o.Dedup.Value() < callers-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("followers never queued: dedup = %d", c.Stats().Dedup)
+			t.Fatalf("followers never queued: dedup = %d", o.Dedup.Value())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -288,9 +297,8 @@ func TestSingleflight(t *testing.T) {
 	if cachedFlags[0] {
 		t.Fatalf("leader flagged cached")
 	}
-	s := c.Stats()
-	if s.Misses != 1 || s.Dedup != callers-1 || s.Hits != callers-1 {
-		t.Fatalf("stats = %+v, want 1 miss, %d dedup, %d hits", s, callers-1, callers-1)
+	if m, d, h := o.Misses.Value(), o.Dedup.Value(), o.Hits.Value(); m != 1 || d != callers-1 || h != callers-1 {
+		t.Fatalf("%d misses, %d dedup, %d hits; want 1, %d, %d", m, d, h, callers-1, callers-1)
 	}
 }
 
@@ -375,7 +383,7 @@ func TestContextErrorsAreNotCached(t *testing.T) {
 // caller-dependent (ctx error), so the parked follower must not inherit it —
 // it loops and executes for itself.
 func TestWaiterRetriesAfterUncacheableLeader(t *testing.T) {
-	c := New(8)
+	c, o := observed(8)
 	k := testKey(9)
 	gate := make(chan struct{})
 	started := make(chan struct{})
@@ -394,7 +402,7 @@ func TestWaiterRetriesAfterUncacheableLeader(t *testing.T) {
 		done <- e
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().Dedup < 1 {
+	for o.Dedup.Value() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("follower never parked")
 		}
@@ -450,10 +458,6 @@ func TestCacheEvictionCountsAndObs(t *testing.T) {
 		c.Do(context.Background(), testKey(i), func() Entry { return Entry{} })
 	}
 	c.Get(testKey(2)) // hit
-	s := c.Stats()
-	if s.Evictions != 1 || s.Misses != 3 || s.Hits != 1 {
-		t.Fatalf("stats = %+v, want 1 eviction / 3 misses / 1 hit", s)
-	}
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want capacity 2", c.Len())
 	}

@@ -10,6 +10,7 @@ import (
 	"tangled/internal/asm"
 	"tangled/internal/compile"
 	"tangled/internal/cpu"
+	"tangled/internal/farm"
 	"tangled/internal/pipeline"
 )
 
@@ -25,8 +26,9 @@ type Result struct {
 	Pipe *pipeline.Stats
 }
 
-// MaxSteps bounds all helper executions.
-const MaxSteps = 50_000_000
+// MaxSteps bounds all helper executions, and is the serving stack's
+// ceiling on a request's step budget. It is the farm's default budget.
+const MaxSteps = farm.DefaultMaxSteps
 
 // RunFunctional assembles src and executes it on the functional machine.
 func RunFunctional(src string, ways int) (*Result, error) {

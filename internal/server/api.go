@@ -67,8 +67,8 @@ type RunRequest struct {
 	Stages int `json:"stages,omitempty"`
 
 	// MaxSteps bounds retired instructions (functional) or cycles
-	// (pipelined); 0 means the server's default budget. The server caps it
-	// at its configured ceiling either way.
+	// (pipelined); 0 means qasm.MaxSteps, which also caps it (see
+	// StepBudget).
 	MaxSteps uint64 `json:"max_steps,omitempty"`
 	// TimeoutMs bounds the program's wall-clock execution in milliseconds;
 	// it is combined with the request context's own deadline.
@@ -352,13 +352,11 @@ func (r *RunRequest) pipelineConfig() pipeline.Config {
 	return cfg
 }
 
-// maxSteps resolves the request's budget against the server's ceiling.
-func (r *RunRequest) maxSteps(cap uint64) uint64 {
-	if cap == 0 {
-		cap = qasm.MaxSteps
-	}
-	if r.MaxSteps == 0 || r.MaxSteps > cap {
-		return cap
+// StepBudget is the request's step budget: MaxSteps, capped at
+// qasm.MaxSteps, which is also the budget when MaxSteps is zero.
+func (r *RunRequest) StepBudget() uint64 {
+	if r.MaxSteps == 0 || r.MaxSteps > qasm.MaxSteps {
+		return qasm.MaxSteps
 	}
 	return r.MaxSteps
 }

@@ -65,7 +65,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	spec.ID = id
 	spec.Src = ""
 	spec.Words = built.Prog.Words
-	spec.MaxSteps = req.maxSteps(s.cfg.MaxSteps)
+	spec.MaxSteps = req.StepBudget()
 	raw, err := json.Marshal(jobSpec{Run: spec})
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, ErrorResponse{Error: "encode job spec: " + err.Error()})

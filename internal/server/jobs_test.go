@@ -68,7 +68,7 @@ func waitJobHTTP(t *testing.T, base, id string) JobStatus {
 }
 
 func TestJobSubmitAndCompleteOverHTTP(t *testing.T) {
-	_, base := startTestServer(t, Config{JobsEphemeral: true})
+	_, base := startTestServer(t, Config{JobsDir: t.TempDir()})
 	src := farmtest.Generate(farmtest.Seed(3))
 	want, err := qasm.RunFunctional(src, farmtest.Ways)
 	if err != nil {
@@ -109,7 +109,7 @@ func TestJobSubmitAndCompleteOverHTTP(t *testing.T) {
 }
 
 func TestJobSubmitIdempotent(t *testing.T) {
-	_, base := startTestServer(t, Config{JobsEphemeral: true})
+	_, base := startTestServer(t, Config{JobsDir: t.TempDir()})
 	src := farmtest.Generate(farmtest.Seed(4))
 	req := JobRequest{RunRequest: RunRequest{ID: "dup", Src: src, Ways: farmtest.Ways}}
 	if resp := postJSON(t, base+"/v1/jobs", req); resp.StatusCode != http.StatusAccepted {
@@ -132,7 +132,7 @@ func TestJobSubmitIdempotent(t *testing.T) {
 }
 
 func TestJobValidationAndRouting(t *testing.T) {
-	_, base := startTestServer(t, Config{JobsEphemeral: true})
+	_, base := startTestServer(t, Config{JobsDir: t.TempDir()})
 
 	// A malformed program is refused at submission, not turned into a job.
 	resp := postJSON(t, base+"/v1/jobs", JobRequest{RunRequest: RunRequest{ID: "bad", Src: "not an opcode\n"}})
@@ -170,7 +170,7 @@ func TestJobEndpointsAbsentWithoutSubsystem(t *testing.T) {
 func TestJobCancelQueuedAndQueueFull(t *testing.T) {
 	// One job worker, queue bound 2: a long-running job occupies the worker,
 	// a queued victim can be canceled, and a third submission is refused.
-	_, base := startTestServer(t, Config{JobsEphemeral: true, JobWorkers: 1, JobQueueLimit: 2})
+	_, base := startTestServer(t, Config{JobsDir: t.TempDir(), JobWorkers: 1, JobQueueLimit: 2})
 	spin := RunRequest{Src: spinSrc, TimeoutMs: 30_000}
 
 	spin.ID = "holder"
@@ -214,7 +214,7 @@ func TestJobCancelQueuedAndQueueFull(t *testing.T) {
 }
 
 func TestJobSubmitWhileDrainingIs503(t *testing.T) {
-	s, err := New(Config{JobsEphemeral: true})
+	s, err := New(Config{JobsDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestJobSubmitWhileDrainingIs503(t *testing.T) {
 }
 
 func TestHealthzReportsJobDepths(t *testing.T) {
-	s, base := startTestServer(t, Config{JobsEphemeral: true, JobWorkers: 1})
+	s, base := startTestServer(t, Config{JobsDir: t.TempDir(), JobWorkers: 1})
 	spin := RunRequest{Src: spinSrc, TimeoutMs: 30_000}
 	spin.ID = "h1"
 	postJSON(t, base+"/v1/jobs", JobRequest{RunRequest: spin}).Body.Close()
@@ -271,7 +271,7 @@ func TestHealthzReportsJobDepths(t *testing.T) {
 }
 
 func TestBuildinfoCapabilities(t *testing.T) {
-	_, base := startTestServer(t, Config{JobsEphemeral: true})
+	_, base := startTestServer(t, Config{JobsDir: t.TempDir()})
 	var bi BuildInfo
 	getJSON(t, base+"/v1/buildinfo", &bi)
 	caps := map[string]bool{}
@@ -305,7 +305,7 @@ func TestBuildinfoCapabilities(t *testing.T) {
 }
 
 func TestEventsStreamOverHTTP(t *testing.T) {
-	_, base := startTestServer(t, Config{JobsEphemeral: true})
+	_, base := startTestServer(t, Config{JobsDir: t.TempDir()})
 	src := farmtest.Generate(farmtest.Seed(5))
 
 	// Open the stream first, then submit: the live channel must carry the
@@ -354,7 +354,7 @@ func TestEventsStreamOverHTTP(t *testing.T) {
 }
 
 func TestEventsSinceReplayOverHTTP(t *testing.T) {
-	_, base := startTestServer(t, Config{JobsEphemeral: true})
+	_, base := startTestServer(t, Config{JobsDir: t.TempDir()})
 	src := farmtest.Generate(farmtest.Seed(6))
 	postJSON(t, base+"/v1/jobs", JobRequest{RunRequest: RunRequest{ID: "rp", Src: src, Ways: farmtest.Ways}}).Body.Close()
 	waitJobHTTP(t, base, "rp")
@@ -446,7 +446,7 @@ func TestDifferentialAsyncVsSync(t *testing.T) {
 		memoCap int
 	}{{"memo-on", 0}, {"memo-off", -1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, base := startTestServer(t, Config{JobsEphemeral: true, MemoCap: tc.memoCap})
+			_, base := startTestServer(t, Config{JobsDir: t.TempDir(), MemoCap: tc.memoCap})
 			for i, src := range srcs {
 				id := fmt.Sprintf("diff-%d", i)
 				resp := postJSON(t, base+"/v1/jobs", JobRequest{RunRequest: RunRequest{ID: id, Src: src, Ways: farmtest.Ways}})

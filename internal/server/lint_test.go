@@ -91,8 +91,8 @@ func TestStrictLintRejectsBatchMember(t *testing.T) {
 func TestLintOffByDefault(t *testing.T) {
 	// Without StrictLint the broken program is admitted and burns its step
 	// budget like before — lint is opt-in, not a behavior change.
-	_, base := startTestServer(t, Config{MaxSteps: 10_000})
-	resp := postJSON(t, base+"/v1/run", RunRequest{Src: brokenSrc})
+	_, base := startTestServer(t, Config{})
+	resp := postJSON(t, base+"/v1/run", RunRequest{Src: brokenSrc, MaxSteps: 10_000})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}

@@ -58,6 +58,10 @@ import (
 	"tangled/internal/qat"
 )
 
+// MaxBodyBytes bounds a request body; a longer one is answered 413. A
+// cluster coordinator applies the same limit.
+const MaxBodyBytes = 8 << 20
+
 // StatusClientClosedRequest is the 499 pseudo-status (from the nginx
 // convention) recorded when a request's client went away before its result
 // was ready.
@@ -78,10 +82,6 @@ type Config struct {
 	BatchWindow time.Duration
 	// BatchMax caps a coalesced batch; <= 0 means 64.
 	BatchMax int
-	// MaxBodyBytes bounds request bodies; <= 0 means 8 MiB.
-	MaxBodyBytes int64
-	// MaxSteps caps client-supplied step budgets; 0 means qasm.MaxSteps.
-	MaxSteps uint64
 	// MemoCap bounds the content-addressed execution cache shared by every
 	// run and batch program (internal/memo): identical (program,
 	// configuration, budget) submissions are answered from it before
@@ -97,17 +97,12 @@ type Config struct {
 	// survive restarts. Empty disables the endpoints entirely — the
 	// synchronous API is unchanged either way.
 	JobsDir string
-	// JobsEphemeral enables the job endpoints without persistence (tests
-	// and memory-only deployments); ignored when JobsDir is set.
-	JobsEphemeral bool
 	// JobQueueLimit bounds queued+running async jobs; <= 0 means 1024.
 	JobQueueLimit int
 	// JobWorkers bounds concurrently executing async jobs; <= 0 means
 	// half the farm's workers (min 1), so synchronous traffic keeps farm
 	// capacity even under a saturated job queue.
 	JobWorkers int
-	// JobRetention bounds retained terminal job records; <= 0 means 4096.
-	JobRetention int
 
 	// StrictLint runs the static analyzer over every submitted program and
 	// refuses those with error-severity findings (cannot halt, illegal
@@ -133,12 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 64
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxSteps == 0 {
-		c.MaxSteps = qasm.MaxSteps
 	}
 	if c.MemoCap == 0 {
 		c.MemoCap = memo.DefaultCap
@@ -195,7 +184,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.coal = newCoalescer(engine, cfg.BatchWindow, cfg.BatchMax, so)
 
-	if cfg.JobsDir != "" || cfg.JobsEphemeral {
+	if cfg.JobsDir != "" {
 		jw := cfg.JobWorkers
 		if jw <= 0 {
 			jw = engine.Workers() / 2
@@ -211,7 +200,6 @@ func New(cfg Config) (*Server, error) {
 			Dir:        cfg.JobsDir,
 			Workers:    jw,
 			QueueLimit: cfg.JobQueueLimit,
-			Retention:  cfg.JobRetention,
 			Obs:        jo,
 		}, s.execJob)
 		if err != nil {
@@ -353,7 +341,7 @@ func (s *Server) route(ri int, method string, h http.HandlerFunc) http.HandlerFu
 				ErrorResponse{Error: fmt.Sprintf("%s requires %s", r.URL.Path, method)})
 		} else {
 			if r.Body != nil {
-				r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+				r.Body = http.MaxBytesReader(sw, r.Body, MaxBodyBytes)
 			}
 			h(sw, r)
 		}
@@ -682,7 +670,7 @@ func (s *Server) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
 		Workers:       s.engine.Workers(),
 		MaxWays:       aob.MaxWays,
 		MaxREWays:     qat.MaxREWays,
-		MaxSteps:      s.cfg.MaxSteps,
+		MaxSteps:      qasm.MaxSteps,
 		ResultsSchema: ResultsSchema,
 		ResultsVer:    ResultsSchemaVersion,
 		TraceSchema:   obs.TraceSchema,
@@ -750,7 +738,7 @@ func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (f
 	job := farm.Job{
 		Name:     id,
 		Prog:     prog,
-		MaxSteps: req.maxSteps(s.cfg.MaxSteps),
+		MaxSteps: req.StepBudget(),
 		Ctx:      reqCtx,
 		TraceTag: id,
 	}

@@ -479,8 +479,8 @@ func TestRoutingErrors(t *testing.T) {
 }
 
 func TestBodyLimit413(t *testing.T) {
-	_, base := startTestServer(t, Config{MaxBodyBytes: 512})
-	big := RunRequest{Src: "lex $1,1\n" + strings.Repeat("; padding comment\n", 200)}
+	_, base := startTestServer(t, Config{})
+	big := RunRequest{Src: "lex $1,1\n" + strings.Repeat("; padding comment\n", MaxBodyBytes/16)}
 	resp := postJSON(t, base+"/v1/run", big)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {

@@ -361,7 +361,7 @@ func TestExperimentsToolRuns(t *testing.T) {
 
 // TestQatServerClientEndToEnd drives the serving pair the way an operator
 // would: start qatserver on an ephemeral port (127.0.0.1:0 + -port-file, so
-// parallel test runs never collide), run a program and a load burst through
+// parallel test runs never collide), run a program and a load smoke through
 // qatclient, then SIGTERM the server and check the graceful drain flushed
 // its observability artifacts.
 func TestQatServerClientEndToEnd(t *testing.T) {
@@ -416,21 +416,14 @@ func TestQatServerClientEndToEnd(t *testing.T) {
 		t.Fatalf("qatclient health: %v %s\n%s", err, out, stderr)
 	}
 
-	// A load burst, with the saturation phase, writing the bench report.
-	benchFile := filepath.Join(dir, "BENCH_server.json")
+	// A load smoke: exit status zero and the summary line.
 	_, stderr, err = runTool(t, clientBin, "",
-		"-server", base, "-load", "40", "-concurrency", "8", "-saturate", "-out", benchFile)
+		"-server", base, "-load", "40", "-concurrency", "8")
 	if err != nil {
 		t.Fatalf("qatclient -load: %v\n%s", err, stderr)
 	}
-	bench, err := os.ReadFile(benchFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{`"ok": 40`, `"failed": 0`, `"req_per_sec"`} {
-		if !strings.Contains(string(bench), frag) {
-			t.Fatalf("bench report missing %s:\n%s", frag, bench)
-		}
+	if !strings.Contains(stderr, "40 requests, 0 failed") {
+		t.Fatalf("load summary missing:\n%s", stderr)
 	}
 
 	// Graceful drain: SIGTERM, clean exit, artifacts flushed.
