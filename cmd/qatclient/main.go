@@ -168,7 +168,7 @@ func cmdAssemble(ctx context.Context, c *client.Client, args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := c.Assemble(ctx, src)
+	res, err := c.Assemble(ctx, server.AssembleRequest{Src: src})
 	if err != nil {
 		return err
 	}

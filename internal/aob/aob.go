@@ -217,16 +217,16 @@ func (v *Vector) Meas(ch uint64) uint64 {
 	return 0
 }
 
-// And, Or and Xor hand their words to the per-architecture kernels
+// And, Or, Xor and CNot hand their words to the per-architecture kernels
 // andWords, orWords and xorWords (SSE2 on amd64, portable word loops
 // elsewhere). The operands are sliced to the destination length first, so a
 // short operand panics here, before any kernel runs.
 //
-// The CNot and CCNot loops below share one shape: operand slices are
-// re-sliced to the destination length up front (hoisting the bounds checks
-// out of the loop) and the body runs four words per iteration with a scalar
-// tail. On the paper's 16-way hardware a register is 1024 words, so the
-// unrolled body carries essentially the whole operation.
+// The CCNot loop below re-slices its operands to the destination length up
+// front (hoisting the bounds checks out of the loop) and runs four words
+// per iteration with a scalar tail. On the paper's 16-way hardware a
+// register is 1024 words, so the unrolled body carries essentially the
+// whole operation.
 
 // And sets v = a AND b channel-wise (Qat "and @a,@b,@c"). The operand
 // vectors may alias v.
@@ -267,18 +267,7 @@ func (v *Vector) Not() {
 // is "cnot @a,@a" and correctly zeroes the register).
 func (v *Vector) CNot(ctrl *Vector) {
 	v.mustMatch(ctrl)
-	vw := v.words
-	cw := ctrl.words[:len(vw)]
-	i := 0
-	for ; i+4 <= len(vw); i += 4 {
-		vw[i] ^= cw[i]
-		vw[i+1] ^= cw[i+1]
-		vw[i+2] ^= cw[i+2]
-		vw[i+3] ^= cw[i+3]
-	}
-	for ; i < len(vw); i++ {
-		vw[i] ^= cw[i]
-	}
+	xorWords(v.words, v.words, ctrl.words[:len(v.words)])
 }
 
 // CCNot implements the Qat "ccnot @a,@b,@c" Toffoli analog:

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// TestWordKernelsAllWidths checks And, Or and Xor against the per-word Go
-// expression at every width, so each kernel path is covered: the one-word
-// vectors up to 6 ways, the 2- and 4-word scalar tails at 7 and 8 ways, and
-// the whole 8-word blocks from 9 ways up. Every aliasing form a Qat program
-// can write ("and @a,@a,@b", "and @b,@a,@b", "and @c,@a,@a",
-// "and @a,@a,@a") is run too.
+// TestWordKernelsAllWidths checks And, Or, Xor and CNot against the
+// per-word Go expression at every width, so each kernel path is covered:
+// the one-word vectors up to 6 ways, the 2- and 4-word scalar tails at 7
+// and 8 ways, and the whole 8-word blocks from 9 ways up. Every aliasing
+// form a Qat program can write ("and @a,@a,@b", "and @b,@a,@b",
+// "and @c,@a,@a", "and @a,@a,@a", "cnot @a,@a") is run too.
 func TestWordKernelsAllWidths(t *testing.T) {
 	ops := []struct {
 		name string
@@ -58,6 +58,18 @@ func TestWordKernelsAllWidths(t *testing.T) {
 			v = a.Clone()
 			op.gate(v, v, v)
 			check("v==a==b", v, want(a, a))
+		}
+
+		v := a.Clone()
+		v.CNot(b)
+		for i := range v.words {
+			if v.words[i] != a.words[i]^b.words[i] {
+				t.Fatalf("cnot %d ways: word %d is %#x, want %#x", ways, i, v.words[i], a.words[i]^b.words[i])
+			}
+		}
+		v.CNot(v)
+		if !v.Equal(New(ways)) {
+			t.Errorf("cnot @a,@a %d ways: got %v, want zero", ways, v.words)
 		}
 	}
 }

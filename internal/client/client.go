@@ -1,12 +1,13 @@
 // Package client is the Go client for the Qat serving API (internal/server):
-// typed wrappers over POST /v1/run, /v1/batch, /v1/assemble and the GET
-// endpoints, with the retry discipline a remote accelerator front-end needs —
-// exponential backoff with full jitter, Retry-After honored on 429/503
-// backpressure, and idempotent resubmission: every run is assigned its
-// request ID before the first attempt, so a retry after a lost response
-// carries the same ID and the server's content-addressed memo answers it
-// (cached:true); with the memo disabled the retry re-executes, and
-// deterministic execution gives the same result.
+// one typed method per endpoint (POST /v1/run, /v1/batch, /v1/assemble; GET
+// /v1/healthz, /v1/buildinfo; jobs.go adds the async surface), with the
+// retry discipline a remote accelerator front-end needs — exponential
+// backoff with full jitter, Retry-After honored on 429/503 backpressure, and
+// idempotent resubmission: every run is assigned its request ID before the
+// first attempt, so a retry after a lost response carries the same ID and
+// the server's content-addressed memo answers it (cached:true); with the
+// memo disabled the retry re-executes, and deterministic execution gives
+// the same result.
 package client
 
 import (
@@ -94,11 +95,10 @@ func NewWith(cfg Config) *Client {
 	}
 }
 
-// APIError is a non-2xx server response: its status, its body as
-// received (up to 64 KiB), and that body decoded.
+// APIError is a non-2xx server response: its status and its body (up to
+// 64 KiB) decoded.
 type APIError struct {
 	Status int
-	Body   []byte
 	Resp   server.ErrorResponse
 }
 
@@ -239,7 +239,7 @@ func (c *Client) do(ctx context.Context, mkReq func() (*http.Request, error), re
 
 func decodeError(resp *http.Response) *APIError {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	apiErr := &APIError{Status: resp.StatusCode, Body: body}
+	apiErr := &APIError{Status: resp.StatusCode}
 	if err := json.Unmarshal(body, &apiErr.Resp); err != nil || apiErr.Resp.Error == "" {
 		apiErr.Resp.Error = strings.TrimSpace(string(body))
 	}
@@ -322,7 +322,14 @@ func (c *Client) Batch(ctx context.Context, req server.BatchRequest) ([]server.R
 	if resp.StatusCode >= 300 {
 		return nil, decodeError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
+	return ReadResults(resp.Body)
+}
+
+// ReadResults reads a /v1/batch NDJSON stream: it checks the versioned
+// header line, then returns every result line in stream order, failing if
+// the stream ends before the header's count.
+func ReadResults(r io.Reader) ([]server.RunResult, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 8<<20)
 	if !sc.Scan() {
 		return nil, errors.New("client: empty batch response")
@@ -353,47 +360,28 @@ func (c *Client) Batch(ctx context.Context, req server.BatchRequest) ([]server.R
 }
 
 // Assemble assembles source remotely; assembler diagnostics come back as an
-// *APIError with Lines populated.
-func (c *Client) Assemble(ctx context.Context, src string) (server.AssembleResponse, error) {
-	return c.AssembleWith(ctx, server.AssembleRequest{Src: src})
-}
-
-// AssembleWith is Assemble with the full request surface: the opt-in lint
-// report comes back on the response.
-func (c *Client) AssembleWith(ctx context.Context, req server.AssembleRequest) (server.AssembleResponse, error) {
+// *APIError with Lines populated, and the opt-in lint report on the
+// response.
+func (c *Client) Assemble(ctx context.Context, req server.AssembleRequest) (server.AssembleResponse, error) {
 	var out server.AssembleResponse
 	err := c.post(ctx, "/v1/assemble", &req, &out)
 	return out, err
 }
 
-// Health fetches /v1/healthz. A draining server answers 503 but still with
-// a body, surfaced here as (*APIError, zero Health).
-func (c *Client) Health(ctx context.Context) (server.Health, error) {
-	var out server.Health
-	err := c.get(ctx, "/v1/healthz", &out)
-	return out, err
-}
-
-// BuildInfo fetches /v1/buildinfo.
-func (c *Client) BuildInfo(ctx context.Context) (server.BuildInfo, error) {
-	var out server.BuildInfo
-	err := c.get(ctx, "/v1/buildinfo", &out)
-	return out, err
-}
-
-// ClusterHealth fetches /v1/healthz and decodes the cluster superset shape.
-// Against a plain worker the Nodes slice is simply empty, so callers can
-// use this unconditionally and branch on len(Nodes) to detect a
-// coordinator. A degraded cluster answers 503 with a body, surfaced as
-// (*APIError, zero value) like Health.
+// ClusterHealth fetches /v1/healthz. It decodes the coordinator's superset
+// shape: against a plain worker Nodes is empty and the embedded Health is
+// the worker's, so callers use it for either and branch on len(Nodes) to
+// detect a coordinator. A draining worker or a degraded cluster answers
+// 503 with a body, surfaced as (*APIError, zero value).
 func (c *Client) ClusterHealth(ctx context.Context) (server.ClusterHealth, error) {
 	var out server.ClusterHealth
 	err := c.get(ctx, "/v1/healthz", &out)
 	return out, err
 }
 
-// ClusterBuildInfo fetches /v1/buildinfo with per-node rows when the far
-// side is a coordinator (empty Nodes against a plain worker).
+// ClusterBuildInfo fetches /v1/buildinfo: a worker's BuildInfo, with
+// per-node rows when the far side is a coordinator (empty Nodes against a
+// plain worker).
 func (c *Client) ClusterBuildInfo(ctx context.Context) (server.ClusterBuildInfo, error) {
 	var out server.ClusterBuildInfo
 	err := c.get(ctx, "/v1/buildinfo", &out)

@@ -214,22 +214,22 @@ func TestAgainstRealServer(t *testing.T) {
 		t.Fatalf("batch: %+v, %v", results, err)
 	}
 
-	if _, err := c.Assemble(ctx, "nonsense $9\n"); err == nil {
+	if _, err := c.Assemble(ctx, server.AssembleRequest{Src: "nonsense $9\n"}); err == nil {
 		t.Fatal("assemble of nonsense succeeded")
 	}
-	// AssembleWith carries the lint opt-in: the dead first store must come
+	// The request carries the lint opt-in: the dead first store must come
 	// back as a warning on the attached report.
-	ar, err := c.AssembleWith(ctx, server.AssembleRequest{
+	ar, err := c.Assemble(ctx, server.AssembleRequest{
 		Src: "lex $1,5\nlex $1,7\nlex $0,0\nsys\n", Lint: true,
 	})
 	if err != nil || ar.Lint == nil || ar.Lint.Warnings == 0 {
 		t.Fatalf("assemble with lint: %+v, %v", ar.Lint, err)
 	}
-	h, err := c.Health(ctx)
+	h, err := c.ClusterHealth(ctx)
 	if err != nil || h.Status != "ok" {
 		t.Fatalf("health: %+v, %v", h, err)
 	}
-	bi, err := c.BuildInfo(ctx)
+	bi, err := c.ClusterBuildInfo(ctx)
 	if err != nil || bi.ResultsSchema != server.ResultsSchema {
 		t.Fatalf("buildinfo: %+v, %v", bi, err)
 	}

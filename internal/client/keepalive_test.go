@@ -69,7 +69,7 @@ func TestKeepAliveAcrossRetries(t *testing.T) {
 	stubSleep(c)
 	ctx := context.Background()
 
-	if _, err := c.Health(ctx); err != nil {
+	if _, err := c.ClusterHealth(ctx); err != nil {
 		t.Fatal(err)
 	}
 	got, err := c.Run(ctx, server.RunRequest{Src: "lex $1,1\n"})
@@ -79,7 +79,7 @@ func TestKeepAliveAcrossRetries(t *testing.T) {
 	if got.Insts != 42 {
 		t.Fatalf("result %+v", got)
 	}
-	if _, err := c.Health(ctx); err != nil {
+	if _, err := c.ClusterHealth(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if n := runs.Load(); n != 2 {
@@ -113,7 +113,7 @@ func TestGetRetriesTransportFlake(t *testing.T) {
 
 	c := New(ts.URL)
 	stubSleep(c)
-	h, err := c.Health(context.Background())
+	h, err := c.ClusterHealth(context.Background())
 	if err != nil {
 		t.Fatalf("health after one transport flake: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestGetDoesNotRetry503(t *testing.T) {
 
 	c := New(ts.URL)
 	stubSleep(c)
-	_, err := c.Health(context.Background())
+	_, err := c.ClusterHealth(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want immediate 503 APIError", err)

@@ -13,8 +13,10 @@ package cluster
 // own batch, instead of a stream.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -130,41 +132,27 @@ func (co *Coordinator) groupByNode(items []*batchItem, excluded map[*node]bool) 
 // the original indices. On a node-level failure it reassigns the whole
 // group (minus that node) and recurses; programs that run out of nodes get
 // per-program failure records so the merged stream still carries one line
-// per program.
+// per program. tried holds the nodes the group has been sent to; each
+// regrouped part runs concurrently, so each gets its own copy.
 func (co *Coordinator) forwardGroup(r *http.Request, batchID string, n *node, group []*batchItem, results []server.RunResult, ref *refusal, tried map[*node]bool) {
 	tried[n] = true
 	sub := server.BatchRequest{ID: batchID, Programs: make([]server.RunRequest, len(group))}
 	for i, it := range group {
 		sub.Programs[i] = it.req
 	}
+	body, _ := json.Marshal(&sub) // plain data: cannot fail
 	n.inFlight.Add(int64(len(group)))
-	subResults, err := n.fwd.Batch(r.Context(), sub)
+	settled := co.postBatch(r.Context(), n, body, group, results, ref)
 	n.inFlight.Add(-int64(len(group)))
-	if err == nil && len(subResults) == len(group) {
-		n.routed.Add(uint64(len(group)))
-		co.obs.routed.Add(uint64(len(group)))
-		co.obs.nodeRouted.With(n.id).Add(uint64(len(group)))
-		for i, it := range group {
-			results[it.idx] = subResults[i]
-		}
+	if settled {
 		return
 	}
 	if r.Context().Err() != nil {
 		co.failGroup(group, results, server.StatusClientClosedRequest, "client disconnected")
 		return
 	}
-	if err == nil {
-		// A worker answering with the wrong result count is a protocol
-		// fault; don't re-execute (some programs may have run) — report.
-		co.failGroup(group, results, http.StatusBadGateway, "worker returned mismatched batch result count")
-		return
-	}
-	failover, relay := co.noteForwardFailure(n, err)
-	if !failover {
-		ref.note(relay, group)
-		return
-	}
 	co.obs.failovers.Inc()
+	co.obs.nodeRetry.With(n.id).Inc()
 	regrouped := co.groupByNode(group, tried)
 	assigned := make(map[*batchItem]bool)
 	var wg sync.WaitGroup
@@ -173,10 +161,10 @@ func (co *Coordinator) forwardGroup(r *http.Request, batchID string, n *node, gr
 			assigned[it] = true
 		}
 		wg.Add(1)
-		go func(g nodeGroup) {
+		go func(g nodeGroup, tried map[*node]bool) {
 			defer wg.Done()
 			co.forwardGroup(r, batchID, g.n, g.items, results, ref, tried)
-		}(g)
+		}(g, maps.Clone(tried))
 	}
 	wg.Wait()
 	var exhausted []*batchItem
@@ -189,6 +177,41 @@ func (co *Coordinator) forwardGroup(r *http.Request, batchID string, n *node, gr
 		status, resp := co.refusal()
 		co.failGroup(exhausted, results, status, resp.Error)
 	}
+}
+
+// postBatch sends one sub-batch to n and settles it: the worker's results
+// go to their places in results, or its refusal to ref. It returns false
+// when the sub-batch must fail over instead: no answer, a status that fails
+// over, or a result stream that broke off.
+func (co *Coordinator) postBatch(ctx context.Context, n *node, body []byte, group []*batchItem, results []server.RunResult, ref *refusal) bool {
+	resp := co.send(ctx, n, "/v1/batch", body, "")
+	if resp == nil {
+		return false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		var refused server.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&refused)
+		ref.note(resp.StatusCode, refused, group)
+		return true
+	}
+	subResults, err := client.ReadResults(resp.Body)
+	if err != nil {
+		return false
+	}
+	if len(subResults) != len(group) {
+		// A worker answering with the wrong result count is a protocol
+		// fault; don't re-execute (some programs may have run) — report.
+		co.failGroup(group, results, http.StatusBadGateway, "worker returned mismatched batch result count")
+		return true
+	}
+	n.routed.Add(uint64(len(group)))
+	co.obs.routed.Add(uint64(len(group)))
+	co.obs.nodeRouted.With(n.id).Add(uint64(len(group)))
+	for i, it := range group {
+		results[it.idx] = subResults[i]
+	}
+	return true
 }
 
 // failGroup synthesizes failure records for programs that could not be
@@ -212,8 +235,8 @@ type refusal struct {
 // note records a worker's refusal of group. The worker names the failing
 // program by its sub-batch index ("program <i>: ...", see
 // server.handleBatch); note maps it back to the client's index.
-func (ref *refusal) note(apiErr *client.APIError, group []*batchItem) {
-	resp, idx := apiErr.Resp, group[0].idx
+func (ref *refusal) note(status int, resp server.ErrorResponse, group []*batchItem) {
+	idx := group[0].idx
 	if n, msg, ok := strings.Cut(strings.TrimPrefix(resp.Error, "program "), ":"); ok {
 		if i, err := strconv.Atoi(n); err == nil && i >= 0 && i < len(group) {
 			idx = group[i].idx
@@ -223,6 +246,6 @@ func (ref *refusal) note(apiErr *client.APIError, group []*batchItem) {
 	ref.mu.Lock()
 	defer ref.mu.Unlock()
 	if ref.status == 0 || idx < ref.idx {
-		ref.idx, ref.status, ref.resp = idx, apiErr.Status, resp
+		ref.idx, ref.status, ref.resp = idx, status, resp
 	}
 }

@@ -9,6 +9,7 @@ package cluster
 // stub workers whose failure behavior is scripted.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -92,7 +93,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestClusterDifferentialCorpus is the serving-equivalence acceptance: the
 // full shared corpus routed across three workers — as one batch and as
-// individual runs — must match direct in-process execution byte for byte.
+// individual runs — must match direct in-process execution, and the
+// routed response bodies must equal a single direct worker's byte for
+// byte.
 func TestClusterDifferentialCorpus(t *testing.T) {
 	srcs := make([]string, farmtest.Programs)
 	for i := range srcs {
@@ -107,11 +110,22 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 	}
 	co, base := startCoordinator(t, Config{Nodes: urls})
 	cl := client.NewWith(client.Config{BaseURL: base, MaxRetries: -1})
+	_, solo := startWorker(t, server.Config{Workers: 2, BatchMax: 16})
 
 	req := server.BatchRequest{ID: "cluster-diff", Programs: make([]server.RunRequest, len(srcs))}
 	for i, src := range srcs {
 		req.Programs[i] = server.RunRequest{Src: src, Ways: farmtest.Ways}
 	}
+	// The batch's NDJSON stream, routed and direct, byte for byte. This
+	// first pass also leaves every program in both sides' memos, so the
+	// single runs below answer cached:true on both.
+	body, _ := json.Marshal(req)
+	rcode, rbody := postRaw(t, base+"/v1/batch", body)
+	dcode, dbody := postRaw(t, solo+"/v1/batch", body)
+	if rcode != http.StatusOK || rcode != dcode || !bytes.Equal(rbody, dbody) {
+		t.Fatalf("batch stream: routed %d with %d bytes, direct %d with %d bytes", rcode, len(rbody), dcode, len(dbody))
+	}
+
 	results, err := cl.Batch(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +155,14 @@ func TestClusterDifferentialCorpus(t *testing.T) {
 
 	// A sample of individual runs takes the /v1/run failover path.
 	for i := 0; i < 10; i++ {
-		r, err := cl.Run(context.Background(), server.RunRequest{Src: srcs[i], Ways: farmtest.Ways})
-		if err != nil {
+		body, _ := json.Marshal(server.RunRequest{ID: fmt.Sprintf("single-%d", i), Src: srcs[i], Ways: farmtest.Ways})
+		rcode, rbody := postRaw(t, base+"/v1/run", body)
+		dcode, dbody := postRaw(t, solo+"/v1/run", body)
+		if rcode != http.StatusOK || rcode != dcode || !bytes.Equal(rbody, dbody) {
+			t.Fatalf("single run %d: routed %d %s, direct %d %s", i, rcode, rbody, dcode, dbody)
+		}
+		var r server.RunResult
+		if err := json.Unmarshal(rbody, &r); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		d := direct[i]
@@ -714,11 +734,29 @@ func TestCoordinatorRelaysRunFailureRecord(t *testing.T) {
 	}
 }
 
+// postRaw posts body to url and returns the status and the body as
+// received.
+func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
 // TestCoordinatorRelaysAssemblyErrors: a source that does not assemble is
 // routed like any other, and the client gets the owning worker's 400 with
-// the same line diagnostics a direct request gets — for a single run and
-// for a batch, where the refused program is named by its index in the
-// client's batch.
+// the same line diagnostics a direct request gets — for a single run, whose
+// body is the worker's byte for byte, and for a batch, where the refused
+// program is named by its index in the client's batch. A source with 2000
+// bad lines has a 400 body far past the client's 64 KiB read bound; it
+// too reaches the caller whole.
 func TestCoordinatorRelaysAssemblyErrors(t *testing.T) {
 	var urls []string
 	for i := 0; i < 2; i++ {
@@ -726,41 +764,131 @@ func TestCoordinatorRelaysAssemblyErrors(t *testing.T) {
 		urls = append(urls, base)
 	}
 	_, coBase := startCoordinator(t, Config{Nodes: urls})
-	direct := client.NewWith(client.Config{BaseURL: urls[0], MaxRetries: -1})
-	routed := client.NewWith(client.Config{BaseURL: coBase, MaxRetries: -1})
-	ctx := context.Background()
 
-	bad := server.RunRequest{Src: "lex $1,1\nadd $1,$\nbogus $9\n", Ways: 2}
-	apiErr := func(err error) *client.APIError {
+	refusal := func(what string, status int, body []byte) server.ErrorResponse {
 		t.Helper()
-		var e *client.APIError
-		if !errors.As(err, &e) || e.Status != http.StatusBadRequest || len(e.Resp.Lines) == 0 {
-			t.Fatalf("err=%v, want a 400 with line diagnostics", err)
+		var resp server.ErrorResponse
+		if err := json.Unmarshal(body, &resp); err != nil || status != http.StatusBadRequest || len(resp.Lines) == 0 {
+			t.Fatalf("%s: %d %.200q (%v), want a 400 with line diagnostics", what, status, body, err)
 		}
-		return e
+		return resp
 	}
-	same := func(what string, got, want *client.APIError) {
+	same := func(what string, got, want server.ErrorResponse) {
 		t.Helper()
-		if fmt.Sprint(got.Resp.Lines) != fmt.Sprint(want.Resp.Lines) || got.Resp.Error != want.Resp.Error {
-			t.Fatalf("%s: routed %q %v, direct %q %v", what, got.Resp.Error, got.Resp.Lines, want.Resp.Error, want.Resp.Lines)
+		if fmt.Sprint(got.Lines) != fmt.Sprint(want.Lines) || got.Error != want.Error {
+			t.Fatalf("%s: routed %q %v, direct %q %v", what, got.Error, got.Lines, want.Error, want.Lines)
 		}
 	}
 
-	_, derr := direct.Run(ctx, bad)
-	_, rerr := routed.Run(ctx, bad)
-	same("/v1/run", apiErr(rerr), apiErr(derr))
+	for _, tc := range []struct {
+		src   string
+		lines int // the diagnostics a refusal must carry; 0 = any
+	}{
+		{"lex $1,1\nadd $1,$\nbogus $9\n", 0},
+		{strings.Repeat("bogus $9\n", 2000), 2000},
+	} {
+		bad := server.RunRequest{Src: tc.src, Ways: 2}
+		run, _ := json.Marshal(bad)
+		dcode, dbody := postRaw(t, urls[0]+"/v1/run", run)
+		rcode, rbody := postRaw(t, coBase+"/v1/run", run)
+		want := refusal("direct /v1/run", dcode, dbody)
+		same("/v1/run", refusal("routed /v1/run", rcode, rbody), want)
+		if rcode != dcode || !bytes.Equal(rbody, dbody) {
+			t.Fatalf("/v1/run of %d bytes: coordinator %d with %d body bytes, worker %d with %d",
+				len(tc.src), rcode, len(rbody), dcode, len(dbody))
+		}
+		if tc.lines > 0 && len(want.Lines) != tc.lines {
+			t.Fatalf("worker reported %d lines, want %d", len(want.Lines), tc.lines)
+		}
 
-	// Good programs spread over both nodes around the bad one.
+		// Good programs spread over both nodes around the bad one.
+		var progs []server.RunRequest
+		for i := 0; i < 12; i++ {
+			progs = append(progs, server.RunRequest{Src: farmtest.Generate(farmtest.Seed(i)), Ways: farmtest.Ways})
+		}
+		progs = slices.Insert(progs, 7, bad)
+		batch, _ := json.Marshal(server.BatchRequest{ID: "bad-batch", Programs: progs})
+		dcode, dbody = postRaw(t, urls[0]+"/v1/batch", batch)
+		rcode, rbody = postRaw(t, coBase+"/v1/batch", batch)
+		got := refusal("routed /v1/batch", rcode, rbody)
+		same("/v1/batch", got, refusal("direct /v1/batch", dcode, dbody))
+		if !strings.HasPrefix(got.Error, "program 7:") {
+			t.Fatalf("batch refusal %q does not name program 7", got.Error)
+		}
+		if tc.lines > 0 && len(got.Lines) != tc.lines {
+			t.Fatalf("routed batch refusal carries %d lines, want %d", len(got.Lines), tc.lines)
+		}
+	}
+}
+
+// TestRelayedRefusalIsNotAFailover: a worker's 400 is the answer, not a
+// node failure, so relaying it counts no retry and no failover; a relayed
+// /v1/assemble 200 counts as routed.
+func TestRelayedRefusalIsNotAFailover(t *testing.T) {
+	_, worker := startWorker(t, server.Config{Workers: 1})
+	co, coBase := startCoordinator(t, Config{Nodes: []string{worker}, Registry: obs.NewRegistry()})
+	if code, body := postRaw(t, coBase+"/v1/run", []byte(`{"src":"bogus $9\n"}`)); code != http.StatusBadRequest {
+		t.Fatalf("bad program: %d %s, want 400", code, body)
+	}
+	if code, body := postRaw(t, coBase+"/v1/assemble", []byte(`{"src":"lex $0,0\nsys\n"}`)); code != http.StatusOK {
+		t.Fatalf("assemble: %d %s, want 200", code, body)
+	}
+	if n := co.obs.nodeRetry.Total(); n != 0 {
+		t.Fatalf("cluster_node_retried_total = %d after a relayed 400, want 0", n)
+	}
+	if n := co.obs.failovers.Value(); n != 0 {
+		t.Fatalf("cluster_failovers_total = %d, want 0", n)
+	}
+	if n := co.obs.routed.Value(); n != 1 {
+		t.Fatalf("cluster_routed_total = %d, want 1 (the assemble)", n)
+	}
+}
+
+// TestBatchFailoverSplitsGroup: a sub-batch whose node fails (500) is
+// regrouped onto each program's next ring successor, here two nodes at
+// once, and every program still comes back. The regrouped sub-batches run
+// concurrently, so under -race this also checks that they share no
+// unguarded state.
+func TestBatchFailoverSplitsGroup(t *testing.T) {
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/healthz" {
+			stubJSON(w, http.StatusOK, server.Health{Status: "ok", Workers: 1})
+			return
+		}
+		stubJSON(w, http.StatusInternalServerError, server.ErrorResponse{Error: "worker fault"})
+	}))
+	t.Cleanup(failing.Close)
+	_, b := startWorker(t, server.Config{Workers: 1})
+	_, c := startWorker(t, server.Config{Workers: 1})
+	co, base := startCoordinator(t, Config{Nodes: []string{failing.URL, b, c}, Registry: obs.NewRegistry()})
+	owner := strings.TrimPrefix(failing.URL, "http://")
+
+	// Programs the failing node owns, whose next successors cover both
+	// other nodes.
 	var progs []server.RunRequest
-	for i := 0; i < 12; i++ {
-		progs = append(progs, server.RunRequest{Src: farmtest.Generate(farmtest.Seed(i)), Ways: farmtest.Ways})
+	next := map[string]bool{}
+	for i := 0; len(progs) < 8 || len(next) < 2; i++ {
+		if i == 4096 {
+			t.Fatal("no programs owned by the failing node with both other nodes next")
+		}
+		req := server.RunRequest{Src: farmtest.Generate(farmtest.Seed(3000 + i)), Ways: farmtest.Ways}
+		key, _ := RouteKey(&req)
+		if succ := co.ring.Successors(key, 3); succ[0] == owner {
+			progs = append(progs, req)
+			next[succ[1]] = true
+		}
 	}
-	progs = slices.Insert(progs, 7, bad)
-	batch := server.BatchRequest{ID: "bad-batch", Programs: progs}
-	_, derr = direct.Batch(ctx, batch)
-	_, rerr = routed.Batch(ctx, batch)
-	same("/v1/batch", apiErr(rerr), apiErr(derr))
-	if !strings.HasPrefix(apiErr(rerr).Resp.Error, "program 7:") {
-		t.Fatalf("batch refusal %q does not name program 7", apiErr(rerr).Resp.Error)
+	cl := client.NewWith(client.Config{BaseURL: base, MaxRetries: -1})
+	results, err := cl.Batch(context.Background(), server.BatchRequest{ID: "split", Programs: progs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Error != "" {
+			t.Fatalf("program %d: %s", i, r.Error)
+		}
+	}
+	if n := co.obs.nodeRetry.With(owner).Value(); n != 1 {
+		t.Fatalf("cluster_node_retried_total for the failing node = %d, want 1", n)
 	}
 }

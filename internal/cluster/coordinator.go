@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -224,9 +226,9 @@ func (co *Coordinator) probeNode(n *node) {
 	co.obs.probes.Inc()
 	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.HeartbeatInterval)
 	defer cancel()
-	h, err := n.probe.Health(ctx)
+	h, err := n.probe.ClusterHealth(ctx)
 	if err == nil {
-		n.setLastHealth(h)
+		n.setLastHealth(h.Health)
 		co.markHealthy(n)
 		return
 	}
@@ -356,35 +358,47 @@ const (
 	demoteMax     = 30 * time.Second
 )
 
-// noteForwardFailure classifies one failed forward and updates the node:
-// 429 opens a demotion window sized by the worker's hint, 503 marks the
-// node draining, transport errors leave state to the heartbeat. It returns
-// true when the request should fail over to the next candidate, false when
-// the worker's answer is authoritative and must be relayed.
-func (co *Coordinator) noteForwardFailure(n *node, err error) (failover bool, relay *client.APIError) {
-	co.obs.nodeRetry.With(n.id).Inc()
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) {
-		return true, nil // transport error
+// send posts body to path on n and classifies the answer. A transport
+// error fails over, leaving node state to the heartbeat; so do 429, which
+// opens a demotion window sized by the worker's hint, 503, which marks the
+// node draining, and 500/502, transient faults (execution is deterministic,
+// so re-running elsewhere is safe). send returns nil for these, having
+// closed the response, and otherwise the worker's authoritative answer. A
+// non-empty id travels in the X-Request-ID header, which a worker uses when
+// the body names none.
+func (co *Coordinator) send(ctx context.Context, n *node, path string, body []byte, id string) *http.Response {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url+path, bytes.NewReader(body))
+	if err != nil {
+		return nil
 	}
-	switch apiErr.Status {
+	req.Header.Set("Content-Type", "application/json")
+	if id != "" {
+		req.Header.Set("X-Request-ID", id)
+	}
+	resp, err := n.http.Do(req)
+	if err != nil {
+		return nil
+	}
+	switch resp.StatusCode {
 	case http.StatusTooManyRequests:
+		var hint server.ErrorResponse
+		json.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&hint)
 		d := demoteDefault
-		if ms := apiErr.Resp.RetryAfterMs; ms > 0 {
+		if ms := hint.RetryAfterMs; ms > 0 {
 			d = min(time.Duration(ms)*time.Millisecond, demoteMax)
 		}
 		n.demote(time.Now(), d)
 		co.obs.demotions.Inc()
-		return true, nil
 	case http.StatusServiceUnavailable:
 		co.markDraining(n)
-		return true, nil
 	case http.StatusInternalServerError, http.StatusBadGateway:
-		// Transient worker fault; execution is deterministic, so
-		// re-running elsewhere is safe.
-		return true, nil
+	default:
+		return resp
 	}
-	return false, apiErr
+	// Drain (bounded) before Close so the connection stays in the pool.
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
+	resp.Body.Close()
+	return nil
 }
 
 // ---- handlers ----
@@ -411,24 +425,54 @@ func (co *Coordinator) methodOnly(method string, h http.HandlerFunc) http.Handle
 	}
 }
 
+// decode reads r's body into v by the worker's rule (server.DecodeBody:
+// 413 past the size limit, 400 on malformed or trailing data), writing the
+// refusal on failure. It returns the bytes read, so a forward sends the
+// worker exactly what the client sent.
+func (co *Coordinator) decode(w http.ResponseWriter, r *http.Request, v interface{}) ([]byte, bool) {
+	var buf bytes.Buffer
+	if code, resp := server.DecodeBody(io.TeeReader(r.Body, &buf), v); resp != nil {
+		co.writeError(w, code, *resp)
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
 func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req server.RunRequest
-	if code, resp := server.DecodeBody(r.Body, &req); resp != nil {
-		co.writeError(w, code, *resp)
+	body, ok := co.decode(w, r, &req)
+	if !ok {
 		return
 	}
 	// Mint the request ID here, before the first forward, so a failover
 	// carries the same ID. A node whose memo holds the program answers it
 	// with cached:true; otherwise the retry re-executes deterministically.
-	if req.ID == "" {
-		req.ID = client.NewRequestID()
+	id := req.ID
+	if id == "" {
+		id = client.NewRequestID()
 	}
-	w.Header().Set("X-Request-ID", req.ID)
 	key, keyed := RouteKey(&req)
 	if keyed {
 		co.obs.keyed.Inc()
 	} else {
 		co.obs.unkeyed.Inc()
+	}
+	co.forward(w, r, "/v1/run", body, id, key, keyed)
+}
+
+func (co *Coordinator) handleAssemble(w http.ResponseWriter, r *http.Request) {
+	if body, ok := co.decode(w, r, &server.AssembleRequest{}); ok {
+		co.forward(w, r, "/v1/assemble", body, "", 0, false)
+	}
+}
+
+// forward sends body, as the client sent it, to path on the best untried
+// candidate (see candidates) until a worker answers authoritatively, and
+// relays that answer whole. A non-empty id is set on the reply before the
+// first forward, so the coordinator's own refusals carry it too.
+func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, path string, body []byte, id string, key uint64, keyed bool) {
+	if id != "" {
+		w.Header().Set("X-Request-ID", id)
 	}
 	tried := make(map[*node]bool)
 	for {
@@ -440,26 +484,29 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		tried[n] = true
 		n.inFlight.Add(1)
-		res, err := n.fwd.Run(r.Context(), req)
+		resp := co.send(r.Context(), n, path, body, id)
 		n.inFlight.Add(-1)
-		if err == nil {
-			n.routed.Add(1)
-			co.obs.routed.Inc()
-			co.obs.nodeRouted.With(n.id).Inc()
+		if resp != nil {
+			// Relay the worker's answer as it sent it: status, Content-Type
+			// and body. (Its X-Request-ID echoes the one set above.)
+			defer resp.Body.Close()
+			w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 			w.Header().Set("X-Cluster-Node", n.id)
-			co.writeJSON(w, http.StatusOK, res)
+			if resp.StatusCode < 300 {
+				n.routed.Add(1)
+				co.obs.routed.Inc()
+				co.obs.nodeRouted.With(n.id).Inc()
+			}
+			w.WriteHeader(resp.StatusCode)
+			io.Copy(w, resp.Body)
 			return
 		}
 		if r.Context().Err() != nil {
 			co.writeError(w, server.StatusClientClosedRequest, server.ErrorResponse{Error: "client disconnected"})
 			return
 		}
-		failover, relay := co.noteForwardFailure(n, err)
-		if !failover {
-			co.relayAPIError(w, relay)
-			return
-		}
 		co.obs.failovers.Inc()
+		co.obs.nodeRetry.With(n.id).Inc()
 	}
 }
 
@@ -471,15 +518,6 @@ func (co *Coordinator) nextCandidate(key uint64, keyed bool, tried map[*node]boo
 		}
 	}
 	return nil
-}
-
-// relayAPIError answers with a worker's refusal as it was received: its
-// status and body (APIError.Body) unchanged, so a run's 499/504 failure
-// record reaches the caller as a worker sent it.
-func (co *Coordinator) relayAPIError(w http.ResponseWriter, apiErr *client.APIError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(apiErr.Status)
-	w.Write(apiErr.Body)
 }
 
 func (co *Coordinator) writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -550,8 +588,8 @@ func (co *Coordinator) handleBuildinfo(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, n *node) {
 			defer wg.Done()
-			info, err := n.probe.BuildInfo(r.Context())
-			results[i] = probeResult{n, info, err}
+			info, err := n.probe.ClusterBuildInfo(r.Context())
+			results[i] = probeResult{n, info.BuildInfo, err}
 		}(i, n)
 	}
 	wg.Wait()
@@ -623,37 +661,4 @@ func intersect(a, b []string) []string {
 		}
 	}
 	return out
-}
-
-func (co *Coordinator) handleAssemble(w http.ResponseWriter, r *http.Request) {
-	var req server.AssembleRequest
-	if code, resp := server.DecodeBody(r.Body, &req); resp != nil {
-		co.writeError(w, code, *resp)
-		return
-	}
-	tried := make(map[*node]bool)
-	for {
-		n := co.nextCandidate(0, false, tried)
-		if n == nil {
-			status, resp := co.refusal()
-			co.writeError(w, status, resp)
-			return
-		}
-		tried[n] = true
-		resp, err := n.fwd.AssembleWith(r.Context(), req)
-		if err == nil {
-			co.writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		if r.Context().Err() != nil {
-			co.writeError(w, server.StatusClientClosedRequest, server.ErrorResponse{Error: "client disconnected"})
-			return
-		}
-		failover, relay := co.noteForwardFailure(n, err)
-		if !failover {
-			co.relayAPIError(w, relay)
-			return
-		}
-		co.obs.failovers.Inc()
-	}
 }

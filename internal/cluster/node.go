@@ -51,14 +51,14 @@ type node struct {
 	id  string // URL sans scheme: the metrics label and health-row key
 	url string
 
-	// fwd forwards run/batch/assemble traffic with client-level retries
-	// disabled: the router owns failure policy (failover to another node),
-	// and a per-node retry against a saturated worker is exactly the
-	// hot-loop the demotion window exists to prevent.
-	fwd *client.Client
+	// http forwards run/batch/assemble bodies with no retry of its own:
+	// the router owns failure policy (failover to another node), and a
+	// per-node retry against a saturated worker is exactly the hot-loop
+	// the demotion window exists to prevent.
+	http *http.Client
 	// probe carries heartbeat and aggregation GETs with one client-level
-	// retry, so a single transport flake doesn't consume a whole beat.
-	// Both clients share one transport, hence one keep-alive pool.
+	// retry, so a single transport flake doesn't consume a whole beat. It
+	// shares http's transport, hence one keep-alive pool.
 	probe *client.Client
 
 	inFlight     atomic.Int64  // requests this coordinator has on the node
@@ -78,7 +78,7 @@ func newNode(rawURL string) *node {
 	return &node{
 		id:    id,
 		url:   u,
-		fwd:   client.NewWith(client.Config{BaseURL: u, HTTPClient: h, MaxRetries: -1}),
+		http:  h,
 		probe: client.NewWith(client.Config{BaseURL: u, HTTPClient: h, MaxRetries: 1, BaseBackoff: 10 * time.Millisecond}),
 	}
 }

@@ -66,6 +66,9 @@ func eventTypeFor(st State) string {
 // are dropped (recoverable via since-replay).
 const subChanBuf = 256
 
+// eventBuf bounds the lifecycle-event replay ring.
+const eventBuf = 1024
+
 type eventRing struct {
 	mu     sync.Mutex
 	buf    []Event // ring storage, len == cap once full
@@ -78,9 +81,6 @@ type eventRing struct {
 }
 
 func newEventRing(capacity int, o *Obs) *eventRing {
-	if capacity <= 0 {
-		capacity = 1024
-	}
 	return &eventRing{cap: capacity, subs: make(map[int]chan Event), obs: o}
 }
 

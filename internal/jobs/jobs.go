@@ -150,8 +150,6 @@ type Config struct {
 	// Retention bounds retained terminal jobs; the oldest are evicted
 	// (and erased from the WAL at the next compaction). <= 0 means 4096.
 	Retention int
-	// EventBuf bounds the lifecycle-event replay ring. <= 0 means 1024.
-	EventBuf int
 	// CompactEvery triggers WAL compaction after this many appended
 	// records. <= 0 means 4096.
 	CompactEvery int
@@ -168,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retention <= 0 {
 		c.Retention = 4096
-	}
-	if c.EventBuf <= 0 {
-		c.EventBuf = 1024
 	}
 	if c.CompactEvery <= 0 {
 		c.CompactEvery = 4096
@@ -237,7 +232,7 @@ func New(cfg Config, exec Exec) (*Manager, error) {
 		jobs:    make(map[string]*Job),
 		fq:      newFairQueue(),
 		cancels: make(map[string]context.CancelFunc),
-		events:  newEventRing(cfg.EventBuf, cfg.Obs),
+		events:  newEventRing(eventBuf, cfg.Obs),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if cfg.Dir != "" {
