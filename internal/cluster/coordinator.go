@@ -148,9 +148,6 @@ func (co *Coordinator) StartLocal() (string, error) {
 	return "http://" + addr.String(), nil
 }
 
-// Draining reports whether Drain has begun.
-func (co *Coordinator) Draining() bool { return co.draining.Load() }
-
 // Drain gracefully stops the coordinator: new work is refused with 503,
 // in-flight forwards finish, the heartbeat stops, and the listener closes.
 // ctx bounds the wait. The workers themselves are not touched — they have

@@ -11,7 +11,8 @@ import (
 // FuzzWALReplay asserts two properties over arbitrary log bytes:
 //
 //  1. replayWAL never panics — any on-disk corruption degrades to an error
-//     or a truncated-but-valid job set, never a crash at startup.
+//     or, for a torn final line, the valid job set before it; never a
+//     crash at startup.
 //  2. Snapshotting is a fixed point: encoding the replayed set the way
 //     compaction does and replaying that must reproduce the same set. This
 //     is the invariant that makes compaction safe to run at any moment.
@@ -33,6 +34,11 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte(`{"schema":"alien","version":1}` + "\n"))
 	f.Add([]byte(hdr + `{"op":"state","id":"ghost","state":"completed"}` + "\n"))
 	f.Add([]byte(hdr + `{"op":"job","job":{"id":"x","state":"bogus","seq":9}}` + "\n"))
+	// Mid-log corruption: a torn record with a valid one after it.
+	f.Add([]byte(hdr +
+		`{"op":"job","job":{"id":"a","state":"queued","seq":0}}` + "\n" +
+		`{"op":"job","job":{"id":"b","sta` + "\n" +
+		`{"op":"job","job":{"id":"c","state":"queued","seq":2}}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		jobs, err := replayWAL(raw)

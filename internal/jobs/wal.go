@@ -15,11 +15,12 @@ import (
 // identifying the schema and version (mirroring the trace-ring JSONL
 // discipline in internal/obs); every subsequent line is a walRecord.
 // Replay is tolerant of a torn tail — a SIGKILL can truncate the final
-// line mid-write, so replay stops at the first unparseable line instead
-// of failing. Versioning: a reader refuses a header whose schema name
-// differs; a higher version than it knows is also refused (the format is
-// fsynced state, not a best-effort cache, so silently dropping fields is
-// not acceptable).
+// line mid-write, so an unparseable last line is skipped. An unparseable
+// line with records after it is corruption, not a torn tail, and replay
+// refuses the log rather than drop what follows. Versioning: a reader
+// refuses a header whose schema name differs; a higher version than it
+// knows is also refused (the format is fsynced state, not a best-effort
+// cache, so silently dropping fields is not acceptable).
 const (
 	// WALSchema names the on-disk jobs log format.
 	WALSchema = "tangled-jobs-wal"
@@ -118,9 +119,11 @@ func openWAL(dir string) (*wal, []*Job, error) {
 
 // replayWAL folds raw log bytes into the surviving job set, in submission
 // (Seq) order. Lines have no length cap: every record writeLine can append
-// replays. It tolerates a torn tail: decoding stops at the first malformed
-// line. A missing or alien header is an error; a torn *header* (file
-// truncated inside line one) yields an empty store, matching the
+// replays. It tolerates a torn tail: a malformed final line is skipped. A
+// malformed line followed by any other non-blank line is an error naming
+// its line number, so a restart never compacts away the records after it.
+// A missing or alien header is an error; a torn *header* (file truncated
+// inside line one) yields an empty store, matching the
 // crash-before-first-record case.
 func replayWAL(raw []byte) ([]*Job, error) {
 	first, rest, _ := bytes.Cut(raw, []byte{'\n'})
@@ -136,7 +139,7 @@ func replayWAL(raw []byte) ([]*Job, error) {
 	}
 	byID := make(map[string]*Job)
 	var order []string
-	for len(rest) > 0 {
+	for lineNo := 2; len(rest) > 0; lineNo++ {
 		var line []byte
 		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
 		if len(bytes.TrimSpace(line)) == 0 {
@@ -144,7 +147,10 @@ func replayWAL(raw []byte) ([]*Job, error) {
 		}
 		var rec walRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			break // torn tail: everything before it is intact
+			if len(bytes.TrimSpace(rest)) == 0 {
+				break // torn tail: everything before it is intact
+			}
+			return nil, fmt.Errorf("jobs: wal line %d is corrupt and records follow it: %v", lineNo, err)
 		}
 		switch rec.Op {
 		case opJob:
@@ -196,9 +202,9 @@ func (w *wal) writeHeader() error {
 
 // writeLine appends one line and fsyncs it. A failed write or fsync is
 // undone by truncating the file back to the last good record, because
-// replay stops at the first malformed line and a partial line would hide
-// every record appended after it. If the truncate fails as well the log
-// is broken, and every later append is refused.
+// replay refuses a log with a malformed line before its last record. If
+// the truncate fails as well the log is broken, and every later append is
+// refused.
 func (w *wal) writeLine(line []byte) error {
 	if w.broken != nil {
 		return w.broken

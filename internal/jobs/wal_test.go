@@ -112,6 +112,51 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
+// TestWALRefusesMidLogCorruption: only the last line may be skipped as a
+// torn tail. A corrupt record with records after it makes New refuse the
+// store, naming the line, and leaves the file as it was, instead of
+// replaying up to the bad line and compacting the later jobs away.
+func TestWALRefusesMidLogCorruption(t *testing.T) {
+	dir := t.TempDir()
+	m, err := New(Config{Dir: dir, Workers: 1}, okExec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b", "c", "d"} {
+		m.Submit(Job{ID: id})
+		waitState(t, m, id, StateCompleted)
+	}
+	closeNow(t, m)
+	// A reopen compacts the log to the header and one record per job.
+	m, err = New(Config{Dir: dir, Workers: 1}, okExec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closeNow(t, m)
+	lines := walLines(t, dir)
+	if len(lines) != 5 || !strings.Contains(lines[2], `"id":"b"`) {
+		t.Fatalf("compacted log is not header + a, b, c, d:\n%s", strings.Join(lines, "\n"))
+	}
+	lines[2] = lines[2][:len(lines[2])/2]
+	path := filepath.Join(dir, walFile)
+	corrupt := []byte(strings.Join(lines, "\n") + "\n")
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err = New(Config{Dir: dir, Workers: 1}, okExec)
+	if err == nil {
+		closeNow(t, m)
+		t.Fatal("a log with a corrupt record before its last opened")
+	}
+	if !strings.Contains(err.Error(), "wal line 3 is corrupt") {
+		t.Fatalf("error %q does not name line 3", err)
+	}
+	if raw, err := os.ReadFile(path); err != nil || string(raw) != string(corrupt) {
+		t.Fatalf("refused log was changed (read err %v)", err)
+	}
+}
+
 // TestWALReplaysLongRecord: replay has no line-length cap. json.Marshal
 // escapes '<' to six bytes, so a spec of 3 MiB of them makes a job record
 // of about 18 MiB; that record and the state records after it must replay.

@@ -98,7 +98,7 @@ func (q *Coprocessor) Reg(qa uint8) *aob.Vector {
 		return q.regs[qa]
 	}
 	if d := q.re.dense[qa]; d != nil {
-		return d
+		return d.Clone()
 	}
 	v, err := q.re.pats[qa].ToDense()
 	if err != nil {
@@ -107,14 +107,14 @@ func (q *Coprocessor) Reg(qa uint8) *aob.Vector {
 	return v
 }
 
-// RegPattern exposes register qa of the RE backend in compressed form
-// (spilled slots are recompressed transiently). It returns nil on the dense
-// backend.
+// RegPattern returns a snapshot of register qa of the RE backend in
+// compressed form: the register's own Pattern is overwritten by later
+// gates, so the caller gets a copy. It returns nil on the dense backend.
 func (q *Coprocessor) RegPattern(qa uint8) *re.Pattern {
 	if q.re == nil {
 		return nil
 	}
-	return q.re.pat(qa)
+	return q.re.pat(qa).Clone()
 }
 
 // SetReg overwrites register qa (test fixture helper; real programs build
@@ -130,7 +130,8 @@ func (q *Coprocessor) SetReg(qa uint8, v *aob.Vector) {
 		if err != nil {
 			panic(fmt.Sprintf("qat: SetReg(@%d): %v", qa, err))
 		}
-		if err := q.re.store(qa, p); err != nil {
+		q.re.pats[qa] = p
+		if err := q.re.settle(qa); err != nil {
 			panic(fmt.Sprintf("qat: SetReg(@%d): %v", qa, err))
 		}
 		q.written[qa] = true
@@ -153,16 +154,13 @@ func (q *Coprocessor) Reset() {
 	// The RE symbol space (intern table, memo) survives a reset the same
 	// way the dense path keeps its allocations: it is a cache, bounded by
 	// its own cap, and carries no channel state.
-	var zero *re.Pattern
-	if q.re != nil {
-		zero = q.re.sp.Zero()
-	}
 	for i, w := range q.written {
 		if !w || q.reserved[i] {
 			continue
 		}
 		if q.re != nil {
-			q.re.pats[i], q.re.dense[i] = zero, nil
+			q.re.pats[i].SetZero()
+			q.re.dense[i] = nil
 		} else {
 			q.regs[i].Zero()
 		}

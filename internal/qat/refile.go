@@ -8,14 +8,17 @@ package qat
 // semantics, so structured workloads above 16-way entanglement become
 // servable.
 //
-// Each register is in exactly one of two states: compressed (a Pattern) or
-// spilled (a dense AoB vector). Operations execute in the compressed domain
-// — spilled operands are recompressed on use — and a result whose run count
-// exceeds the spill budget is stored densely instead, bounding the memory a
-// pathological (incompressible) value can occupy. Spilling is only possible
-// when the total ways fit dense hardware (<= aob.MaxWays); above that the
-// budget is ignored, because a dense fallback does not exist — that regime
-// is exactly the one where the workload must stay structured.
+// Each register owns one Pattern, and gates write their result into the
+// destination's Pattern in place, so a warm file allocates nothing per
+// instruction. A register is in one of two states: compressed (its
+// Pattern) or spilled (a dense AoB vector). Operations execute in the
+// compressed domain — spilled operands are recompressed on use — and a
+// result whose run count exceeds the spill budget is stored densely
+// instead, bounding the memory a pathological (incompressible) value can
+// occupy. Spilling is only possible when the total ways fit dense
+// hardware (<= aob.MaxWays); above that the budget is ignored, because a
+// dense fallback does not exist — that regime is exactly the one where the
+// workload must stay structured.
 
 import (
 	"fmt"
@@ -68,9 +71,12 @@ type Config struct {
 type reFile struct {
 	sp        *re.Space
 	spillRuns int // <0 disables; only meaningful when ways <= aob.MaxWays
-	pats      [isa.NumQRegs]*re.Pattern
-	dense     [isa.NumQRegs]*aob.Vector // non-nil exactly when pats is nil
-	spills    uint64
+	// pats[i] is register i's own Pattern, never shared with another
+	// register; it holds the value unless dense[i] is non-nil.
+	pats   [isa.NumQRegs]*re.Pattern
+	dense  [isa.NumQRegs]*aob.Vector // non-nil exactly when spilled
+	tmp    *re.Pattern               // ccnot/cswap scratch
+	spills uint64
 }
 
 // Canonical validates cfg and makes its defaults explicit, so that every
@@ -137,15 +143,15 @@ func NewFromConfig(cfg Config) (*Coprocessor, error) {
 		return nil, err
 	}
 	q := &Coprocessor{ways: cfg.Ways}
-	q.re = &reFile{sp: sp, spillRuns: cfg.SpillRuns}
+	q.re = &reFile{sp: sp, spillRuns: cfg.SpillRuns, tmp: sp.Zero()}
 	for i := range q.re.pats {
 		q.re.pats[i] = sp.Zero()
 	}
 	if cfg.ConstantRegs {
-		q.re.pats[1] = sp.One()
+		q.re.pats[1].SetOne()
 		q.reserved[0], q.reserved[1] = true, true
 		for k := 0; k < cfg.Ways; k++ {
-			q.re.pats[2+k] = sp.Had(k)
+			q.re.pats[2+k].SetHad(k)
 			q.reserved[2+k] = true
 		}
 	}
@@ -182,8 +188,8 @@ func (q *Coprocessor) Space() *re.Space {
 // transiently (the slot itself stays dense; only results re-enter the
 // compressed state, and only under the budget).
 func (f *reFile) pat(i uint8) *re.Pattern {
-	if p := f.pats[i]; p != nil {
-		return p
+	if f.dense[i] == nil {
+		return f.pats[i]
 	}
 	p, err := f.sp.FromDense(f.dense[i])
 	if err != nil {
@@ -194,19 +200,20 @@ func (f *reFile) pat(i uint8) *re.Pattern {
 	return p
 }
 
-// store writes a result pattern into register i, spilling to dense when it
-// exceeds the run budget.
-func (f *reFile) store(i uint8, p *re.Pattern) error {
-	if f.spillRuns >= 0 && p.NumRuns() > f.spillRuns {
+// settle applies the spill budget to register i once its Pattern holds a
+// new value: a value over the budget is stored densely, and the register
+// gets a fresh Pattern so the over-budget runs are not kept alongside it.
+func (f *reFile) settle(i uint8) error {
+	if p := f.pats[i]; f.spillRuns >= 0 && p.NumRuns() > f.spillRuns {
 		v, err := p.ToDense()
 		if err != nil {
 			return fmt.Errorf("qat: spill of register @%d: %v", i, err)
 		}
-		f.pats[i], f.dense[i] = nil, v
+		f.pats[i], f.dense[i] = f.sp.Zero(), v
 		f.spills++
 		return nil
 	}
-	f.pats[i], f.dense[i] = p, nil
+	f.dense[i] = nil
 	return nil
 }
 
@@ -214,7 +221,7 @@ func (f *reFile) store(i uint8, p *re.Pattern) error {
 // the word-op work metric: spilled slots count as their chunk count (every
 // chunk is distinct work, same as dense).
 func (f *reFile) runsIn(i uint8) uint64 {
-	if f.pats[i] != nil {
+	if f.dense[i] == nil {
 		return uint64(f.pats[i].NumRuns())
 	}
 	return f.sp.Channels() >> uint(f.sp.ChunkWays())
@@ -247,34 +254,41 @@ func (q *Coprocessor) execRE(inst isa.Inst, rd uint16) (out uint16, writes bool,
 		}
 	}
 
-	writeTo := func(dst uint8, p *re.Pattern) error {
-		if err := f.store(dst, p); err != nil {
+	// written settles register i after an in-place write and charges the
+	// runs written.
+	written := func(i uint8) error {
+		runs := uint64(f.pats[i].NumRuns())
+		if err := f.settle(i); err != nil {
 			return err
 		}
-		charge(uint64(p.NumRuns()))
+		charge(runs)
 		return nil
 	}
 
+	// Operands are read through pat before the destination's Pattern is
+	// written, and the Set methods tolerate aliasing, so any of QA, QB and
+	// QC may name the same register.
+	dst := f.pats[inst.QA]
 	switch inst.Op {
 	case isa.OpQZero:
-		return 0, false, writeTo(inst.QA, f.sp.Zero())
+		dst.SetZero()
 	case isa.OpQOne:
-		return 0, false, writeTo(inst.QA, f.sp.One())
+		dst.SetOne()
 	case isa.OpQHad:
-		return 0, false, writeTo(inst.QA, f.sp.Had(int(inst.K)))
+		dst.SetHad(int(inst.K))
 	case isa.OpQNot:
-		return 0, false, writeTo(inst.QA, f.pat(inst.QA).Not())
+		dst.SetNot(f.pat(inst.QA))
 	case isa.OpQAnd:
-		return 0, false, writeTo(inst.QA, f.pat(inst.QB).And(f.pat(inst.QC)))
+		dst.SetAnd(f.pat(inst.QB), f.pat(inst.QC))
 	case isa.OpQOr:
-		return 0, false, writeTo(inst.QA, f.pat(inst.QB).Or(f.pat(inst.QC)))
+		dst.SetOr(f.pat(inst.QB), f.pat(inst.QC))
 	case isa.OpQXor:
-		return 0, false, writeTo(inst.QA, f.pat(inst.QB).Xor(f.pat(inst.QC)))
+		dst.SetXor(f.pat(inst.QB), f.pat(inst.QC))
 	case isa.OpQCnot:
-		return 0, false, writeTo(inst.QA, f.pat(inst.QA).Xor(f.pat(inst.QB)))
+		dst.SetXor(f.pat(inst.QA), f.pat(inst.QB))
 	case isa.OpQCcnot:
-		ctrl := f.pat(inst.QB).And(f.pat(inst.QC))
-		return 0, false, writeTo(inst.QA, f.pat(inst.QA).Xor(ctrl))
+		f.tmp.SetAnd(f.pat(inst.QB), f.pat(inst.QC))
+		dst.SetXor(f.pat(inst.QA), f.tmp)
 	case isa.OpQSwap:
 		f.pats[inst.QA], f.pats[inst.QB] = f.pats[inst.QB], f.pats[inst.QA]
 		f.dense[inst.QA], f.dense[inst.QB] = f.dense[inst.QB], f.dense[inst.QA]
@@ -282,13 +296,17 @@ func (q *Coprocessor) execRE(inst isa.Inst, rd uint16) (out uint16, writes bool,
 		return 0, false, nil
 	case isa.OpQCswap:
 		// Fredkin as in the dense kernel: diff = (a^b)&ctrl, then a^=diff,
-		// b^=diff — conserving total population.
+		// b^=diff — conserving total population. diff lives in tmp, so
+		// writing a first leaves it and b intact (when QB is QA, diff is 0).
 		a, b := f.pat(inst.QA), f.pat(inst.QB)
-		diff := a.Xor(b).And(f.pat(inst.QC))
-		if err := writeTo(inst.QA, a.Xor(diff)); err != nil {
+		f.tmp.SetXor(a, b)
+		f.tmp.SetAnd(f.tmp, f.pat(inst.QC))
+		dst.SetXor(a, f.tmp)
+		if err := written(inst.QA); err != nil {
 			return 0, false, err
 		}
-		return 0, false, writeTo(inst.QB, b.Xor(diff))
+		f.pats[inst.QB].SetXor(b, f.tmp)
+		return 0, false, written(inst.QB)
 	case isa.OpQMeas:
 		charge(1)
 		return uint16(f.pat(inst.QA).Meas(uint64(rd))), true, nil
@@ -301,4 +319,5 @@ func (q *Coprocessor) execRE(inst isa.Inst, rd uint16) (out uint16, writes bool,
 		charge(f.runsIn(inst.QA))
 		return uint16(f.pat(inst.QA).PopAfter(uint64(rd))), true, nil
 	}
+	return 0, false, written(inst.QA)
 }

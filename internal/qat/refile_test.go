@@ -351,3 +351,92 @@ func TestExecRefusalsAgree(t *testing.T) {
 		})
 	}
 }
+
+// TestRegPatternIsSnapshot: RE gates overwrite a register's Pattern in
+// place, so RegPattern must hand out a copy. A held result keeps its value
+// after the register is written again.
+func TestRegPatternIsSnapshot(t *testing.T) {
+	q, err := NewFromConfig(Config{Ways: 20, Backend: BackendRE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(t, q, isa.Inst{Op: isa.OpQHad, QA: 5, K: 3}, 0)
+	held := q.RegPattern(5)
+	want := q.Space().Had(3)
+	for _, inst := range []isa.Inst{
+		{Op: isa.OpQNot, QA: 5},
+		{Op: isa.OpQHad, QA: 5, K: 18},
+		{Op: isa.OpQAnd, QA: 5, QB: 5, QC: 5},
+		{Op: isa.OpQOne, QA: 5},
+	} {
+		exec(t, q, inst, 0)
+		if !held.Equal(want) {
+			t.Fatalf("after %s the held RegPattern(@5) reads %s, want %s", inst, held, want)
+		}
+	}
+	q.Reset()
+	if !held.Equal(want) {
+		t.Fatalf("after Reset the held RegPattern(@5) reads %s, want %s", held, want)
+	}
+}
+
+// TestRERegIsSnapshot: on the RE backend Reg materializes a copy, for a
+// spilled register too, so changing the returned vector leaves the
+// register alone.
+func TestRERegIsSnapshot(t *testing.T) {
+	q, err := NewFromConfig(Config{Ways: 8, Backend: BackendRE, ChunkWays: 4, SpillRuns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec(t, q, isa.Inst{Op: isa.OpQHad, QA: 5, K: 6}, 0) // 4 runs: spills
+	if q.Spills() != 1 {
+		t.Fatalf("fixture spilled %d times, want 1", q.Spills())
+	}
+	q.Reg(5).Not()
+	if want := aob.HadVector(8, 6); !q.Reg(5).Equal(want) {
+		t.Fatalf("changing Reg(@5)'s result changed the register: %s, want %s", q.Reg(5), want)
+	}
+}
+
+// TestREGatesAllocateNothing: a warm 20-way RE coprocessor writes every
+// result into the destination register's own Pattern, so a run of every
+// Qat op, aliased operands and a Reset included, allocates nothing.
+func TestREGatesAllocateNothing(t *testing.T) {
+	q, err := NewFromConfig(Config{Ways: 20, Backend: BackendRE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := []isa.Inst{
+		{Op: isa.OpQZero, QA: 0},
+		{Op: isa.OpQOne, QA: 1},
+		{Op: isa.OpQHad, QA: 2, K: 3},
+		{Op: isa.OpQHad, QA: 3, K: 17}, // above the 16-way chunk: 8 runs
+		{Op: isa.OpQNot, QA: 4},
+		{Op: isa.OpQAnd, QA: 5, QB: 2, QC: 3},
+		{Op: isa.OpQOr, QA: 6, QB: 2, QC: 3},
+		{Op: isa.OpQXor, QA: 7, QB: 3, QC: 2},
+		{Op: isa.OpQAnd, QA: 7, QB: 7, QC: 7},
+		{Op: isa.OpQCnot, QA: 8, QB: 3},
+		{Op: isa.OpQCcnot, QA: 8, QB: 2, QC: 3},
+		{Op: isa.OpQCcnot, QA: 2, QB: 3, QC: 2},
+		{Op: isa.OpQSwap, QA: 5, QB: 6},
+		{Op: isa.OpQCswap, QA: 5, QB: 6, QC: 3},
+		{Op: isa.OpQCswap, QA: 6, QB: 6, QC: 6},
+		{Op: isa.OpQCswap, QA: 7, QB: 3, QC: 7},
+		{Op: isa.OpQMeas, QA: 3},
+		{Op: isa.OpQNext, QA: 6},
+		{Op: isa.OpQPop, QA: 7},
+	}
+	run := func() {
+		q.Reset()
+		for _, inst := range prog {
+			if _, _, err := q.Exec(inst, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // fills the symbol table and op memo
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("a warm run of %d RE ops allocates %.0f times, want 0", len(prog), allocs)
+	}
+}

@@ -67,3 +67,59 @@ func TestFlatVsTreeAgreementProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSettersMatchLibraryForm: each Set method, into a fresh destination,
+// into one reused across calls, and into a destination that aliases an
+// operand, yields the same value as the library form and leaves the other
+// operand alone.
+func TestSettersMatchLibraryForm(t *testing.T) {
+	s := MustSpace(20, 8)
+	reused := s.Zero()
+	f := func(sa, sb uint64) bool {
+		a, b := genPattern(s, sa), genPattern(s, sb)
+		for _, op := range []struct {
+			want *Pattern
+			set  func(dst, x, y *Pattern)
+		}{
+			{a.And(b), (*Pattern).SetAnd},
+			{a.Or(b), (*Pattern).SetOr},
+			{a.Xor(b), (*Pattern).SetXor},
+			{a.Not(), func(dst, x, _ *Pattern) { dst.SetNot(x) }},
+		} {
+			op.set(reused, a, b)
+			if !reused.Equal(op.want) {
+				return false
+			}
+			x, y := a.Clone(), b.Clone()
+			op.set(x, x, y) // dst aliases the first operand
+			if !x.Equal(op.want) || !y.Equal(b) {
+				return false
+			}
+			x, y = a.Clone(), b.Clone()
+			op.set(y, x, y) // dst aliases the second operand
+			if !y.Equal(op.want) || !x.Equal(a) {
+				return false
+			}
+		}
+		x := a.Clone()
+		x.SetAnd(x, x)
+		if !x.Equal(a) {
+			return false
+		}
+		x.SetXor(x, x)
+		return !x.Any()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+	// A warm destination is overwritten without allocating, multi-run
+	// results included.
+	a, b := s.Had(12), s.Had(15)
+	reused.SetXor(a, b)
+	if reused.NumRuns() < 2 {
+		t.Fatalf("fixture %s has one run", reused)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { reused.SetXor(a, b); reused.SetHad(3) }); allocs != 0 {
+		t.Fatalf("warm setters allocate %.0f times, want 0", allocs)
+	}
+}

@@ -18,6 +18,12 @@
 // "partially symbolic parallel execution" that gives PBP its (up to
 // exponential) advantage over materializing full vectors.
 //
+// Operations come in two forms. The library form (p.And(q), s.Had(k), ...)
+// returns a new Pattern. The Set form (dst.SetAnd(a, b), dst.SetHad(k), ...)
+// overwrites its receiver in the receiver's own storage, the destination-
+// passing style of package aob, so an owner that keeps one Pattern per
+// register allocates nothing per gate.
+//
 // Limitation: this package implements flat run-length encoding, the
 // simplest member of the paper's regular-expression family. A pattern whose
 // period is close to the chunk size (e.g. Had(k) for k just above
@@ -218,42 +224,61 @@ func appendRun(runs []run, sym *aob.Vector, n uint64) []run {
 // Pattern is a compressed pbit value of the Space's entanglement degree:
 // the concatenation over runs of count repetitions of each symbol, least
 // significant chunk first, always covering exactly 2^ways channels.
+//
+// The library methods (And, Or, Xor, Not, Clone) return a new Pattern and
+// leave their operands alone. The Set methods overwrite their receiver in
+// its own storage, and the receiver may alias an operand.
 type Pattern struct {
 	sp   *Space
 	runs []run
 	// single backs runs for a one-run pattern, so building one is a single
-	// allocation.
+	// allocation and overwriting one allocates nothing.
 	single [1]run
+	// buf backs runs for a multi-run pattern; it is kept across Set calls
+	// and only grows.
+	buf []run
+}
+
+// set overwrites p's runs with a copy of runs, in p's own storage.
+func (p *Pattern) set(runs []run) {
+	if len(runs) == 1 {
+		p.single[0] = runs[0]
+		p.runs = p.single[:]
+		return
+	}
+	p.buf = append(p.buf[:0], runs...)
+	p.runs = p.buf
+}
+
+// setRepeat overwrites p with the one-run pattern of sym repeated over
+// every chunk.
+func (p *Pattern) setRepeat(sym *aob.Vector) {
+	p.single[0] = run{sym, p.sp.chunks()}
+	p.runs = p.single[:]
 }
 
 // pattern returns a new Pattern holding a copy of runs.
 func (s *Space) pattern(runs []run) *Pattern {
 	p := &Pattern{sp: s}
-	if len(runs) == 1 {
-		p.single[0] = runs[0]
-		p.runs = p.single[:]
-	} else {
-		p.runs = make([]run, len(runs))
-		copy(p.runs, runs)
-	}
+	p.set(runs)
 	return p
 }
 
-// repeat returns the one-run pattern of sym repeated over every chunk.
-func (s *Space) repeat(sym *aob.Vector) *Pattern {
-	return s.pattern([]run{{sym, s.chunks()}})
-}
+// Clone returns an independent copy of p.
+func (p *Pattern) Clone() *Pattern { return p.sp.pattern(p.runs) }
 
-// Zero returns the all-zeros pattern (one run).
-func (s *Space) Zero() *Pattern { return s.repeat(s.zeroSym) }
+// SetZero overwrites p with the all-zeros pattern.
+func (p *Pattern) SetZero() { p.setRepeat(p.sp.zeroSym) }
 
-// One returns the all-ones pattern (one run).
-func (s *Space) One() *Pattern { return s.repeat(s.oneSym) }
+// SetOne overwrites p with the all-ones pattern.
+func (p *Pattern) SetOne() { p.setRepeat(p.sp.oneSym) }
 
-// Had returns the k-th standard Hadamard pattern: channel e holds bit k of
-// e. For k below chunkWays this is a single repeated symbol; above, it is
-// alternating all-zero/all-one chunk runs — both maximally compressed.
-func (s *Space) Had(k int) *Pattern {
+// SetHad overwrites p with the k-th standard Hadamard pattern: channel e
+// holds bit k of e. For k below chunkWays this is a single repeated symbol;
+// above, it is alternating all-zero/all-one chunk runs — both maximally
+// compressed.
+func (p *Pattern) SetHad(k int) {
+	s := p.sp
 	if k < 0 || k >= s.ways {
 		panic(fmt.Sprintf("re: had index %d out of range [0,%d)", k, s.ways))
 	}
@@ -263,15 +288,38 @@ func (s *Space) Had(k int) *Pattern {
 			sym = s.intern(aob.HadVector(s.chunkWays, k))
 			s.hadSyms[k] = sym
 		}
-		return s.repeat(sym)
+		p.setRepeat(sym)
+		return
 	}
 	runLen := uint64(1) << uint(k-s.chunkWays)
 	pairs := s.chunks() / (2 * runLen)
-	runs := make([]run, 0, 2*pairs)
+	runs := s.runBuf[:0]
 	for i := uint64(0); i < pairs; i++ {
 		runs = append(runs, run{s.zeroSym, runLen}, run{s.oneSym, runLen})
 	}
-	return &Pattern{sp: s, runs: runs}
+	s.runBuf = runs
+	p.set(runs)
+}
+
+// Zero returns the all-zeros pattern (one run).
+func (s *Space) Zero() *Pattern {
+	p := &Pattern{sp: s}
+	p.SetZero()
+	return p
+}
+
+// One returns the all-ones pattern (one run).
+func (s *Space) One() *Pattern {
+	p := &Pattern{sp: s}
+	p.SetOne()
+	return p
+}
+
+// Had returns the k-th standard Hadamard pattern (see SetHad).
+func (s *Space) Had(k int) *Pattern {
+	p := &Pattern{sp: s}
+	p.SetHad(k)
+	return p
 }
 
 // FromAoB wraps a full-width AoB vector (ways == chunkWays case) or chops a
@@ -282,7 +330,9 @@ func (s *Space) FromAoB(v *aob.Vector) (*Pattern, error) {
 	if v.Ways() != s.chunkWays {
 		return nil, fmt.Errorf("re: vector ways %d != chunkWays %d", v.Ways(), s.chunkWays)
 	}
-	return s.repeat(s.intern(v.Clone())), nil
+	p := &Pattern{sp: s}
+	p.setRepeat(s.intern(v.Clone()))
+	return p, nil
 }
 
 // FromBits builds a pattern from an explicit channel-0-first bit slice of
@@ -399,8 +449,11 @@ func (p *Pattern) mustShareSpace(q *Pattern) {
 	}
 }
 
-// combine walks two run lists in lockstep applying the memoized chunk op.
-func (s *Space) combine(op binOp, a, b *Pattern) *Pattern {
+// combine overwrites dst with a op b, walking the two run lists in
+// lockstep and applying the memoized chunk op. The runs are built in the
+// Space's scratch before dst is written, so dst may alias a or b.
+func (s *Space) combine(op binOp, dst, a, b *Pattern) {
+	dst.mustShareSpace(a)
 	a.mustShareSpace(b)
 	out := s.runBuf[:0]
 	ai, bi := 0, 0
@@ -433,7 +486,7 @@ func (s *Space) combine(op binOp, a, b *Pattern) *Pattern {
 		}
 	}
 	s.runBuf = out
-	return s.pattern(out)
+	dst.set(out)
 }
 
 // memoBinary returns the interned chunk x op y, computing it at most once
@@ -458,20 +511,21 @@ func (s *Space) memoBinary(op binOp, x, y *aob.Vector) *aob.Vector {
 	return sym
 }
 
-// And returns p AND q channel-wise.
-func (p *Pattern) And(q *Pattern) *Pattern { return p.sp.combine(opAnd, p, q) }
+// SetAnd overwrites p with a AND b channel-wise.
+func (p *Pattern) SetAnd(a, b *Pattern) { p.sp.combine(opAnd, p, a, b) }
 
-// Or returns p OR q channel-wise.
-func (p *Pattern) Or(q *Pattern) *Pattern { return p.sp.combine(opOr, p, q) }
+// SetOr overwrites p with a OR b channel-wise.
+func (p *Pattern) SetOr(a, b *Pattern) { p.sp.combine(opOr, p, a, b) }
 
-// Xor returns p XOR q channel-wise.
-func (p *Pattern) Xor(q *Pattern) *Pattern { return p.sp.combine(opXor, p, q) }
+// SetXor overwrites p with a XOR b channel-wise.
+func (p *Pattern) SetXor(a, b *Pattern) { p.sp.combine(opXor, p, a, b) }
 
-// Not returns the channel-wise complement of p.
-func (p *Pattern) Not() *Pattern {
+// SetNot overwrites p with the channel-wise complement of a.
+func (p *Pattern) SetNot(a *Pattern) {
+	p.mustShareSpace(a)
 	s := p.sp
 	out := s.runBuf[:0]
-	for _, r := range p.runs {
+	for _, r := range a.runs {
 		sym, ok := s.notMemo[r.sym]
 		if !ok {
 			v := r.sym.Clone()
@@ -482,7 +536,35 @@ func (p *Pattern) Not() *Pattern {
 		out = appendRun(out, sym, r.count)
 	}
 	s.runBuf = out
-	return s.pattern(out)
+	p.set(out)
+}
+
+// And returns p AND q channel-wise.
+func (p *Pattern) And(q *Pattern) *Pattern {
+	r := &Pattern{sp: p.sp}
+	r.SetAnd(p, q)
+	return r
+}
+
+// Or returns p OR q channel-wise.
+func (p *Pattern) Or(q *Pattern) *Pattern {
+	r := &Pattern{sp: p.sp}
+	r.SetOr(p, q)
+	return r
+}
+
+// Xor returns p XOR q channel-wise.
+func (p *Pattern) Xor(q *Pattern) *Pattern {
+	r := &Pattern{sp: p.sp}
+	r.SetXor(p, q)
+	return r
+}
+
+// Not returns the channel-wise complement of p.
+func (p *Pattern) Not() *Pattern {
+	r := &Pattern{sp: p.sp}
+	r.SetNot(p)
+	return r
 }
 
 // Get returns the bit at channel ch (modulo the channel count).

@@ -269,9 +269,6 @@ func (s *Server) StartLocal() (string, error) {
 	return "http://" + addr.String(), nil
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain gracefully stops the server: new work is refused with 503 (and
 // healthz flips to draining so load balancers steer away), every admitted
 // job runs to completion and delivers its response, and the listener shuts
