@@ -26,8 +26,6 @@ type runFlags struct {
 	stages    int
 	constRegs bool
 	backend   string
-	chunkWays int
-	spillRuns int
 	timeout   time.Duration
 	id        string
 }
@@ -37,7 +35,7 @@ func (rf runFlags) request(src string) server.RunRequest {
 	req := server.RunRequest{
 		ID: rf.id, Src: src, Mode: rf.mode,
 		Ways: rf.ways, Stages: rf.stages, ConstRegs: rf.constRegs,
-		Backend: rf.backend, ChunkWays: rf.chunkWays, SpillRuns: rf.spillRuns,
+		Backend: rf.backend,
 	}
 	if rf.timeout > 0 {
 		req.TimeoutMs = rf.timeout.Milliseconds()

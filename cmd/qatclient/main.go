@@ -5,8 +5,7 @@
 // Usage:
 //
 //	qatclient -server URL run [-mode M] [-ways N] [-stages N] [-const-regs]
-//	          [-backend dense|re|auto] [-chunk-ways N] [-spill-runs N]
-//	          [-timeout D] [-id ID] FILE.s     # or - for stdin
+//	          [-backend dense|re|auto] [-timeout D] [-id ID] FILE.s  # or - for stdin
 //	qatclient -server URL assemble FILE.s
 //	qatclient -server URL health
 //	qatclient -server URL buildinfo
@@ -57,8 +56,6 @@ func main() {
 	stages := flag.Int("stages", 0, "run: pipeline depth for -mode pipelined (4 or 5)")
 	constRegs := flag.Bool("const-regs", false, "run: constant-register Qat variant")
 	backendName := flag.String("backend", "", "run: Qat register file (dense, re, or auto — the server's planner picks and reports its choice)")
-	chunkWays := flag.Int("chunk-ways", 0, "run: re backend symbol chunk width (0 = server default)")
-	spillRuns := flag.Int("spill-runs", 0, "run: re backend dense-spill run budget (0 = server default, negative disables)")
 	timeout := flag.Duration("timeout", 0, "run: per-program execution deadline")
 	reqID := flag.String("id", "", "run: explicit request ID")
 	tenant := flag.String("tenant", "", "submit: fair-queuing tenant (default \"default\")")
@@ -86,8 +83,7 @@ func main() {
 	var err error
 	rf := runFlags{
 		mode: *mode, ways: *ways, stages: *stages, constRegs: *constRegs,
-		backend: *backendName, chunkWays: *chunkWays, spillRuns: *spillRuns,
-		timeout: *timeout, id: *reqID,
+		backend: *backendName, timeout: *timeout, id: *reqID,
 	}
 	switch cmd := flag.Arg(0); cmd {
 	case "run":

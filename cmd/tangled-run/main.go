@@ -47,8 +47,6 @@ func main() {
 	nextLat := flag.Int("next-latency", 1, "EX cycles for Qat next/pop")
 	constRegs := flag.Bool("const-regs", false, "Section 5 constant-register Qat variant")
 	backendName := flag.String("backend", "", "Qat register file: dense (default), re (run-encoded, functional mode; allows -ways up to 24), or auto (planner picks from the static profile)")
-	chunkWays := flag.Int("chunk-ways", 0, "re backend: symbol chunk width (default min(ways,16))")
-	spillRuns := flag.Int("spill-runs", 0, "re backend: dense-spill run budget (default 64, negative disables)")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	regs := flag.Bool("regs", false, "dump final registers")
 	itrace := flag.Bool("itrace", false, "trace every executed instruction on stderr (functional mode)")
@@ -130,7 +128,9 @@ func main() {
 			p.Machine().Qat.Meter = meter
 			qat.RegisterMeter(reg, meter)
 		}
-		p.SetTraceRing(ring)
+		if ring != nil {
+			p.SetTraceSink(ring)
+		}
 		if err := p.Load(prog); err != nil {
 			fatal(err)
 		}
@@ -155,13 +155,8 @@ func main() {
 		Ways:         *ways,
 		ConstantRegs: *constRegs,
 		Backend:      *backendName,
-		ChunkWays:    *chunkWays,
-		SpillRuns:    *spillRuns,
 	}
 	if qcfg.Backend == backend.Auto {
-		if *chunkWays != 0 || *spillRuns != 0 {
-			fatal(fmt.Errorf("-chunk-ways/-spill-runs are chosen by the planner under -backend auto"))
-		}
 		plan, err := backend.PlanAuto(prog, qcfg, nil)
 		if err != nil {
 			fatal(err)

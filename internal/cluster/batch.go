@@ -151,7 +151,6 @@ func (co *Coordinator) forwardGroup(r *http.Request, batchID string, n *node, gr
 		co.failGroup(group, results, server.StatusClientClosedRequest, "client disconnected")
 		return
 	}
-	co.obs.failovers.Inc()
 	co.obs.nodeRetry.With(n.id).Inc()
 	regrouped := co.groupByNode(group, tried)
 	assigned := make(map[*batchItem]bool)

@@ -502,7 +502,6 @@ func (co *Coordinator) forward(w http.ResponseWriter, r *http.Request, path stri
 			co.writeError(w, server.StatusClientClosedRequest, server.ErrorResponse{Error: "client disconnected"})
 			return
 		}
-		co.obs.failovers.Inc()
 		co.obs.nodeRetry.With(n.id).Inc()
 	}
 }

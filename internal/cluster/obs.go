@@ -11,7 +11,6 @@ type clusterObs struct {
 	routed     *obs.Counter    // requests answered by some node
 	keyed      *obs.Counter    // routed by memo-key ring lookup
 	unkeyed    *obs.Counter    // routed by least-in-flight fallback
-	failovers  *obs.Counter    // forwards retried on another node
 	noNode     *obs.Counter    // requests refused: no eligible node
 	demotions  *obs.Counter    // 429/Retry-After backpressure windows opened
 	evictions  *obs.Counter    // nodes marked dead after missed beats
@@ -30,7 +29,6 @@ func newClusterObs(r *obs.Registry) *clusterObs {
 		routed:     r.Counter("cluster_routed_total", "requests answered by a worker node"),
 		keyed:      r.Counter("cluster_keyed_routes_total", "requests routed by memo-key ring lookup"),
 		unkeyed:    r.Counter("cluster_unkeyed_routes_total", "requests routed by least-in-flight fallback"),
-		failovers:  r.Counter("cluster_failovers_total", "forwards retried on another node"),
 		noNode:     r.Counter("cluster_no_node_total", "requests refused with no eligible node"),
 		demotions:  r.Counter("cluster_demotions_total", "backpressure demotion windows opened"),
 		evictions:  r.Counter("cluster_evictions_total", "nodes evicted after missed heartbeats"),

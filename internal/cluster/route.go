@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 
+	"tangled/internal/aob"
 	"tangled/internal/backend"
 	"tangled/internal/pipeline"
 	"tangled/internal/qat"
@@ -75,13 +76,19 @@ func RouteKey(req *server.RunRequest) (uint64, bool) {
 		}
 	default:
 		cfg, err := qat.Config{Ways: req.Ways, ConstantRegs: req.ConstRegs,
-			Backend: req.Backend, ChunkWays: req.ChunkWays, SpillRuns: req.SpillRuns}.Canonical()
+			Backend: req.Backend}.Canonical()
 		if err != nil {
 			return 0, false
 		}
-		ways, a, b = cfg.Ways, cfg.ChunkWays, cfg.SpillRuns
+		ways = cfg.Ways
 		if cfg.Backend == qat.BackendRE {
 			kind |= routeRE
+			// RE runs on its default geometry, a function of the width;
+			// the header spells it out as it always has, so keys stay put.
+			a, b = min(ways, aob.MaxWays), qat.DefaultSpillRuns
+			if ways > aob.MaxWays {
+				b = -1
+			}
 		}
 		if cfg.ConstantRegs {
 			kind |= routeConst

@@ -127,20 +127,6 @@ func (m *Machine) Load(p *asm.Program) error {
 	return nil
 }
 
-// Reset restores power-on state without loading a program: architectural
-// state is cleared like Load, and the host-side attachments that must not
-// leak between unrelated runs — the sys output writer and the instruction
-// trace hook — are detached. Hardware identity (Enc, RecipLUT, the Qat
-// constant bank) is preserved: it describes which machine this is, not what
-// it last ran. Pooled executors reset a machine before handing it to a new
-// tenant.
-func (m *Machine) Reset() {
-	m.clearArch()
-	m.Out = nil
-	m.Trace = nil
-	m.AttachMetrics(nil)
-}
-
 // clearArch zeroes all architectural state in place.
 func (m *Machine) clearArch() {
 	for i := range m.Mem {

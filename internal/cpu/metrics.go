@@ -95,8 +95,8 @@ func (mm *Metrics) retire(inst isa.Inst) {
 
 // AttachMetrics wires a counter set into the machine and its coprocessor;
 // nil detaches both. Like Out and Trace, metrics are a host attachment:
-// Reset drops them so a pooled machine cannot bill one tenant's work to
-// another's registry.
+// Load keeps them, and the farm detaches them before pooling a machine so
+// it cannot bill one tenant's work to another's registry.
 func (m *Machine) AttachMetrics(mm *Metrics) {
 	if mm == nil {
 		m.Metrics = nil

@@ -12,51 +12,9 @@ import (
 )
 
 // These tests pin the pooled-reuse contract: Load fully re-initializes
-// architectural state (and nothing else), Reset additionally detaches the
-// host hooks that must never leak between unrelated tenants of a pooled
-// machine.
+// architectural state (and nothing else).
 
 const haltSrc = "lex $0,0\nsys\n"
-
-func TestResetClearsStateAndDetachesHostHooks(t *testing.T) {
-	prog, err := asm.Assemble("lex $3,7\nlex $4,5\nlhi $4,0x7F\nstore $3,$4\none @9\nlex $0,1\nlex $1,42\nsys\nlex $0,0\nsys\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	traced := 0
-	m := New(4)
-	m.Out = &out
-	m.Trace = func(pc uint16, inst isa.Inst) { traced++ }
-	if err := m.Load(prog); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run(1000); err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() == 0 || traced == 0 {
-		t.Fatal("fixture program produced no observable work")
-	}
-
-	m.Reset()
-	if m.Out != nil || m.Trace != nil {
-		t.Fatal("Reset must detach Out and Trace")
-	}
-	if m.Halted || m.PC != 0 || m.Stats != (Stats{}) {
-		t.Fatalf("Reset left control state: halted=%v pc=%#x stats=%+v", m.Halted, m.PC, m.Stats)
-	}
-	if m.Regs != [isa.NumRegs]uint16{} {
-		t.Fatalf("Reset left registers: %v", m.Regs)
-	}
-	for addr, w := range m.Mem {
-		if w != 0 {
-			t.Fatalf("Reset left memory word %#x at %#x", w, addr)
-		}
-	}
-	if got := m.Qat.Reg(9).Pop(); got != 0 {
-		t.Fatalf("Reset left Qat @9 with population %d", got)
-	}
-}
 
 func TestLoadPreservesHostHooks(t *testing.T) {
 	// The benchmarks (and any configure-once caller) set Out a single time

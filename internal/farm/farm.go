@@ -118,15 +118,6 @@ type Job struct {
 	// cycle-trace event this job appends to the engine's shared trace ring
 	// (see obs.TagTrace), correlating interleaved rows back to requests.
 	TraceTag string
-
-	// Inspect, when non-nil, is called with the machine after the run
-	// completes (successfully or not), before the machine returns to the
-	// pool. It runs on the worker goroutine and owns the machine only for
-	// the duration of the call: implementations must copy anything they
-	// want to keep and must not retain the pointer. A hook must not mutate
-	// a vector returned by m.Qat.Reg; to change a Qat register it must use
-	// m.Qat.SetReg, which marks the register for the next tenant's reset.
-	Inspect func(m *cpu.Machine)
 }
 
 // Result is the outcome of one job, delivered at the job's queue index.
@@ -392,17 +383,10 @@ func (e *Engine) runFunctional(ctx context.Context, cfg qat.Config, j *Job, prog
 		}
 	}
 	defer func() {
-		// Detach every host-side attachment and restore default hardware
-		// identity before the machine returns to the pool: an Inspect hook
-		// may have planted a trace hook, an energy meter, an alternate
-		// encoding, or the LUT reciprocal datapath, and none of those may
-		// follow the machine to its next, unrelated tenant. (The pool key
-		// guarantees only ways/constRegs; everything else must be default.)
+		// Detach what this run attached before the machine returns to the
+		// pool; nothing else can reach a pooled machine, and the next
+		// tenant's Load clears the architectural state.
 		m.Out = nil
-		m.Trace = nil
-		m.Enc = nil
-		m.RecipLUT = false
-		m.Qat.Meter = nil
 		m.AttachMetrics(nil)
 		pool.put(m)
 	}()
@@ -420,9 +404,6 @@ func (e *Engine) runFunctional(ctx context.Context, cfg qat.Config, j *Job, prog
 	res.Regs = m.Regs
 	res.Output = out.String()
 	res.Insts = m.Stats.Insts
-	if j.Inspect != nil {
-		j.Inspect(m)
-	}
 }
 
 // config checks the job's register-file choice and returns a Functional
@@ -484,20 +465,11 @@ func (e *Engine) runPipelined(ctx context.Context, j *Job, prog *asm.Program, ma
 		}
 	}
 	defer func() {
-		// Same scrub as the functional pool, reached through the pipeline's
-		// embedded machine: SetTraceRing(nil) clears the cycle-trace sink
-		// whether it was attached as a ring or as a tagged sink (both
-		// setters assign the same field), and the machine-level attachments
-		// an Inspect hook could have planted are detached explicitly.
+		// Same as the functional pool: detach what this run attached.
 		p.SetOutput(nil)
 		p.SetMetrics(nil)
-		p.SetTraceRing(nil)
-		m := p.Machine()
-		m.Trace = nil
-		m.Enc = nil
-		m.RecipLUT = false
-		m.Qat.Meter = nil
-		m.AttachMetrics(nil)
+		p.SetTraceSink(nil)
+		p.Machine().AttachMetrics(nil)
 		pool.put(p)
 	}()
 
@@ -505,10 +477,14 @@ func (e *Engine) runPipelined(ctx context.Context, j *Job, prog *asm.Program, ma
 	p.SetOutput(&out)
 	if o != nil {
 		p.SetMetrics(o.Pipe)
-		if j.TraceTag != "" && o.Trace != nil {
-			p.SetTraceSink(obs.TagTrace(o.Trace, j.TraceTag))
-		} else {
-			p.SetTraceRing(o.Trace)
+		// Attach only a real ring: a nil *TraceRing in the interface would
+		// send every cycle down the tracing path.
+		if o.Trace != nil {
+			var sink obs.TraceSink = o.Trace
+			if j.TraceTag != "" {
+				sink = obs.TagTrace(o.Trace, j.TraceTag)
+			}
+			p.SetTraceSink(sink)
 		}
 		p.Machine().AttachMetrics(o.CPU)
 	}
@@ -523,7 +499,4 @@ func (e *Engine) runPipelined(ctx context.Context, j *Job, prog *asm.Program, ma
 	res.Insts = stats.Insts
 	res.Pipe = &stats
 	res.Err = err
-	if j.Inspect != nil {
-		j.Inspect(p.Machine())
-	}
 }

@@ -9,9 +9,8 @@ package farm
 // populate the cache; identical jobs running concurrently collapse onto one
 // execution through the cache's singleflight.
 //
-// Two kinds of jobs must see a real machine and therefore bypass the cache:
-// jobs with an Inspect hook (they observe post-run machine state) and
-// pipelined jobs while a trace ring is attached (their value is the
+// One kind of job must run on a real machine and therefore bypasses the
+// cache: a pipelined job while a trace ring is attached (its value is the
 // cycle-by-cycle rows, which a cache hit would not emit). Every other job
 // meets the cache: detaching it (SetMemo(nil)) is the only way off.
 
@@ -28,17 +27,13 @@ import (
 func (e *Engine) SetMemo(c *memo.Cache) { e.memo.Store(c) }
 
 // jobCache resolves the cache a job should consult: the engine's, or nil
-// when none is attached or the job must execute for real (Inspect,
-// pipelined trace capture).
+// when none is attached or the job must execute for real (pipelined trace
+// capture).
 func (e *Engine) jobCache(j *Job, o *Obs) *memo.Cache {
-	c := e.memo.Load()
-	if c == nil || j.Inspect != nil {
-		return nil
-	}
 	if j.Mode == Pipelined && o != nil && o.Trace != nil {
 		return nil
 	}
-	return c
+	return e.memo.Load()
 }
 
 // jobKey derives the job's content address from its resolved program and

@@ -1,12 +1,12 @@
 package farm_test
 
 // The differential harness extended to the RE backend: the same seeded
-// corpus (internal/farm/farmtest) executed through the farm on the
-// run-encoded register file — at several chunk/spill geometries — must
-// reproduce the functional reference bit-for-bit: registers, output,
-// retired instructions, and the full memory + Qat state digest. This is the
-// acceptance gate for promoting internal/re from a library to an execution
-// backend.
+// corpus (internal/farm/farmtest) executed on the run-encoded register
+// file — at several chunk/spill geometries — must reproduce the functional
+// reference bit-for-bit: registers, output and retired instructions through
+// the farm, and the full memory + Qat state digest on a direct machine of
+// each geometry. This is the acceptance gate for promoting internal/re from
+// a library to an execution backend.
 
 import (
 	"testing"
@@ -15,6 +15,7 @@ import (
 	"tangled/internal/cpu"
 	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
+	"tangled/internal/qat"
 )
 
 // TestDifferentialREBackend runs every corpus program on the RE backend and
@@ -42,11 +43,6 @@ func TestDifferentialREBackend(t *testing.T) {
 			{Name: "re-spill", Prog: prog, Mode: farm.Functional, Ways: diffWays,
 				Backend: "re", REChunkWays: diffWays / 2, RESpillRuns: 1},
 		}
-		digests := make([]uint64, len(jobs))
-		for k := range jobs {
-			k := k
-			jobs[k].Inspect = func(m *cpu.Machine) { digests[k] = machineDigest(m) }
-		}
 		results, _ := engine.Run(nil, jobs)
 		for k, res := range results {
 			if res.Err != nil {
@@ -61,7 +57,12 @@ func TestDifferentialREBackend(t *testing.T) {
 			if res.Insts != ref.insts {
 				t.Fatalf("program %d: %s retired %d != functional %d\n%s", i, res.Name, res.Insts, ref.insts, src)
 			}
-			if digests[k] != ref.digest {
+			m, err := cpu.NewFromConfig(qat.Config{Ways: diffWays, Backend: "re",
+				ChunkWays: jobs[k].REChunkWays, SpillRuns: jobs[k].RESpillRuns})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if runMachine(t, prog, m).digest != ref.digest {
 				t.Fatalf("program %d: %s memory/Qat state diverged from functional\n%s", i, res.Name, src)
 			}
 		}

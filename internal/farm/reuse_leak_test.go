@@ -1,24 +1,19 @@
 package farm_test
 
 // Pool-reuse hygiene: a machine handed back to the sync.Pool must carry
-// nothing from its previous tenant. Four leak surfaces are pinned here:
+// nothing from its previous tenant. Three leak surfaces are pinned here:
 // the cycle-trace request tag (a stale tagged sink would stamp the previous
-// request's ID onto an unrelated job's rows), machine-level attachments an
-// Inspect hook may have planted (instruction-trace hook, energy meter,
-// alternate encoding, LUT reciprocal datapath), Qat register state left by
-// an Inspect hook or by a run cut short, and the interleaved
-// tagged/untagged mix under the race detector.
+// request's ID onto an unrelated job's rows), Qat register state left by a
+// run cut short, and the interleaved tagged/untagged mix under the race
+// detector.
 
 import (
 	"fmt"
 	"reflect"
 	"testing"
 
-	"tangled/internal/aob"
 	"tangled/internal/asm"
 	"tangled/internal/compile"
-	"tangled/internal/cpu"
-	"tangled/internal/energy"
 	"tangled/internal/farm"
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/isa"
@@ -90,76 +85,10 @@ func TestReuseNoTraceTagLeak(t *testing.T) {
 	t.Fatalf("untagged job never reused the pooled pipeline; leak surface not exercised")
 }
 
-// TestReuseNoInspectStateLeak: attachments and hardware-identity overrides
-// planted by one tenant's Inspect hook must be gone when the next tenant's
-// Inspect observes the same pooled machine.
-func TestReuseNoInspectStateLeak(t *testing.T) {
-	prog := leakProg(t, 4)
-	cfg := pipeline.DefaultConfig()
-	cfg.Ways = farmtest.Ways
-
-	for _, mode := range []struct {
-		name string
-		job  func(inspect func(*cpu.Machine)) farm.Job
-	}{
-		{"functional", func(in func(*cpu.Machine)) farm.Job {
-			return farm.Job{Prog: prog, Mode: farm.Functional, Ways: farmtest.Ways, Inspect: in}
-		}},
-		{"pipelined", func(in func(*cpu.Machine)) farm.Job {
-			return farm.Job{Prog: prog, Mode: farm.Pipelined, Pipeline: cfg, Inspect: in}
-		}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			engine := farm.New(1)
-			// Retry the dirty/clean pair until the clean job actually gets
-			// the recycled machine (sync.Pool drops puts under -race).
-			for attempt := 0; attempt < 100; attempt++ {
-				dirty := mode.job(func(m *cpu.Machine) {
-					m.Trace = func(uint16, isa.Inst) {}
-					m.Qat.Meter = energy.NewMeter()
-					m.Enc = isa.Student
-					m.RecipLUT = true
-				})
-				if res, _ := engine.Run(nil, []farm.Job{dirty}); res[0].Err != nil {
-					t.Fatalf("dirty job: %v", res[0].Err)
-				}
-
-				var leaked []string
-				clean := mode.job(func(m *cpu.Machine) {
-					if m.Trace != nil {
-						leaked = append(leaked, "Trace")
-					}
-					if m.Qat.Meter != nil {
-						leaked = append(leaked, "Qat.Meter")
-					}
-					if m.Enc != nil {
-						leaked = append(leaked, "Enc")
-					}
-					if m.RecipLUT {
-						leaked = append(leaked, "RecipLUT")
-					}
-				})
-				res, st := engine.Run(nil, []farm.Job{clean})
-				if res[0].Err != nil {
-					t.Fatalf("clean job: %v", res[0].Err)
-				}
-				if len(leaked) > 0 {
-					t.Fatalf("state leaked across pool tenants: %v", leaked)
-				}
-				if st.PoolHits > 0 {
-					return
-				}
-			}
-			t.Fatalf("clean job never reused the pooled machine; leak surface not exercised")
-		})
-	}
-}
-
-// TestReuseNoQatStateLeak: a 16-way pipelined factoring job leaves Qat
-// state on its pooled machine — a register its program never writes,
-// planted by its Inspect hook through SetReg, or the registers it wrote
-// before MaxSteps cut it short. The jobs that reuse the machine read those
-// registers before writing them, and must see what a fresh engine sees.
+// TestReuseNoQatStateLeak: a 16-way pipelined factoring job cut short by
+// MaxSteps leaves the Qat registers it wrote on its pooled machine. The
+// jobs that reuse the machine read those registers before writing them,
+// and must see what a fresh engine sees.
 func TestReuseNoQatStateLeak(t *testing.T) {
 	fr, err := compile.FactorProgram(143, 16, 8, 8, compile.Options{Reuse: true})
 	if err != nil {
@@ -169,10 +98,9 @@ func TestReuseNoQatStateLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	written, firstHad := qatWriteSet(t, factor)
-	const planted = 255
-	if written[planted] || firstHad < 0 {
-		t.Fatalf("fixture: factor program writes @%d (%v) or has no had (%d)", planted, written[planted], firstHad)
+	_, firstHad := qatWriteSet(t, factor)
+	if firstHad < 0 {
+		t.Fatal("fixture: factor program has no had")
 	}
 	reader := func(r int) farm.Job {
 		prog, err := asm.Assemble(fmt.Sprintf(
@@ -186,56 +114,45 @@ func TestReuseNoQatStateLeak(t *testing.T) {
 	if res, _ := farm.New(1).Run(nil, []farm.Job{full}); res[0].Regs[4]*res[0].Regs[1] != 143 {
 		t.Fatalf("fixture: factored 143 as %d x %d (err %v)", res[0].Regs[4], res[0].Regs[1], res[0].Err)
 	}
-
-	plant := full
-	plant.Inspect = func(m *cpu.Machine) {
-		v := aob.New(16)
-		v.One()
-		m.Qat.SetReg(planted, v)
-	}
 	cut := full
 	cut.MaxSteps = 200
-	cut.Inspect = func(m *cpu.Machine) {
-		if !m.Qat.Reg(uint8(firstHad)).Any() {
-			t.Errorf("fixture: cut-short run left @%d clear", firstHad)
-		}
+	p, err := pipeline.New(pipeline.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Load(factor); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(cut.MaxSteps); err == nil || !p.Machine().Qat.Reg(uint8(firstHad)).Any() {
+		t.Fatalf("fixture: cut-short run (err %v) left @%d clear", err, firstHad)
 	}
 
-	for _, tc := range []struct {
-		name     string
-		dirty    farm.Job
-		dirtyErr bool
-		next     []farm.Job
-	}{
-		{"inspect-setreg", plant, false, []farm.Job{reader(planted)}},
-		{"maxsteps", cut, true, []farm.Job{reader(firstHad), full}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			want, _ := farm.New(1).Run(nil, tc.next)
-			engine := farm.New(1)
-			// Retry until the next jobs actually get the recycled machine
-			// (sync.Pool drops puts under -race).
-			for attempt := 0; attempt < 100; attempt++ {
-				if res, _ := engine.Run(nil, []farm.Job{tc.dirty}); (res[0].Err != nil) != tc.dirtyErr {
-					t.Fatalf("dirty job: err = %v, want error %v", res[0].Err, tc.dirtyErr)
+	t.Run("maxsteps", func(t *testing.T) {
+		next := []farm.Job{reader(firstHad), full}
+		want, _ := farm.New(1).Run(nil, next)
+		engine := farm.New(1)
+		// Retry until the next jobs actually get the recycled machine
+		// (sync.Pool drops puts under -race).
+		for attempt := 0; attempt < 100; attempt++ {
+			if res, _ := engine.Run(nil, []farm.Job{cut}); res[0].Err == nil {
+				t.Fatal("dirty job: finished within its cut-short budget")
+			}
+			got, st := engine.Run(nil, next)
+			for i := range got {
+				if got[i].Err != nil || want[i].Err != nil {
+					t.Fatalf("job %d: err %v, fresh err %v", i, got[i].Err, want[i].Err)
 				}
-				got, st := engine.Run(nil, tc.next)
-				for i := range got {
-					if got[i].Err != nil || want[i].Err != nil {
-						t.Fatalf("job %d: err %v, fresh err %v", i, got[i].Err, want[i].Err)
-					}
-					if got[i].Regs != want[i].Regs || got[i].Output != want[i].Output ||
-						!reflect.DeepEqual(got[i].Pipe, want[i].Pipe) {
-						t.Fatalf("job %d on a reused machine: regs %v, fresh %v", i, got[i].Regs, want[i].Regs)
-					}
-				}
-				if st.PoolHits > 0 {
-					return
+				if got[i].Regs != want[i].Regs || got[i].Output != want[i].Output ||
+					!reflect.DeepEqual(got[i].Pipe, want[i].Pipe) {
+					t.Fatalf("job %d on a reused machine: regs %v, fresh %v", i, got[i].Regs, want[i].Regs)
 				}
 			}
-			t.Fatalf("next jobs never reused the pooled machine; leak surface not exercised")
-		})
-	}
+			if st.PoolHits > 0 {
+				return
+			}
+		}
+		t.Fatalf("next jobs never reused the pooled machine; leak surface not exercised")
+	})
 }
 
 // qatWriteSet decodes prog and returns every Qat register it can write,

@@ -76,11 +76,12 @@ type Options struct {
 	// the static energy accounting — optimizing for one degree and running
 	// at a smaller one voids the safety argument.
 	Ways int
-	// MaxRounds bounds the rewrite/re-analyze iterations; 0 means 256.
-	// Exhausting it refuses the program (never expected: every pass
-	// strictly shrinks a finite measure).
-	MaxRounds int
 }
+
+// maxRounds bounds the rewrite/re-analyze iterations. Exhausting it
+// refuses the program (never expected: every pass strictly shrinks a
+// finite measure).
+const maxRounds = 256
 
 func (o Options) withDefaults() Options {
 	if o.Enc == nil {
@@ -88,9 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Ways <= 0 || o.Ways > aob.MaxWays {
 		o.Ways = aob.MaxWays
-	}
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 256
 	}
 	return o
 }
@@ -213,7 +211,7 @@ func Optimize(p *asm.Program, opts Options) (*asm.Program, *Report) {
 
 	cur := facts.Prog
 	for {
-		if out.Rounds >= opts.MaxRounds {
+		if out.Rounds >= maxRounds {
 			return p, refused(ReasonNoFixpoint, opts, facts)
 		}
 		ir := buildIR(facts, opts)

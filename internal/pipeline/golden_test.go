@@ -43,7 +43,7 @@ func captureTrace(t *testing.T, prog *asm.Program, cfg Config) []obs.TraceEvent 
 		t.Fatal(err)
 	}
 	ring := obs.NewTraceRing(0)
-	p.SetTraceRing(ring)
+	p.SetTraceSink(ring)
 	p.SetOutput(io.Discard)
 	if err := p.Load(prog); err != nil {
 		t.Fatal(err)

@@ -88,20 +88,11 @@ func (p *Pipeline) SetMetrics(mm *Metrics) {
 	}
 }
 
-// SetTraceRing attaches (or with nil detaches) a bounded cycle-trace ring;
-// every Cycle appends one obs.TraceEvent. Rings may be shared across
-// pipelines (they are goroutine-safe), at the cost of interleaved rows.
-func (p *Pipeline) SetTraceRing(r *obs.TraceRing) {
-	if r == nil {
-		p.ring = nil
-		return
-	}
-	p.ring = r
-}
-
-// SetTraceSink is SetTraceRing for decorated sinks (obs.TagTrace): the
-// serving layer uses it to stamp the request ID into every event of a
-// shared ring. Pass nil to detach.
+// SetTraceSink attaches (or with nil detaches) a cycle-trace sink — an
+// *obs.TraceRing, or a decorated one such as obs.TagTrace — and every
+// Cycle appends one obs.TraceEvent. Rings may be shared across pipelines
+// (they are goroutine-safe), at the cost of interleaved rows. Pass a
+// literal nil to detach: a nil *obs.TraceRing is a non-nil sink.
 func (p *Pipeline) SetTraceSink(s obs.TraceSink) { p.ring = s }
 
 // observe folds one completed cycle into the counters and the trace ring.

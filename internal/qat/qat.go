@@ -40,9 +40,8 @@ type Coprocessor struct {
 	Meter *energy.Meter
 
 	// Metrics, when non-nil, feeds the shared performance-counter set (see
-	// metrics.go). Like Meter it is a host attachment, but unlike Meter it
-	// is detached by cpu.Machine.Reset: counters are per-tenant, energy
-	// metering spans runs by design.
+	// metrics.go). Like Meter it is a host attachment; the farm attaches
+	// and detaches it around each pooled run (cpu.Machine.AttachMetrics).
 	Metrics *Metrics
 }
 

@@ -56,12 +56,6 @@ type RunRequest struct {
 	// from the width and the memo (the choice comes back in
 	// RunResult.Backend). Pipelined runs are dense-only.
 	Backend string `json:"backend,omitempty"`
-	// ChunkWays and SpillRuns tune the "re" backend (0 means the backend
-	// defaults; negative SpillRuns disables spilling). Rejected for dense
-	// and "auto" runs so every accepted request has one canonical
-	// spelling (the planner owns the geometry it plans).
-	ChunkWays int `json:"chunk_ways,omitempty"`
-	SpillRuns int `json:"spill_runs,omitempty"`
 	// Stages picks the pipeline organization for pipelined runs (4 or 5;
 	// 0 means 5).
 	Stages int `json:"stages,omitempty"`
@@ -297,8 +291,7 @@ func (r *RunRequest) Validate() error { return r.validate() }
 
 // validate is Validate. The register-file geometry is qat.Config.Canonical's
 // to judge; validate adds only the wire rules: pipelined runs are dense,
-// chunk_ways/spill_runs apply only to "re", and an "auto" width is not
-// negative (widths past every backend fail at planning time as a 422 with
+// and an "auto" width is not negative (widths past every backend fail at planning time as a 422 with
 // the profile attached).
 func (r *RunRequest) validate() error {
 	if r.Src == "" && len(r.Words) == 0 {
@@ -319,12 +312,8 @@ func (r *RunRequest) validate() error {
 		if r.Ways < 0 {
 			return fmt.Errorf("program %q: negative ways %d", r.ID, r.Ways)
 		}
-	} else if _, err := (qat.Config{Ways: r.Ways, Backend: r.Backend,
-		ChunkWays: r.ChunkWays, SpillRuns: r.SpillRuns}).Canonical(); err != nil {
+	} else if _, err := (qat.Config{Ways: r.Ways, Backend: r.Backend}).Canonical(); err != nil {
 		return fmt.Errorf("program %q: %w", r.ID, err)
-	}
-	if r.Backend != qat.BackendRE && (r.ChunkWays != 0 || r.SpillRuns != 0) {
-		return fmt.Errorf("program %q: chunk_ways/spill_runs apply only to the \"re\" backend", r.ID)
 	}
 	if r.Stages != 0 && r.Stages != 4 && r.Stages != 5 {
 		return fmt.Errorf("program %q: stages %d is not 4 or 5", r.ID, r.Stages)

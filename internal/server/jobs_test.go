@@ -15,9 +15,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"tangled/internal/asm"
 	"tangled/internal/farm/farmtest"
 	"tangled/internal/jobs"
 	"tangled/internal/qasm"
@@ -478,5 +482,50 @@ func TestDifferentialAsyncVsSync(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLegacyGeometryJobStillRuns: a job queued while the wire still carried
+// the RE geometry fields has them in its WAL spec. The spec decodes
+// leniently, so a restarted server drops them and runs the job at the
+// default geometry; its result equals a synchronous /v1/run of the same
+// program (RE results do not depend on geometry).
+func TestLegacyGeometryJobStillRuns(t *testing.T) {
+	prog, err := asm.Assemble(farmtest.Generate(farmtest.Seed(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(map[string]any{"run": map[string]any{
+		"id": "legacy", "words": prog.Words, "ways": farmtest.Ways, "backend": "re",
+		"chunk_ways": farmtest.Ways / 2, "spill_runs": 1, "max_steps": qasm.MaxSteps}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wal bytes.Buffer
+	enc := json.NewEncoder(&wal)
+	for _, line := range []any{
+		map[string]any{"schema": jobs.WALSchema, "version": jobs.WALVersion},
+		map[string]any{"op": "job", "job": jobs.Job{ID: "legacy", Tenant: "default", Spec: spec,
+			State: jobs.StateQueued, Submitted: time.Now(), Seq: 1}},
+	} {
+		if err := enc.Encode(line); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "jobs.wal"), wal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, base := startTestServer(t, Config{JobsDir: dir, MemoCap: -1})
+	fin := waitJobHTTP(t, base, "legacy")
+	if fin.State != string(jobs.StateCompleted) || fin.Result == nil {
+		t.Fatalf("legacy job ended %s: %s", fin.State, fin.Reason)
+	}
+	var sync RunResult
+	decodeInto(t, postJSON(t, base+"/v1/run", RunRequest{ID: "legacy", Words: prog.Words,
+		Ways: farmtest.Ways, Backend: "re"}), &sync)
+	if !reflect.DeepEqual(*fin.Result, sync) {
+		t.Fatalf("legacy job result %+v, sync run %+v", *fin.Result, sync)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"tangled/internal/farm/farmtest"
@@ -27,12 +28,6 @@ func TestDifferentialHTTPREBackend(t *testing.T) {
 	req := BatchRequest{ID: "re-diff", Programs: make([]RunRequest, len(srcs))}
 	for i, src := range srcs {
 		req.Programs[i] = RunRequest{Src: src, Ways: farmtest.Ways, Backend: "re"}
-		if i%2 == 1 {
-			// Odd programs get real run structure and a tight spill budget, so
-			// both representation regimes see half the corpus.
-			req.Programs[i].ChunkWays = farmtest.Ways / 2
-			req.Programs[i].SpillRuns = 1
-		}
 	}
 	body, err := json.Marshal(&req)
 	if err != nil {
@@ -83,33 +78,37 @@ func TestDifferentialHTTPREBackend(t *testing.T) {
 	}
 }
 
-// TestREBackendValidation pins the 400-level refusals of the new request
-// fields: unknown backends, dense runs carrying RE tuning knobs, pipelined
-// RE runs, and out-of-range geometry.
+// TestREBackendValidation pins the 400-level refusals of the backend
+// fields: unknown backends, pipelined RE runs, out-of-range widths, and
+// the RE geometry fields the wire no longer carries (the planner owns the
+// geometry), which are unknown fields on every endpoint that takes a
+// program.
 func TestREBackendValidation(t *testing.T) {
-	cases := []RunRequest{
-		{Src: "sys", Backend: "zstd"},
-		{Src: "sys", ChunkWays: 4},                         // dense + RE knob
-		{Src: "sys", SpillRuns: 8},                         // dense + RE knob
-		{Src: "sys", Backend: "re", Mode: "pipelined"},     // no pipelined RE
-		{Src: "sys", Backend: "re", Ways: 25},              // above MaxREWays
-		{Src: "sys", Backend: "re", Ways: 8, ChunkWays: 9}, // chunk > ways
-		{Src: "sys", Backend: "re", ChunkWays: 17},         // chunk > dense wall
-		{Src: "sys", Ways: 17},                             // dense above the wall
+	cases := []string{
+		`{"src":"sys","backend":"zstd"}`,
+		`{"src":"sys","chunk_ways":4}`,
+		`{"src":"sys","spill_runs":8}`,
+		`{"src":"sys","backend":"re","mode":"pipelined"}`, // no pipelined RE
+		`{"src":"sys","backend":"re","ways":25}`,          // above MaxREWays
+		`{"src":"sys","backend":"re","ways":8,"chunk_ways":4}`,
+		`{"src":"sys","backend":"re","spill_runs":1}`,
+		`{"src":"sys","ways":17}`, // dense above the wall
 	}
-	_, base := startTestServer(t, Config{})
-	for i, rq := range cases {
-		body, err := json.Marshal(&rq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(base+"/v1/run", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("case %d (%+v): status %d, want 400", i, rq, resp.StatusCode)
+	_, base := startTestServer(t, Config{JobsDir: t.TempDir()})
+	for i, prog := range cases {
+		for path, body := range map[string]string{
+			"/v1/run":   prog,
+			"/v1/batch": `{"programs":[` + prog + `]}`,
+			"/v1/jobs":  prog,
+		} {
+			resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("case %d %s %s: status %d, want 400", i, path, body, resp.StatusCode)
+			}
 		}
 	}
 

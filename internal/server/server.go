@@ -750,8 +750,6 @@ func (s *Server) buildJob(req *RunRequest, id string, reqCtx context.Context) (f
 		job.Ways = req.Ways
 		job.ConstantRegs = req.ConstRegs
 		job.Backend = req.Backend
-		job.REChunkWays = req.ChunkWays
-		job.RESpillRuns = req.SpillRuns
 	}
 	if job.Backend == backend.Auto {
 		// Resolve the pseudo-backend here, before the memo probe and

@@ -13,32 +13,24 @@ import (
 
 // TestValidateMatchesCanonical: a request passes Validate exactly when
 // Canonical accepts its geometry (for "auto": the width is not negative)
-// and the wire rules allow it: chunk_ways/spill_runs only on "re", and
-// pipelined runs only on dense.
+// and the wire rules allow it: pipelined runs only on dense.
 func TestValidateMatchesCanonical(t *testing.T) {
 	for _, b := range []string{"", qat.BackendDense, qat.BackendRE, "auto", "fpga"} {
 		for _, ways := range []int{-1, 0, 4, 16, 17, 24, 25} {
-			for _, chunk := range []int{-1, 0, 4, 16, 17} {
-				for _, spill := range []int{-1, 0, 1, 64} {
-					for _, constRegs := range []bool{false, true} {
-						for _, mode := range []string{"functional", "pipelined"} {
-							r := RunRequest{Src: "sys", Mode: mode, Backend: b, Ways: ways,
-								ConstRegs: constRegs, ChunkWays: chunk, SpillRuns: spill}
-							var geometry bool
-							if b == "auto" {
-								geometry = ways >= 0
-							} else {
-								_, err := qat.Config{Ways: ways, ConstantRegs: constRegs, Backend: b,
-									ChunkWays: chunk, SpillRuns: spill}.Canonical()
-								geometry = err == nil
-							}
-							knobs := b == qat.BackendRE || (chunk == 0 && spill == 0)
-							dense := mode == "functional" || b == "" || b == qat.BackendDense
-							want := geometry && knobs && dense
-							if err := r.Validate(); (err == nil) != want {
-								t.Fatalf("%+v: Validate=%v, want accepted=%v", r, err, want)
-							}
-						}
+			for _, constRegs := range []bool{false, true} {
+				for _, mode := range []string{"functional", "pipelined"} {
+					r := RunRequest{Src: "sys", Mode: mode, Backend: b, Ways: ways, ConstRegs: constRegs}
+					var geometry bool
+					if b == "auto" {
+						geometry = ways >= 0
+					} else {
+						_, err := qat.Config{Ways: ways, ConstantRegs: constRegs, Backend: b}.Canonical()
+						geometry = err == nil
+					}
+					dense := mode == "functional" || b == "" || b == qat.BackendDense
+					want := geometry && dense
+					if err := r.Validate(); (err == nil) != want {
+						t.Fatalf("%+v: Validate=%v, want accepted=%v", r, err, want)
 					}
 				}
 			}
