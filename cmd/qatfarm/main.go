@@ -149,48 +149,21 @@ func main() {
 	}
 	fmt.Println(stats)
 	if *metricsOut != "" {
-		if werr := writeMetrics(*metricsOut, reg); werr != nil {
+		if werr := obs.WriteFile(*metricsOut, reg.WritePrometheus); werr != nil {
 			fatal(werr)
 		}
 	}
 	if *traceOut != "" {
-		if werr := writeTrace(*traceOut, ring); werr != nil {
+		if werr := obs.WriteFile(*traceOut, ring.WriteJSONL); werr != nil {
 			fatal(werr)
+		}
+		if n := ring.Dropped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "qatfarm: trace ring dropped %d oldest events (capacity %d)\n", n, obs.DefaultTraceCap)
 		}
 	}
 	if err != nil {
 		fatal(err)
 	}
-}
-
-// writeMetrics renders reg as Prometheus text to path ("-" for stdout).
-func writeMetrics(path string, reg *obs.Registry) error {
-	if path == "-" {
-		reg.WritePrometheus(os.Stdout)
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	reg.WritePrometheus(f)
-	return f.Close()
-}
-
-// writeTrace exports the trace ring as versioned JSONL to path.
-func writeTrace(path string, ring *obs.TraceRing) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ring.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if n := ring.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "qatfarm: trace ring dropped %d oldest events (capacity %d)\n", n, obs.DefaultTraceCap)
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -85,7 +85,7 @@ func runCoordinator(opts coordinatorOpts) {
 		exitCode = 1
 	}
 	if opts.metricsOut != "" {
-		if err := writeMetrics(opts.metricsOut, reg); err != nil {
+		if err := obs.WriteFile(opts.metricsOut, reg.WritePrometheus); err != nil {
 			fmt.Fprintf(os.Stderr, "qatserver: metrics: %v\n", err)
 			exitCode = 1
 		}

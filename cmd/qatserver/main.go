@@ -153,47 +153,19 @@ func main() {
 		exitCode = 1
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, reg); err != nil {
+		if err := obs.WriteFile(*metricsOut, reg.WritePrometheus); err != nil {
 			fmt.Fprintf(os.Stderr, "qatserver: metrics: %v\n", err)
 			exitCode = 1
 		}
 	}
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, ring); err != nil {
+		if err := obs.WriteFile(*traceOut, ring.WriteJSONL); err != nil {
 			fmt.Fprintf(os.Stderr, "qatserver: trace: %v\n", err)
 			exitCode = 1
+		} else if n := ring.Dropped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "qatserver: trace ring dropped %d oldest events\n", n)
 		}
 	}
 	logf("drained cleanly")
 	os.Exit(exitCode)
-}
-
-// writeMetrics renders the registry as Prometheus text exposition format.
-func writeMetrics(path string, reg *obs.Registry) error {
-	if path == "-" {
-		reg.WritePrometheus(os.Stdout)
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	reg.WritePrometheus(f)
-	return f.Close()
-}
-
-// writeTrace exports the trace ring as versioned JSONL.
-func writeTrace(path string, ring *obs.TraceRing) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ring.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if n := ring.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "qatserver: trace ring dropped %d oldest events\n", n)
-	}
-	return f.Close()
 }

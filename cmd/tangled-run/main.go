@@ -88,13 +88,16 @@ func main() {
 	}
 	dump := func() {
 		if *metricsOut != "" {
-			if err := writeMetrics(*metricsOut, reg); err != nil {
+			if err := obs.WriteFile(*metricsOut, reg.WritePrometheus); err != nil {
 				fatal(err)
 			}
 		}
 		if ring != nil {
-			if err := writeTrace(*traceOut, ring); err != nil {
+			if err := obs.WriteFile(*traceOut, ring.WriteJSONL); err != nil {
 				fatal(err)
+			}
+			if n := ring.Dropped(); n > 0 {
+				fmt.Fprintf(os.Stderr, "tangled-run: trace ring dropped %d oldest events (capacity %d)\n", n, obs.DefaultTraceCap)
 			}
 		}
 	}
@@ -243,36 +246,6 @@ func loadProgram(path string, enc isa.Encoding) (*asm.Program, error) {
 		return nil, err
 	}
 	return &asm.Program{Words: words}, nil
-}
-
-// writeMetrics renders reg as Prometheus text to path ("-" for stdout).
-func writeMetrics(path string, reg *obs.Registry) error {
-	if path == "-" {
-		reg.WritePrometheus(os.Stdout)
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	reg.WritePrometheus(f)
-	return f.Close()
-}
-
-// writeTrace exports the trace ring as versioned JSONL to path.
-func writeTrace(path string, ring *obs.TraceRing) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ring.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	if n := ring.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "tangled-run: trace ring dropped %d oldest events (capacity %d)\n", n, obs.DefaultTraceCap)
-	}
-	return f.Close()
 }
 
 func dumpRegs(m *cpu.Machine) {

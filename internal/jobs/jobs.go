@@ -147,14 +147,15 @@ type Config struct {
 	// QueueLimit bounds queued+running jobs; beyond it Submit returns
 	// ErrQueueFull. <= 0 means 1024.
 	QueueLimit int
-	// Retention bounds retained terminal jobs; the oldest are evicted
-	// (and erased from the WAL at the next compaction). <= 0 means 4096.
-	Retention int
-	// CompactEvery triggers WAL compaction after this many appended
-	// records. <= 0 means 4096.
-	CompactEvery int
 	// Obs, when non-nil, receives the jobs metric family (obs.go).
 	Obs *Obs
+
+	// retention bounds retained terminal jobs; the oldest are evicted
+	// (and erased from the WAL at the next compaction). <= 0 means 4096.
+	retention int
+	// compactEvery triggers WAL compaction after this many appended
+	// records. <= 0 means 4096.
+	compactEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -164,11 +165,11 @@ func (c Config) withDefaults() Config {
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 1024
 	}
-	if c.Retention <= 0 {
-		c.Retention = 4096
+	if c.retention <= 0 {
+		c.retention = 4096
 	}
-	if c.CompactEvery <= 0 {
-		c.CompactEvery = 4096
+	if c.compactEvery <= 0 {
+		c.compactEvery = 4096
 	}
 	return c
 }
@@ -210,9 +211,6 @@ type Manager struct {
 	events *eventRing
 	wg     sync.WaitGroup
 
-	// resumedQueued / resumedFailed count the restart-replay outcomes, for
-	// tests and the serving layer's health surface.
-	resumedQueued, resumedFailed int
 	// walErrors counts failed WAL writes (appends and snapshots).
 	walErrors uint64
 }
@@ -275,7 +273,6 @@ func (m *Manager) adopt(replayed []*Job) {
 			m.term = append(m.term, j.ID)
 			m.walApplied(walRecord{Op: opState, ID: j.ID, State: j.State, Reason: j.Reason, Time: now})
 			m.events.publish(Event{Type: EventFailed, Job: j.ID, Tenant: j.Tenant, State: j.State, Reason: j.Reason})
-			m.resumedFailed++
 			m.cfg.Obs.countState(StateFailed)
 			m.cfg.Obs.incResumeFailed()
 		default: // queued: re-admit exactly once, in original order
@@ -285,7 +282,6 @@ func (m *Manager) adopt(replayed []*Job) {
 			m.fq.push(j)
 			m.cfg.Obs.setQueueDepth(j.Tenant, m.fq.depth(j.Tenant))
 			m.events.publish(Event{Type: EventResumed, Job: j.ID, Tenant: j.Tenant, State: j.State})
-			m.resumedQueued++
 			m.cfg.Obs.incResumed()
 		}
 	}
@@ -387,14 +383,6 @@ func (m *Manager) Depths() (queued, running int) {
 	return m.fq.size, m.runningN
 }
 
-// Resumed reports the restart-replay outcome counts: queued jobs
-// re-admitted and running jobs failed with ResumeReason.
-func (m *Manager) Resumed() (queued, failed int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.resumedQueued, m.resumedFailed
-}
-
 // Subscribe returns buffered lifecycle events with Seq > since, a live
 // channel for subsequent ones, and a cancel function the caller must
 // invoke. The channel is closed by cancel or by Close.
@@ -469,7 +457,7 @@ func (m *Manager) terminalLocked(j *Job, st State, reason string) {
 // enforceRetention evicts the oldest terminal jobs beyond the bound.
 // Caller holds m.mu (or runs pre-start from adopt).
 func (m *Manager) enforceRetention() {
-	for len(m.term) > m.cfg.Retention {
+	for len(m.term) > m.cfg.retention {
 		id := m.term[0]
 		// Reslice without retaining the dead prefix of the backing array.
 		m.term = append([]string(nil), m.term[1:]...)
@@ -495,7 +483,7 @@ func (m *Manager) walAppend(rec walRecord) error {
 		return err
 	}
 	m.cfg.Obs.setWAL(m.wal.records, m.wal.bytes)
-	if m.wal.records >= m.cfg.CompactEvery {
+	if m.wal.records >= m.cfg.compactEvery {
 		m.compactLocked()
 	}
 	return nil

@@ -276,7 +276,7 @@ func TestCloseExpiredContextCancelsRunning(t *testing.T) {
 }
 
 func TestRetentionEvictsOldest(t *testing.T) {
-	m, err := New(Config{Workers: 1, Retention: 2}, okExec)
+	m, err := New(Config{Workers: 1, retention: 2}, okExec)
 	if err != nil {
 		t.Fatal(err)
 	}

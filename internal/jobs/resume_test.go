@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tangled/internal/obs"
 )
 
 // writeWAL hand-authors a log file from records, simulating the on-disk
@@ -49,7 +51,8 @@ func TestCrashResume(t *testing.T) {
 	var mu sync.Mutex
 	runs := map[string]int{}
 	var order []string
-	m, err := New(Config{Dir: dir, Workers: 1}, func(ctx context.Context, j Job) (json.RawMessage, error) {
+	jo := NewObs(obs.NewRegistry())
+	m, err := New(Config{Dir: dir, Workers: 1, Obs: jo}, func(ctx context.Context, j Job) (json.RawMessage, error) {
 		mu.Lock()
 		runs[j.ID]++
 		order = append(order, j.ID)
@@ -91,8 +94,8 @@ func TestCrashResume(t *testing.T) {
 		t.Fatalf("completed job %+v result=%s", done, done.Result)
 	}
 
-	if rq, rf := m.Resumed(); rq != 2 || rf != 1 {
-		t.Fatalf("Resumed() = %d,%d want 2,1", rq, rf)
+	if rq, rf := jo.Resumed.Value(), jo.ResumeFailed.Value(); rq != 2 || rf != 1 {
+		t.Fatalf("jobs_resumed_total, jobs_resume_failed_total = %d,%d want 2,1", rq, rf)
 	}
 }
 

@@ -218,7 +218,7 @@ func TestWALTornHeaderIsEmptyStore(t *testing.T) {
 
 func TestWALCompaction(t *testing.T) {
 	dir := t.TempDir()
-	m, err := New(Config{Dir: dir, Workers: 1, CompactEvery: 8, Retention: 4}, okExec)
+	m, err := New(Config{Dir: dir, Workers: 1, compactEvery: 8, retention: 4}, okExec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestWALEvictErasesJob(t *testing.T) {
 	// Retention eviction must reach the disk even without a compaction
 	// cycle: the evict record erases the job at replay.
 	dir := t.TempDir()
-	m, err := New(Config{Dir: dir, Workers: 1, Retention: 1}, okExec)
+	m, err := New(Config{Dir: dir, Workers: 1, retention: 1}, okExec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,37 +1,36 @@
 package obs
 
 // The operational face: one handler serving the registry as Prometheus
-// text at /metrics, the standard expvar JSON at /debug/vars (with the
-// registry published alongside the runtime's memstats), and the pprof
-// endpoints under /debug/pprof/. cmd/qatfarm and cmd/tangled-run mount it
-// with -http.
+// text at /metrics, expvar-style JSON at /debug/vars (the process's expvar
+// variables, such as memstats, plus this registry's snapshot under
+// "tangled_metrics"), and the pprof endpoints under /debug/pprof/.
+// cmd/qatfarm and cmd/tangled-run mount it with -http.
 
 import (
+	"encoding/json"
 	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
-// expvarOnce guards the process-wide expvar name; expvar.Publish panics on
-// duplicates, and tests may build several handlers.
-var expvarOnce sync.Once
-
 // Handler returns an http.Handler exposing r at /metrics plus the expvar
-// and pprof debug endpoints.
+// and pprof debug endpoints. Each handler's /debug/vars shows its own
+// registry, so several servers in one process do not share a page.
 func Handler(r *Registry) http.Handler {
-	expvarOnce.Do(func() {
-		expvar.Publish("tangled_metrics", expvar.Func(func() interface{} {
-			return r.Snapshot()
-		}))
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		r.WritePrometheus(w)
+		r.WritePrometheus(w) // a failed write is the scraper's lost connection
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
+		vars := map[string]json.RawMessage{}
+		expvar.Do(func(kv expvar.KeyValue) { vars[kv.Key] = json.RawMessage(kv.Value.String()) })
+		// A snapshot that does not marshal (a NaN gauge) shows as null.
+		vars["tangled_metrics"], _ = json.Marshal(r.Snapshot())
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		json.NewEncoder(w).Encode(vars)
+	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

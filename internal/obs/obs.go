@@ -22,9 +22,11 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -384,19 +386,42 @@ func (r *Registry) CounterSet(name, help, label string) *CounterSet {
 }
 
 // WritePrometheus renders every registered metric in Prometheus text
-// exposition format (version 0.0.4), in registration order.
-func (r *Registry) WritePrometheus(w io.Writer) {
+// exposition format (version 0.0.4), in registration order, and returns
+// the first write error.
+func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
-		return
+		return nil
 	}
 	r.mu.Lock()
 	ms := append([]metric(nil), r.ordered...)
 	r.mu.Unlock()
+	// A bufio.Writer keeps its first error and refuses every later write,
+	// so the metric writers need no error plumbing of their own.
+	bw := bufio.NewWriter(w)
 	for _, m := range ms {
-		fmt.Fprintf(w, "# HELP %s %s\n", m.metricName(), escapeHelp(helpOf(m)))
-		fmt.Fprintf(w, "# TYPE %s %s\n", m.metricName(), m.metricType())
-		m.write(w)
+		fmt.Fprintf(bw, "# HELP %s %s\n", m.metricName(), escapeHelp(helpOf(m)))
+		fmt.Fprintf(bw, "# TYPE %s %s\n", m.metricName(), m.metricType())
+		m.write(bw)
 	}
+	return bw.Flush()
+}
+
+// WriteFile runs write on the file at path ("-" means stdout) and reports
+// the first create, write or close error: the one way the CLIs export
+// metrics (Registry.WritePrometheus) and traces (TraceRing.WriteJSONL).
+func WriteFile(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // Snapshot returns a name -> value map of every metric, for expvar export.

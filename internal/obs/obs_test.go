@@ -1,8 +1,13 @@
 package obs
 
 import (
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -242,5 +247,69 @@ func TestCounterSet(t *testing.T) {
 	var nilReg *Registry
 	if nilReg.CounterSet("x", "", "k") != nil {
 		t.Fatal("nil registry must hand out nil CounterSet")
+	}
+}
+
+// failWriter refuses every write, like a full disk.
+type failWriter struct{}
+
+var errFull = errors.New("no space left on device")
+
+func (failWriter) Write([]byte) (int, error) { return 0, errFull }
+
+func TestWriteErrorsReported(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total", "a counter").Inc()
+	if err := r.WritePrometheus(failWriter{}); !errors.Is(err, errFull) {
+		t.Fatalf("WritePrometheus to a failing writer: %v, want %v", err, errFull)
+	}
+	path := filepath.Join(t.TempDir(), "m.prom")
+	if err := WriteFile(path, func(io.Writer) error { return r.WritePrometheus(failWriter{}) }); !errors.Is(err, errFull) {
+		t.Fatalf("WriteFile with a failing write: %v, want %v", err, errFull)
+	}
+	if err := WriteFile(filepath.Join(path, "no-such-dir", "m.prom"), r.WritePrometheus); err == nil {
+		t.Fatal("WriteFile under a missing directory reported no error")
+	}
+	if err := WriteFile(path, r.WritePrometheus); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || !strings.Contains(string(b), "a_total 1") {
+		t.Fatalf("written file %q, %v", b, err)
+	}
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := WriteFile("/dev/full", r.WritePrometheus); err == nil {
+			t.Fatal("WriteFile to /dev/full reported no error")
+		}
+	}
+}
+
+// TestDebugVarsPerHandler: two handlers over two registries each show
+// their own registry at /debug/vars, beside the process's expvar variables.
+func TestDebugVarsPerHandler(t *testing.T) {
+	ra, rb := NewRegistry(), NewRegistry()
+	ra.Counter("only_a_total", "").Add(1)
+	rb.Counter("only_b_total", "").Add(2)
+	for _, tc := range []struct {
+		r          *Registry
+		own, other string
+	}{{ra, "only_a_total", "only_b_total"}, {rb, "only_b_total", "only_a_total"}} {
+		rec := httptest.NewRecorder()
+		Handler(tc.r).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
+		var page struct {
+			Memstats json.RawMessage        `json:"memstats"`
+			Metrics  map[string]interface{} `json:"tangled_metrics"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
+			t.Fatalf("/debug/vars body: %v\n%s", err, rec.Body.Bytes())
+		}
+		if page.Memstats == nil {
+			t.Fatalf("/debug/vars lost the process expvar variables:\n%s", rec.Body.Bytes())
+		}
+		if _, ok := page.Metrics[tc.own]; !ok {
+			t.Fatalf("/debug/vars lacks its own %s: %v", tc.own, page.Metrics)
+		}
+		if _, ok := page.Metrics[tc.other]; ok {
+			t.Fatalf("/debug/vars shows the other registry's %s: %v", tc.other, page.Metrics)
+		}
 	}
 }

@@ -303,13 +303,13 @@ func (p *Pipeline) cycle() (bool, error) {
 			p.Stats.ExBusyStalls++
 		} else {
 			if ex.decodeErr != nil {
-				return false, fmt.Errorf("pipeline: at %#04x: %w", ex.pc, ex.decodeErr)
+				return p.fault(fmt.Errorf("pipeline: at %#04x: %w", ex.pc, ex.decodeErr))
 			}
 			if p.oracle.PC != ex.pc {
-				return false, fmt.Errorf("pipeline: timing/functional divergence: EX pc %#04x, oracle pc %#04x", ex.pc, p.oracle.PC)
+				return p.fault(fmt.Errorf("pipeline: timing/functional divergence: EX pc %#04x, oracle pc %#04x", ex.pc, p.oracle.PC))
 			}
 			if err := p.oracle.Step(); err != nil {
-				return false, err
+				return p.fault(err)
 			}
 			fallthroughPC := ex.pc + uint16(ex.inst.Words())
 			if p.oracle.Halted {
@@ -381,6 +381,14 @@ func (p *Pipeline) cycle() (bool, error) {
 	}
 
 	return p.drained(), nil
+}
+
+// fault ends the run on an EX fault with the oracle's instruction count.
+// The instructions past EX have already executed, and an instruction that
+// faults past decode counts as executed, just as a functional run counts it.
+func (p *Pipeline) fault(err error) (bool, error) {
+	p.Stats.Insts = p.oracle.Stats.Insts
+	return false, err
 }
 
 func (p *Pipeline) drained() bool {

@@ -209,15 +209,19 @@ type Health struct {
 	// Status is "ok", or "draining" once shutdown has begun (the HTTP
 	// status is 503 then, so load balancers stop routing here).
 	Status string `json:"status"`
-	// QueueDepth is the number of admitted jobs not yet finished and
-	// QueueLimit the admission bound that produces 429s.
+	// QueueDepth is the number of admitted synchronous jobs (/v1/run and
+	// /v1/batch programs) not yet finished and QueueLimit the admission
+	// bound that produces 429s. Async jobs are counted in JobsQueued and
+	// JobsRunning, never here.
 	QueueDepth int64 `json:"queue_depth"`
 	QueueLimit int64 `json:"queue_limit"`
 	// InFlight is the number of HTTP requests currently being served.
 	InFlight int64 `json:"in_flight"`
 	// Workers is the farm's concurrency bound.
 	Workers int `json:"workers"`
-	// JobsDone counts jobs completed over the server's lifetime.
+	// JobsDone counts admitted synchronous jobs finished over the server's
+	// lifetime; memo hits and async jobs are not counted (async outcomes
+	// are in the jobs_state_total metric).
 	JobsDone uint64 `json:"jobs_done"`
 	// Draining mirrors Status == "draining" as a boolean, so pollers and
 	// routers branch without string comparison.

@@ -13,7 +13,6 @@ package server
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tangled/internal/farm"
@@ -37,7 +36,6 @@ type coalescer struct {
 	in      chan *submission
 	stopped chan struct{}
 	flushes sync.WaitGroup
-	batches atomic.Uint64 // farm batches formed (observability for tests)
 
 	stopOnce sync.Once
 }
@@ -111,7 +109,6 @@ func (c *coalescer) run(batch []*submission) {
 		jobs[i] = sub.job
 	}
 	c.obs.batchSize.Observe(float64(len(batch)))
-	c.batches.Add(1)
 	c.flushes.Add(1)
 	go func() {
 		defer c.flushes.Done()

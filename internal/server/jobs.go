@@ -7,16 +7,16 @@ package server
 //	DELETE /v1/jobs/{id}  cancel (queued: immediate; running: ctx cancel)
 //	GET    /v1/events     NDJSON lifecycle stream with `since` replay
 //
-// The job manager (internal/jobs) owns durability, fairness and the FSM;
-// this file owns the wire schema and the execution bridge: a job's spec is
-// its fully resolved RunRequest (source already assembled to words, step
-// budget already clamped), so replaying it after a crash cannot depend on
-// the submitting process's config, and executing it reuses the exact
-// synchronous /v1/run machinery — memo probe before admission, the shared
-// admission queue (waited on, never jumped), the dynamic-batching
-// coalescer — which is what makes the async differential guarantee hold:
-// a job's result is byte-identical to a synchronous run of the same
-// program.
+// The job manager (internal/jobs) owns durability, fairness, the FSM and
+// the async path's only bound: at most JobWorkers jobs run at once, and a
+// job waits in the manager's fair queue alone. This file owns the wire
+// schema and the execution bridge: a job's spec is its fully resolved
+// RunRequest (source already assembled to words, step budget already
+// clamped), so replaying it after a crash cannot depend on the submitting
+// process's config. A dispatched job runs straight on the shared farm,
+// whose execution cache answers a stored result and collapses identical
+// in-flight runs exactly as for a synchronous /v1/run, so a job's result is
+// byte-identical to a synchronous run of the same program.
 
 import (
 	"context"
@@ -188,9 +188,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // execJob is the jobs.Exec bridge: it rebuilds the farm job from the
-// durable spec and runs it through the same serving path a synchronous
-// /v1/run takes. The returned document is a RunResult; the returned error
-// is the execution error (the manager classifies it into failed/canceled).
+// durable spec and runs it on the farm. It takes no synchronous admission
+// slot and no coalescer window: the manager's worker count is the async
+// bound. The returned document is a RunResult; the returned error is the
+// execution error (the manager classifies it into failed/canceled).
 func (s *Server) execJob(ctx context.Context, j jobs.Job) (json.RawMessage, error) {
 	var spec jobSpec
 	if err := json.Unmarshal(j.Spec, &spec); err != nil {
@@ -203,45 +204,12 @@ func (s *Server) execJob(ctx context.Context, j jobs.Job) (json.RawMessage, erro
 		// differently; classify as a failed job, not a crash.
 		return nil, errors.New(errResp.Error)
 	}
-
-	// Memo probe first, mirroring the sync path: hits never wait on
-	// admission or the batching window.
-	if fr, ok := s.engine.MemoProbe(&job); ok {
-		return marshalJobResult(j.ID, &fr)
-	}
-	if err := s.admitWait(ctx, 1); err != nil {
-		return nil, err
-	}
-	defer s.release(1)
-	// The farm's own memo stores the result and collapses concurrent
-	// identical jobs onto one execution, as for a synchronous run.
-	fr := s.runJobThroughCoalescer(job)
-	return marshalJobResult(j.ID, &fr)
-}
-
-// runJobThroughCoalescer submits one job to the dynamic batcher and waits;
-// if the coalescer has already stopped (hard close), it runs the job
-// directly so the manager can still record a truthful terminal state.
-func (s *Server) runJobThroughCoalescer(job farm.Job) farm.Result {
-	if done, ok := s.coal.submit(job); ok {
-		return <-done
-	}
-	rs, _ := s.engine.Run(job.Ctx, []farm.Job{job})
-	if len(rs) == 0 {
-		return farm.Result{Name: job.Name, Err: errors.New("no result")}
-	}
-	return rs[0]
-}
-
-// marshalJobResult renders the job's result document and forwards the
-// execution error for FSM classification.
-func marshalJobResult(id string, fr *farm.Result) (json.RawMessage, error) {
-	rr := resultFrom(fr, id, 0)
-	raw, err := json.Marshal(rr)
+	rs, _ := s.engine.Run(ctx, []farm.Job{job})
+	raw, err := json.Marshal(resultFrom(&rs[0], j.ID, 0))
 	if err != nil {
 		return nil, err
 	}
-	return raw, fr.Err
+	return raw, rs[0].Err
 }
 
 // jobStatusFrom converts a manager record into its wire form.

@@ -274,6 +274,46 @@ func TestHealthzReportsJobDepths(t *testing.T) {
 	s.Close()
 }
 
+// TestJobRunsWithAdmissionFull: an async job takes no synchronous
+// admission slot, so it completes while every slot is taken, and neither
+// healthz queue_depth nor jobs_done counts it.
+func TestJobRunsWithAdmissionFull(t *testing.T) {
+	s, base := startTestServer(t, Config{JobsDir: t.TempDir(), QueueLimit: 4})
+	s.queue.Store(int64(s.cfg.QueueLimit))
+	defer s.queue.Store(0)
+
+	src := farmtest.Generate(farmtest.Seed(5))
+	want, err := qasm.RunFunctional(src, farmtest.Ways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, base+"/v1/jobs", JobRequest{RunRequest: RunRequest{ID: "full", Src: src, Ways: farmtest.Ways}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit with a full admission queue: %d, want 202", resp.StatusCode)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	var st JobStatus
+	for getJSON(t, base+"/v1/jobs/full", &st); !jobs.State(st.State).Terminal(); getJSON(t, base+"/v1/jobs/full", &st) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 5 s with every admission slot taken", st.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if st.State != string(jobs.StateCompleted) || st.Result == nil {
+		t.Fatalf("job ended %s: %s", st.State, st.Reason)
+	}
+	if st.Result.Regs != want.Regs || st.Result.Output != want.Output || st.Result.Insts != want.Insts {
+		t.Fatalf("job result %+v, direct regs=%v output=%q insts=%d", st.Result, want.Regs, want.Output, want.Insts)
+	}
+	var h Health
+	getJSON(t, base+"/v1/healthz", &h)
+	if h.QueueDepth != int64(s.cfg.QueueLimit) || h.JobsDone != 0 {
+		t.Fatalf("healthz queue_depth=%d jobs_done=%d, want %d and 0: the job touched the sync counters",
+			h.QueueDepth, h.JobsDone, s.cfg.QueueLimit)
+	}
+}
+
 func TestBuildinfoCapabilities(t *testing.T) {
 	_, base := startTestServer(t, Config{JobsDir: t.TempDir()})
 	var bi BuildInfo
@@ -432,8 +472,8 @@ func TestJobStorePersistsAcrossServers(t *testing.T) {
 }
 
 // TestDifferentialAsyncVsSync is the async acceptance proof: over a corpus
-// subset plus sloppySrc (a dead store), a job's result — executed through
-// admission, the memo cache and the coalescer — must be byte-identical to
+// subset plus sloppySrc (a dead store), a job's result — executed on the
+// farm through its memo cache — must be byte-identical to
 // the direct in-process execution of the same program and to a synchronous
 // /v1/run of it, with the memo on (the sync run is then a hit on the entry
 // the job stored) and off (both execute).

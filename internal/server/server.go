@@ -74,8 +74,9 @@ type Config struct {
 	// flush, one /v1/batch chunk); <= 0 means GOMAXPROCS. Concurrent
 	// batches add up: the only server-wide bound is QueueLimit.
 	Workers int
-	// QueueLimit bounds admitted jobs (queued + running) across all
-	// requests; beyond it submissions get 429. <= 0 means 256.
+	// QueueLimit bounds admitted synchronous jobs (queued + running)
+	// across all /v1/run and /v1/batch requests; beyond it submissions get
+	// 429. <= 0 means 256.
 	QueueLimit int
 	// BatchWindow is the coalescer's latency window for /v1/run
 	// submissions; <= 0 means 2ms.
@@ -99,8 +100,9 @@ type Config struct {
 	JobsDir string
 	// JobQueueLimit bounds queued+running async jobs; <= 0 means 1024.
 	JobQueueLimit int
-	// JobWorkers bounds concurrently executing async jobs; <= 0 means
-	// half the farm's workers (min 1), so synchronous traffic keeps farm
+	// JobWorkers bounds concurrently executing async jobs, the async
+	// path's only bound (a job takes no QueueLimit slot); <= 0 means half
+	// the farm's workers (min 1), so synchronous traffic keeps farm
 	// capacity even under a saturated job queue.
 	JobWorkers int
 
@@ -279,10 +281,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	var err error
 	if s.jobs != nil {
-		// The job manager drains first: running jobs finish (they still
-		// need the coalescer and listener-independent farm below), queued
-		// jobs are persisted by the closing compaction and resume on the
-		// next start, and the event stream closes — which ends any
+		// The job manager drains first: running jobs finish on the farm,
+		// queued jobs are persisted by the closing compaction and resume on
+		// the next start, and the event stream closes — which ends any
 		// long-lived /v1/events handlers so Shutdown can complete.
 		err = s.jobs.Close(ctx)
 	}
@@ -374,50 +375,19 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// admit reserves n queue slots, or reports the refusal the caller must turn
-// into a 429. The corresponding release is mandatory.
+// admit reserves n queue slots, or counts and reports the refusal the
+// caller must turn into a 429. The corresponding release is mandatory.
 func (s *Server) admit(n int) bool {
-	if !s.tryAdmit(n) {
-		s.obs.rejected429.Inc()
-		return false
-	}
-	return true
-}
-
-// tryAdmit is admit without the rejection counter — the primitive the
-// async dispatcher's blocking wait is built on, where a full queue is a
-// normal condition to wait out, not a refusal to count.
-func (s *Server) tryAdmit(n int) bool {
 	limit := int64(s.cfg.QueueLimit)
 	for {
 		cur := s.queue.Load()
 		if cur+int64(n) > limit {
+			s.obs.rejected429.Inc()
 			return false
 		}
 		if s.queue.CompareAndSwap(cur, cur+int64(n)) {
 			s.obs.queueDepth.Set(cur + int64(n))
 			return true
-		}
-	}
-}
-
-// admitWait blocks until n slots are reserved or ctx ends. Async jobs use
-// it to share the one admission queue with synchronous traffic: a job
-// never jumps the bound, it waits its turn behind it.
-func (s *Server) admitWait(ctx context.Context, n int) error {
-	if s.tryAdmit(n) {
-		return nil
-	}
-	t := time.NewTicker(2 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-			if s.tryAdmit(n) {
-				return nil
-			}
 		}
 	}
 }

@@ -491,7 +491,8 @@ func TestBodyLimit413(t *testing.T) {
 func TestCoalescerGroupsSingles(t *testing.T) {
 	// A wide window plus concurrent singles must form at least one
 	// multi-job farm batch (fewer engine batches than jobs).
-	s, _ := startTestServer(t, Config{BatchWindow: 30 * time.Millisecond})
+	reg := obs.NewRegistry()
+	s, _ := startTestServer(t, Config{BatchWindow: 30 * time.Millisecond, Registry: reg})
 	base := "http://" + s.ln.Addr().String()
 	const n = 8
 	errs := make(chan error, n)
@@ -509,7 +510,7 @@ func TestCoalescerGroupsSingles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if batches := s.coal.batches.Load(); batches >= n {
+	if batches := s.obs.batchSize.Count(); batches >= n {
 		t.Fatalf("%d farm batches for %d singles: coalescer never grouped", batches, n)
 	}
 }
